@@ -279,7 +279,8 @@ class DecisionFuser:
             raise ValueError("n_confirm must be at least 1")
         self.n_confirm = int(n_confirm)
         self.decision = FdDecision()
-        #: sample at which the isolating run completed (k_d + n_confirm - 1)
+        #: sample at which the decision latched; later than k_d + n_confirm - 1
+        #: when another blade's crossing held the confirmation back
         self.confirmed_at: int | None = None
         self._count = np.zeros(3, dtype=int)
         self._run_start = np.full(3, -1, dtype=int)

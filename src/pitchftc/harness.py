@@ -33,8 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .actuator import ActuatorBank, FaultDescriptor
-from .fdi import DecisionFuser, FdiBounds, design_fdie, residual_noise_std
-from .plant import LOAD_CASES, LoadCase, Plant, load_case_params
+from .fdi import DecisionFuser, Fdie, FdiBounds, design_fdie, residual_noise_std
+from .numerics import pseudo_inverse
+from .plant import LOAD_CASES, PITCH_MAX_DEG, PITCH_MIN_DEG, LoadCase, Plant, load_case_params
 from .sprc import (
     MarkovIdentifier,
     RepetitiveLaw,
@@ -44,19 +45,10 @@ from .sprc import (
 )
 from . import supervisor as _supervisor
 
-try:  # limiting BLAS threads speeds up the many small factorizations
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    from contextlib import nullcontext
-
-    def threadpool_limits(*args, **kwargs):
-        return nullcontext()
-
 __all__ = [
     "RunConfig",
     "RunReport",
     "RunResult",
-    "replace_config",
     "dynamics_fingerprint",
     "run_simulation",
     "load_reduction_metrics",
@@ -233,10 +225,6 @@ class RunConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1))
 
 
-def replace_config(cfg: RunConfig, **changes) -> RunConfig:
-    return replace(cfg, **changes)
-
-
 _DYNAMICS_FIELDS = (
     "load_case",
     "Ts",
@@ -277,7 +265,14 @@ def dynamics_fingerprint(cfg: RunConfig) -> str:
 
 @dataclass
 class RunReport:
-    """Summary derived entirely from the emitted time series."""
+    """Summary of a run, built by :func:`report_from_series` from its time series.
+
+    A live run's report is that rebuild of its own series, so a report
+    rebuilt from the CSV is equal field by field.  Only five fields are
+    controller tallies supplied by the run: ``gain_failures``,
+    ``rls_degenerate``, ``switch_sample``, ``switch_applied`` and
+    ``converged_period``.
+    """
 
     schema: str
     mode: str
@@ -340,8 +335,7 @@ def run_simulation(cfg: RunConfig, bank: "_supervisor.PretunedBank | None" = Non
     if cfg.mode == "proposed" and cfg.fault_blade != 0 and bank is None:
         raise ValueError("proposed mode with a configured fault needs a pre-tuned bank")
 
-    with threadpool_limits(limits=1):
-        return _simulate(cfg, bank)
+    return _simulate(cfg, bank)
 
 
 def _simulate(cfg: RunConfig, bank) -> RunResult:
@@ -377,10 +371,8 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
         init_error=cfg.init_error_bound,
         model_mismatch=cfg.model_mismatch_bound,
     )
-    fdies = [
-        design_fdie(actuator.model, cfg.pole_radius, bounds=bounds, margin=cfg.threshold_margin)
-        for _ in range(3)
-    ]
+    # the three blades share one design: same model, gain and transient bound
+    fdies = [Fdie(actuator.model, probe.gain, probe.alpha, probe.delta, bounds) for _ in range(3)]
     fuser = DecisionFuser(n_confirm=cfg.n_confirm)
 
     actuator.init_steady(lc.collective_setpoint)
@@ -452,11 +444,9 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
 
     switch_applied = False
     switch_sample = None
-    decision_sample = None
     converged_period = None
     snapshot_coeffs = snapshot_markov = None
-    quiet_streak = 0
-    final_increment = 0.0
+    c = cfg.convergence_consecutive
     end = N
 
     k = 0
@@ -465,42 +455,33 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
         pre_state = snapshot()
         simulate_span(k, b)
 
+        # the fuser latches once, so a switch happens at most once per run
+        switch_now = False
         if fuser.decision.d_fd == 0:
             fuser.scan_chunk(series["r"][k:b], series["rbar"][k:b], k)
-            if fuser.decision.d_fd != 0:
-                decision_sample = fuser.confirmed_at
-                if switching and not switch_applied:
-                    s = decision_sample + 1
-                    if s < b:
-                        restore(pre_state)
-                        simulate_span(k, s)
-                        flush_identification(k, s)
-                        _apply_switch(cfg, bank, fuser, identifier, law)
-                        switch_applied = True
-                        switch_sample = s
-                        k = s
-                        continue
-                    flush_identification(k, b)
-                    _apply_switch(cfg, bank, fuser, identifier, law)
-                    switch_applied = True
-                    switch_sample = b
-                    k = b
-                    if b % P == 0:
-                        _boundary_update(cfg, law, identifier, series, b, coeff_history)
-                    continue
+            switch_now = switching and fuser.decision.d_fd != 0
+            if switch_now and fuser.confirmed_at + 1 < b:
+                # the switch acts on the sample after confirmation: replay up to it
+                restore(pre_state)
+                b = fuser.confirmed_at + 1
+                simulate_span(k, b)
 
         flush_identification(k, b)
+        if switch_now:
+            switch_sample = b
+            switch_applied = _apply_switch(cfg, bank, fuser, identifier, law)
         k = b
-        if k % P == 0 and k > 0:
+        if k % P == 0:
             _boundary_update(cfg, law, identifier, series, k, coeff_history)
             jj = k // P  # period the freshly updated coefficients apply to
-            if cfg.mode == "offline_tune" and cfg.start_period < jj < coeff_history.shape[0]:
-                inc = _coeff_increment(coeff_history[jj], coeff_history[jj - 1])
-                final_increment = inc
-                scale = _coeff_scale(coeff_history[jj], cfg.convergence_floor)
-                quiet_streak = quiet_streak + 1 if inc < cfg.convergence_eps * scale else 0
-                if quiet_streak >= cfg.convergence_consecutive:
-                    converged_period = jj - cfg.convergence_consecutive + 1
+            # offline tuning stops once the last c increments, all of them
+            # after start_period, are quiet
+            if cfg.mode == "offline_tune" and cfg.start_period + c <= jj < coeff_history.shape[0]:
+                quiet, _ = convergence_time(
+                    coeff_history[jj - c : jj + 1], 1, cfg.convergence_eps, cfg.convergence_floor, c
+                )
+                if quiet is not None:
+                    converged_period = jj - c + 1
                     snapshot_coeffs = law.coeffs.copy()
                     snapshot_markov = identifier.rows()
                     end = k
@@ -512,24 +493,17 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
         coeff_history = coeff_history[: end // P]
 
     series["dfd"] = np.zeros(end, dtype=int)
-    if fuser.decision.d_fd != 0 and decision_sample is not None and decision_sample < end:
-        series["dfd"][decision_sample:] = fuser.decision.d_fd
+    if fuser.decision.d_fd != 0:
+        series["dfd"][fuser.confirmed_at :] = fuser.decision.d_fd
 
-    report = _build_report(
+    report = report_from_series(
         cfg,
         series,
-        coeff_history,
-        fuser.decision.d_fd,
-        fuser.decision.k_d,
-        fuser.decision.ambiguous,
-        decision_sample,
-        switch_sample,
-        switch_applied,
-        plant.saturation_count,
-        law.gain_failures,
-        identifier.degenerate,
-        converged_period,
-        final_increment,
+        gain_failures=law.gain_failures,
+        rls_degenerate=identifier.degenerate,
+        switch_sample=switch_sample,
+        switch_applied=switch_applied,
+        converged_period=converged_period,
     )
     return RunResult(
         config=cfg,
@@ -626,84 +600,46 @@ def report_from_series(
     switch_applied: bool = False,
     converged_period: int | None = None,
 ) -> RunReport:
-    """Rebuild a report from emitted time series alone.
+    """Build the run report from the emitted time series.
 
-    Everything measurable is recomputed: the applied waveform coefficients
-    come back from projecting the control column period by period, the
-    decision record from the dfd column, saturation from the actuated pitch.
-    Controller-internal event tallies (gain failures, factor degeneracy) and
-    the switch record are not in the series and must be supplied if needed.
+    This is the only report builder: a live run calls it on its own series,
+    so rebuilding the report from the CSV gives the live report exactly.
+    The applied waveform coefficients come back from projecting the control
+    column period by period, the decision record from the dfd column and
+    the residual crossings, saturation from the actuated pitch.  Only the
+    controller tallies (gain failures, factor degeneracy, the switch record
+    and the offline-tuning convergence period) are not in the series; they
+    are supplied by the caller and default to "nothing happened".
     """
-    from .plant import PITCH_MAX_DEG, PITCH_MIN_DEG
-
     P = cfg.period_samples
     end = series["y"].shape[0]
-    basis = build_basis(P)
-    from .numerics import pseudo_inverse
+    k0 = cfg.fault_sample
+    settle = cfg.settle_periods * P
 
-    binv = pseudo_inverse(basis)
+    binv = pseudo_inverse(build_basis(P))
     n_periods = end // P
     coeff_history = np.zeros((n_periods, 3, 2))
     for j in range(n_periods):
         coeff_history[j] = (binv @ series["sprc"][j * P : (j + 1) * P]).T
 
+    # decision record, as the fuser saw it: the isolating blade's crossing run
+    # ends at the decision sample, and every sample up to it was scanned
+    crossing = np.abs(series["r"]) > series["rbar"]
     dfd = series["dfd"]
     nonzero = np.flatnonzero(dfd)
     if nonzero.size:
         decision_sample = int(nonzero[0])
         d_fd = int(dfd[decision_sample])
-        k_d = decision_sample - cfg.n_confirm + 1
+        quiet = np.flatnonzero(~crossing[: decision_sample + 1, d_fd - 1])
+        k_d = int(quiet[-1]) + 1 if quiet.size else 0
+        scanned = decision_sample + 1
     else:
         decision_sample, d_fd, k_d = None, 0, None
+        scanned = end
+    ambiguous = bool((np.count_nonzero(crossing[:scanned], axis=1) > 1).any())
 
-    clipped = np.clip(series["u_act"], PITCH_MIN_DEG, PITCH_MAX_DEG)
-    saturation = int(np.count_nonzero(clipped != series["u_act"]))
-
-    _, final_inc = convergence_time(
-        coeff_history,
-        cfg.start_period + 1,
-        cfg.convergence_eps,
-        cfg.convergence_floor,
-        cfg.convergence_consecutive,
-    )
-    return _build_report(
-        cfg,
-        series,
-        coeff_history,
-        d_fd,
-        k_d,
-        False,
-        decision_sample,
-        switch_sample,
-        switch_applied,
-        saturation,
-        gain_failures,
-        rls_degenerate,
-        converged_period,
-        final_inc if np.isfinite(final_inc) else 0.0,
-    )
-
-
-def _build_report(
-    cfg,
-    series,
-    coeff_history,
-    d_fd,
-    k_d,
-    ambiguous,
-    decision_sample,
-    switch_sample,
-    switch_applied,
-    saturation_count,
-    gain_failures,
-    rls_degenerate,
-    converged_period,
-    final_increment,
-) -> RunReport:
-    P = cfg.period_samples
-    end = series["y"].shape[0]
-    k0 = cfg.fault_sample
-    settle = cfg.settle_periods * P
+    u_act = series["u_act"]
+    saturation = int(np.count_nonzero((u_act < PITCH_MIN_DEG) | (u_act > PITCH_MAX_DEG)))
 
     healthy_hi = min(k0, end) if k0 is not None else end
     healthy_window = (min(settle, healthy_hi), healthy_hi)
@@ -724,16 +660,16 @@ def _build_report(
         for b in range(3)
     ]
 
-    crossings = (np.abs(series["r"]) > series["rbar"]).sum(axis=0)
-    pre_fault_hi = healthy_hi if k0 is not None else end
-    if pre_fault_hi > 0:
+    if healthy_hi > 0:
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(series["r"][:pre_fault_hi]) / series["rbar"][:pre_fault_hi]
+            ratio = np.abs(series["r"][:healthy_hi]) / series["rbar"][:healthy_hi]
         max_ratio = float(np.nanmax(ratio)) if ratio.size else 0.0
     else:
         max_ratio = 0.0
 
-    healthy_conv, _ = convergence_time(
+    # without a post-fault stretch this covers the whole history, so its
+    # final increment is the run's
+    healthy_conv, final_inc = convergence_time(
         coeff_history[: healthy_hi // P],
         cfg.start_period + 1,
         cfg.convergence_eps,
@@ -741,10 +677,9 @@ def _build_report(
         cfg.convergence_consecutive,
     )
     postfault_conv = None
-    post_final_inc = final_increment
-    if k0 is not None and coeff_history.shape[0] > k0 // P:
+    if k0 is not None and n_periods > k0 // P:
         first_eligible = k0 // P + cfg.settle_periods
-        j_star, post_final_inc = convergence_time(
+        j_star, final_inc = convergence_time(
             coeff_history,
             first_eligible,
             cfg.convergence_eps,
@@ -775,12 +710,12 @@ def _build_report(
         psd_peak_1p=psd_peaks,
         healthy_converged_period=healthy_conv,
         postfault_converged_periods=postfault_conv,
-        final_coeff_increment=float(post_final_inc) if np.isfinite(post_final_inc) else 0.0,
+        final_coeff_increment=float(final_inc) if np.isfinite(final_inc) else 0.0,
         converged_period=converged_period,
         frozen_updates=cfg.step_gain == 0.0,
-        threshold_crossings=[int(c) for c in crossings],
+        threshold_crossings=[int(c) for c in crossing.sum(axis=0)],
         max_residual_ratio=max_ratio,
-        saturation_count=int(saturation_count),
+        saturation_count=saturation,
         gain_failures=int(gain_failures),
         rls_degenerate=bool(rls_degenerate),
         windows={
@@ -837,7 +772,7 @@ def compare_modes(
     results = {}
     for mode in modes:
         mode_bank = bank if mode == "proposed" else None
-        results[mode] = run_simulation(replace_config(cfg, mode=mode), bank=mode_bank)
+        results[mode] = run_simulation(replace(cfg, mode=mode), bank=mode_bank)
     reduction = {}
     if "baseline" in results:
         base = results["baseline"]

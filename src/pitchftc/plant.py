@@ -68,8 +68,8 @@ class Plant:
 
     The pitch-to-load path is a discrete first-order lag (zero-order hold of
     gain/(tau s + 1)) applied to the deviation of each blade's pitch from the
-    collective setpoint.  Pitch outside the physical range is saturated and
-    counted.  Noise is injected by the caller so that runs stay reproducible.
+    collective setpoint.  Pitch outside the physical range is saturated.
+    Noise is injected by the caller so that runs stay reproducible.
     """
 
     def __init__(
@@ -100,14 +100,12 @@ class Plant:
 
     def reset(self) -> None:
         self._zi = np.zeros((3, 1))
-        self.saturation_count = 0
 
-    def get_state(self) -> tuple[np.ndarray, int]:
-        return self._zi.copy(), self.saturation_count
+    def get_state(self) -> np.ndarray:
+        return self._zi.copy()
 
-    def set_state(self, state: tuple[np.ndarray, int]) -> None:
-        self._zi = state[0].copy()
-        self.saturation_count = state[1]
+    def set_state(self, state: np.ndarray) -> None:
+        self._zi = state.copy()
 
     def azimuth(self, k: int) -> float:
         """Rotor azimuth in [0, 2pi) at sample k."""
@@ -120,8 +118,6 @@ class Plant:
             raise ValueError("pitch must be (n, 3)")
         n = pitch.shape[0]
         clipped = np.clip(pitch, PITCH_MIN_DEG, PITCH_MAX_DEG)
-        self.saturation_count += int(np.count_nonzero(clipped != pitch))
-
         y = np.empty((n, 3))
         dev = clipped - self.lc.collective_setpoint
         for blade in range(3):

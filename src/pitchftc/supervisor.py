@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,13 +111,13 @@ def on_detection(
     """
     if decision.d_fd == 0:
         return False
+    law.freeze_blade(decision.d_fd)
+    identifier.frozen[decision.d_fd - 1] = True
     entry = bank.get(decision.d_fd) if bank is not None else None
     if entry is None:
         log.warning(
             "no pre-tuned entry for blade %d; continuing without warm start", decision.d_fd
         )
-        law.freeze_blade(decision.d_fd)
-        identifier.frozen[decision.d_fd - 1] = True
         return False
     if expected_hash is not None and entry.config_hash != expected_hash:
         log.warning(
@@ -127,14 +127,10 @@ def on_detection(
             entry.config_hash,
             expected_hash,
         )
-        law.freeze_blade(decision.d_fd)
-        identifier.frozen[decision.d_fd - 1] = True
         return False
 
     law.set_coeffs(entry.coeffs_array())
     identifier.reseed(entry.markov_array(), confidence=reseed_confidence)
-    law.freeze_blade(decision.d_fd)
-    identifier.frozen[decision.d_fd - 1] = True
     log.info("switched to pre-tuned parameters for blade %d at sample %s", decision.d_fd, decision.k_d)
     return True
 
@@ -148,7 +144,7 @@ def offline_tune(cfg, convergence_eps: float | None = None):
     """
     from . import harness  # local import; harness orchestrates the run
 
-    tune_cfg = harness.replace_config(cfg, mode="offline_tune")
+    tune_cfg = replace(cfg, mode="offline_tune")
     result = harness.run_simulation(tune_cfg)
     report = result.report
     if report.converged_period is None:

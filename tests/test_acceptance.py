@@ -17,6 +17,8 @@ Criteria:
 - A9  bit-exact replay of runs, including the tune/switch/replay chain
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,7 @@ def matched_pairs(banks):
                 fault_time_s=FAULT_TIME_S,
             )
             warm = harness.run_simulation(cfg, bank=banks[lc])
-            cold = harness.run_simulation(harness.replace_config(cfg, mode="sprc_only"))
+            cold = harness.run_simulation(replace(cfg, mode="sprc_only"))
             pairs.append((lc, seed, cfg, warm, cold))
     return pairs
 

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pitchftc import harness, supervisor
+from pitchftc import supervisor
+from pitchftc.fdi import DecisionFuser
 from pitchftc.harness import (
     RunConfig,
     compare_modes,
@@ -11,7 +13,6 @@ from pitchftc.harness import (
     dynamics_fingerprint,
     load_reduction_metrics,
     read_csv,
-    replace_config,
     report_from_series,
     run_simulation,
     write_csv,
@@ -43,6 +44,25 @@ def lc3_bank():
     )
     entry, _ = supervisor.offline_tune(cfg)
     return supervisor.PretunedBank({3: entry})
+
+
+@pytest.fixture(scope="module")
+def healthy_run():
+    cfg = short_cfg()
+    return cfg, run_simulation(cfg)
+
+
+@pytest.fixture(scope="module")
+def tune_run():
+    cfg = RunConfig(
+        mode="offline_tune",
+        load_case="LC3",
+        seed=100,
+        duration_s=600.0,
+        fault_blade=3,
+        fault_time_s=0.0,
+    )
+    return cfg, run_simulation(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +120,9 @@ class TestConfig:
 
     def test_fingerprint_ignores_protocol_fields(self):
         a = RunConfig()
-        b = replace_config(a, seed=99, duration_s=700.0, fault_time_s=300.0, mode="sprc_only")
+        b = replace(a, seed=99, duration_s=700.0, fault_time_s=300.0, mode="sprc_only")
         assert dynamics_fingerprint(a) == dynamics_fingerprint(b)
-        c = replace_config(a, load_case="LC1")
+        c = replace(a, load_case="LC1")
         assert dynamics_fingerprint(a) != dynamics_fingerprint(c)
 
     def test_proposed_with_fault_requires_bank(self):
@@ -165,6 +185,18 @@ class TestFaultyRun:
         assert np.all(dfd[:first] == 0)
         assert np.all(dfd[first:] == 3)
 
+    def test_refused_warm_start_reported_and_blade_frozen(self, faulty_run):
+        cfg, _ = faulty_run
+        result = run_simulation(cfg, bank=supervisor.PretunedBank())
+        rep = result.report
+        assert rep.d_fd == 3 and rep.switch_sample == rep.decision_sample + 1
+        assert rep.switch_applied is False
+        # isolation is trusted without a bank entry: the stuck blade's waveform
+        # holds from the switch on
+        s, P = rep.switch_sample, cfg.period_samples
+        sprc3 = result.series["sprc"][:, 2]
+        np.testing.assert_array_equal(sprc3[s + P :], sprc3[s:-P])
+
     def test_stuck_blade_output_frozen(self, faulty_run):
         cfg, result = faulty_run
         k0 = cfg.fault_sample
@@ -222,25 +254,73 @@ class TestCsvArtifacts:
         for name in result.series:
             np.testing.assert_array_equal(series[name], result.series[name])
 
-    def test_report_recomputable_from_series(self, faulty_run):
-        cfg, result = faulty_run
+    @pytest.mark.parametrize("run", ["healthy_run", "faulty_run", "tune_run"])
+    def test_report_recomputable_from_series(self, tmp_path, request, run):
+        cfg, result = request.getfixturevalue(run)
+        path = tmp_path / "run.csv"
+        write_csv(path, result.series, cfg.Ts)
+        live = result.report
         rebuilt = report_from_series(
             cfg,
-            result.series,
-            gain_failures=result.report.gain_failures,
-            rls_degenerate=result.report.rls_degenerate,
-            switch_sample=result.report.switch_sample,
-            switch_applied=result.report.switch_applied,
+            read_csv(path),
+            gain_failures=live.gain_failures,
+            rls_degenerate=live.rls_degenerate,
+            switch_sample=live.switch_sample,
+            switch_applied=live.switch_applied,
+            converged_period=live.converged_period,
         )
-        a, b = result.report.to_dict(), rebuilt.to_dict()
-        b["ambiguous"] = a["ambiguous"]  # transient flag, not in the series
+        a, b = live.to_dict(), rebuilt.to_dict()
+        assert a.keys() == b.keys()
         for key in a:
-            if isinstance(a[key], float) or (
-                isinstance(a[key], list) and a[key] and isinstance(a[key][0], float)
-            ):
-                np.testing.assert_allclose(b[key], a[key], rtol=1e-9, err_msg=key)
-            else:
-                assert b[key] == a[key], key
+            assert json.dumps(b[key]) == json.dumps(a[key]), key
+
+
+class TestReportFromSeries:
+    def test_decision_held_back_by_a_second_blade(self):
+        # blade 3 completes its confirming run on a sample where blade 1 also
+        # crosses, so isolation waits one more sample; k_d stays the start of
+        # blade 3's run, not the decision sample minus n_confirm - 1
+        cfg = short_cfg(mode="baseline", duration_s=10.0)
+        n, start = cfg.n_samples, 500
+        series = {name: np.zeros((n, 3)) for name in ("y", "sprc", "u_act", "r")}
+        series["u_act"][:] = 19.0
+        series["rbar"] = np.ones((n, 3))
+        series["r"][start : start + cfg.n_confirm + 5, 2] = 2.0
+        series["r"][start + cfg.n_confirm - 1, 0] = 2.0
+        fuser = DecisionFuser(cfg.n_confirm)
+        fuser.scan_chunk(series["r"], series["rbar"], 0)
+        series["dfd"] = np.zeros(n, dtype=int)
+        series["dfd"][fuser.confirmed_at :] = fuser.decision.d_fd
+
+        rep = report_from_series(cfg, series)
+        assert fuser.confirmed_at == start + cfg.n_confirm
+        assert (rep.d_fd, rep.decision_sample) == (3, fuser.confirmed_at)
+        assert rep.k_d == fuser.decision.k_d == start
+        assert rep.ambiguous and fuser.decision.ambiguous
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_decision_record_matches_fuser_on_noisy_runs(self, seed):
+        # loud pitch noise under a tight threshold makes several blades cross;
+        # on seed 1 a second blade holds the confirmation back
+        cfg = short_cfg(
+            mode="baseline", seed=seed, duration_s=400.0, fault_blade=3, fault_time_s=300.0,
+            meas_noise_value=6.0, noise_multiplier=1.2,
+        )
+        result = run_simulation(cfg)
+        fuser = DecisionFuser(cfg.n_confirm)
+        fuser.scan_chunk(result.series["r"], result.series["rbar"], 0)
+        rep = result.report
+        assert rep.d_fd == fuser.decision.d_fd == 3
+        assert (rep.k_d, rep.decision_sample) == (fuser.decision.k_d, fuser.confirmed_at)
+        assert rep.ambiguous == fuser.decision.ambiguous
+
+    def test_saturation_counted_from_actuated_pitch(self):
+        # blade 3 sticks below the physical pitch range for the second half
+        cfg = short_cfg(
+            mode="baseline", duration_s=20.0, fault_blade=3, fault_time_s=10.0, fault_angle=-30.0
+        )
+        rep = run_simulation(cfg).report
+        assert rep.saturation_count == cfg.n_samples - cfg.fault_sample
 
 
 class TestCompareModes:
@@ -278,7 +358,7 @@ class TestCompareModes:
             fault_time_s=100.0,
         )
         prop = run_simulation(cfg, bank=lc3_bank)
-        only = run_simulation(replace_config(cfg, mode="sprc_only"))
+        only = run_simulation(replace(cfg, mode="sprc_only"))
         k0 = cfg.fault_sample
         for name in ("u_ref", "u_act", "y", "r"):
             np.testing.assert_array_equal(

@@ -92,12 +92,11 @@ class TestPlant:
         late = y[5 * P :]
         np.testing.assert_allclose(late[:P], late[P : 2 * P], atol=1e-6)
 
-    def test_saturation_counted_and_clipped(self):
+    def test_saturated_pitch_is_clipped(self):
         lc = quiet_case(collective=0.0)
         plant = Plant(lc, TS, P)
         pitch = np.full((500, 3), -30.0)
         y = plant.run_chunk(pitch, 0)
-        assert plant.saturation_count == 1500
         # deviation is clipped at -5, not -30
         assert y[-1, 0] == pytest.approx(-30.0 * -5.0, rel=1e-2)
 

@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestOfflineTune:
         bank = PretunedBank({3: entry})
         # fault from the start: isolation fires within the first period and
         # swaps in the snapshot, so no visible re-adaptation should occur
-        cfg = harness.replace_config(
+        cfg = replace(
             tune_cfg, mode="proposed", duration_s=150.0, fault_time_s=0.0
         )
         result = harness.run_simulation(cfg, bank=bank)
@@ -173,6 +174,6 @@ class TestOfflineTune:
             assert inc < eps * scale
 
     def test_unconverged_tuning_raises(self, tune_cfg):
-        short = harness.replace_config(tune_cfg, duration_s=60.0)
+        short = replace(tune_cfg, duration_s=60.0)
         with pytest.raises(RuntimeError, match="did not converge"):
             supervisor.offline_tune(short)
