@@ -20,7 +20,6 @@ __all__ = [
     "ACTUATOR_OMEGA",
     "ACTUATOR_DAMPING",
     "FaultDescriptor",
-    "apply_pas_fault",
     "ActuatorBank",
 ]
 
@@ -42,17 +41,6 @@ class FaultDescriptor:
         if self.start_sample < 0:
             raise ValueError("start_sample must be nonnegative")
 
-    def active(self, k: int) -> bool:
-        return k >= self.start_sample
-
-
-def apply_pas_fault(u: np.ndarray, fault: FaultDescriptor | None, k: int) -> np.ndarray:
-    """Replace the faulty blade's output by its stuck angle once the fault is active."""
-    u = np.asarray(u, dtype=float).copy()
-    if fault is not None and fault.active(k):
-        u[fault.blade - 1] = fault.stuck_angle
-    return u
-
 
 class ActuatorBank:
     """Three identical pitch actuators plus at most one stuck fault."""
@@ -70,11 +58,11 @@ class ActuatorBank:
         self._den = den
         self._zi_unit = signal.lfilter_zi(self._num, self._den)
         self.fault = fault
-        self._zi = np.zeros((3, self._zi_unit.shape[0]))
+        self._zi = np.zeros((self._zi_unit.shape[0], 3))
 
-    def init_steady(self, u0: float) -> None:
-        """Start all actuators settled at a constant pitch angle."""
-        self._zi = np.tile(self._zi_unit * u0, (3, 1))
+    def init_steady(self, u0: np.ndarray) -> None:
+        """Start each actuator settled at its constant pitch angle u0[(3,)]."""
+        self._zi = np.outer(self._zi_unit, u0)
 
     def get_state(self) -> np.ndarray:
         return self._zi.copy()
@@ -87,18 +75,8 @@ class ActuatorBank:
         u_ref = np.asarray(u_ref, dtype=float)
         if u_ref.ndim != 2 or u_ref.shape[1] != 3:
             raise ValueError("u_ref must be (n, 3)")
-        n = u_ref.shape[0]
-        u = np.empty((n, 3))
-        for blade in range(3):
-            out, self._zi[blade] = signal.lfilter(
-                self._num, self._den, u_ref[:, blade], zi=self._zi[blade]
-            )
-            u[:, blade] = out
+        u, self._zi = signal.lfilter(self._num, self._den, u_ref, axis=0, zi=self._zi)
         if self.fault is not None:
-            k = k_start + np.arange(n)
-            mask = k >= self.fault.start_sample
+            mask = k_start + np.arange(u_ref.shape[0]) >= self.fault.start_sample
             u[mask, self.fault.blade - 1] = self.fault.stuck_angle
         return u
-
-    def step(self, u_ref: np.ndarray, k: int) -> np.ndarray:
-        return self.run_chunk(np.asarray(u_ref, dtype=float).reshape(1, 3), k)[0]

@@ -1,7 +1,8 @@
 """Observer bank that detects and isolates a stuck pitch actuator.
 
 One estimator per blade predicts the measured pitch angle from the pitch
-reference; the prediction error is the residual.  A healthy residual stays
+reference (the three identical blades run as one column block); the
+prediction error is the residual.  A healthy residual stays
 inside an adaptive threshold built from an exponential bound on the observer
 transition matrix and declared noise bounds, so a persistent crossing is
 evidence of a fault.  Isolation requires the crossing blade to be the only
@@ -22,7 +23,6 @@ from .numerics import StateSpaceModel
 __all__ = [
     "FdiBounds",
     "Fdie",
-    "FdDecision",
     "DecisionFuser",
     "design_fdie",
     "compute_alpha_delta",
@@ -117,13 +117,13 @@ def residual_noise_std(model: StateSpaceModel, gain: np.ndarray, meas_std: float
 
 
 class Fdie:
-    """Single-blade fault detection and isolation estimator.
+    """Fault detection and isolation estimator for a block of identical blades.
 
-    Predicts the measured pitch from the reference through a copy of the
-    actuator model, corrected by the gain on the prediction error, and runs
-    the threshold recursion alongside.  Use either the per-sample interface
-    (:meth:`step` / :meth:`threshold_step`) or the vectorized
-    :meth:`run_chunk`, not both on the same instance.
+    Predicts each column of the measured pitch from the same column of the
+    reference through a copy of the actuator model, corrected by the gain on
+    the prediction error, and runs the threshold recursion alongside.  The
+    blades share model, gain and bounds, so one threshold serves them all;
+    the column count follows the data.
     """
 
     def __init__(
@@ -150,11 +150,9 @@ class Fdie:
         self.alpha = float(alpha)
         self.delta = float(delta)
         self.bounds = bounds
-
-        self.xhat = np.zeros(model.n_states)
         self.threshold_state = self.alpha * bounds.init_error
 
-        # transfer-function form for chunked execution: uhat = F_ref u_ref + F_meas u_meas
+        # transfer-function form: uhat = F_ref u_ref + F_meas u_meas
         B2 = np.column_stack([model.B, self.gain])
         D2 = np.zeros((1, 2))
         num_ref, den = signal.ss2tf(A0, B2, model.C, D2, input=0)
@@ -162,61 +160,36 @@ class Fdie:
         self._den = den
         self._num_ref = num_ref[0]
         self._num_meas = num_meas[0]
-        self._zi_ref = np.zeros(model.n_states)
-        self._zi_meas = np.zeros(model.n_states)
+        #: filter states (order, columns); sized by init_steady or the first chunk
+        self._zi_ref = self._zi_meas = None
 
-    def init_steady(self, u0: float) -> None:
-        """Start the estimator settled at a constant angle (zero residual)."""
-        self.xhat = np.linalg.solve(
-            np.eye(self.model.n_states) - self.A0,
-            (self.model.B[:, 0] + self.gain) * u0,
-        )
-        self._zi_ref = signal.lfilter_zi(self._num_ref, self._den) * u0
-        self._zi_meas = signal.lfilter_zi(self._num_meas, self._den) * u0
+    def init_steady(self, u0: np.ndarray) -> None:
+        """Start each column settled at its constant angle u0[(m,)] (zero residual)."""
+        self._zi_ref = np.outer(signal.lfilter_zi(self._num_ref, self._den), u0)
+        self._zi_meas = np.outer(signal.lfilter_zi(self._num_meas, self._den), u0)
 
-    def step(self, u_ref: float, u_meas: float) -> float:
-        """Advance one sample; returns the residual u_meas - uhat."""
-        uhat = float(self.model.C[0] @ self.xhat + self.model.D[0, 0] * u_ref)
-        r = u_meas - uhat
-        self.xhat = self.model.A @ self.xhat + self.model.B[:, 0] * u_ref + self.gain * r
-        return r
-
-    def threshold_step(
-        self,
-        model_mismatch: float | None = None,
-        state_noise: float | None = None,
-        meas_noise: float | None = None,
-    ) -> float:
-        """Advance the threshold recursion one sample; returns the current bound.
-
-        Per-call overrides support time-varying bound schedules; by default
-        the constant bounds from construction apply.
-        """
-        b = self.bounds
-        mismatch = b.model_mismatch if model_mismatch is None else model_mismatch
-        state = b.state_noise if state_noise is None else state_noise
-        meas = b.meas_noise if meas_noise is None else meas_noise
-        rbar = self.threshold_state + meas
-        self.threshold_state = self.delta * self.threshold_state + self.alpha * (mismatch + state)
-        return rbar
-
-    def get_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        return self.xhat.copy(), self._zi_ref.copy(), self._zi_meas.copy(), self.threshold_state
+    def get_state(self) -> tuple[np.ndarray, np.ndarray, float]:
+        return self._zi_ref.copy(), self._zi_meas.copy(), self.threshold_state
 
     def set_state(self, state) -> None:
-        self.xhat = state[0].copy()
-        self._zi_ref = state[1].copy()
-        self._zi_meas = state[2].copy()
-        self.threshold_state = state[3]
+        self._zi_ref = state[0].copy()
+        self._zi_meas = state[1].copy()
+        self.threshold_state = state[2]
 
     def run_chunk(self, u_ref: np.ndarray, u_meas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized residuals and thresholds over aligned input arrays."""
-        u_ref = np.asarray(u_ref, dtype=float).reshape(-1)
-        u_meas = np.asarray(u_meas, dtype=float).reshape(-1)
-        if u_ref.shape != u_meas.shape:
-            raise ValueError("u_ref and u_meas must have equal length")
-        part_ref, self._zi_ref = signal.lfilter(self._num_ref, self._den, u_ref, zi=self._zi_ref)
-        part_meas, self._zi_meas = signal.lfilter(self._num_meas, self._den, u_meas, zi=self._zi_meas)
+        """Residuals and thresholds (n, m) over aligned (n, m) input blocks."""
+        u_ref = np.asarray(u_ref, dtype=float)
+        u_meas = np.asarray(u_meas, dtype=float)
+        if u_ref.ndim != 2 or u_ref.shape != u_meas.shape:
+            raise ValueError("u_ref and u_meas must be (n, m) blocks of equal shape")
+        if self._zi_ref is None:
+            self.init_steady(np.zeros(u_ref.shape[1]))
+        part_ref, self._zi_ref = signal.lfilter(
+            self._num_ref, self._den, u_ref, axis=0, zi=self._zi_ref
+        )
+        part_meas, self._zi_meas = signal.lfilter(
+            self._num_meas, self._den, u_meas, axis=0, zi=self._zi_meas
+        )
         r = u_meas - (part_ref + part_meas)
 
         n = u_ref.shape[0]
@@ -226,7 +199,7 @@ class Fdie:
         )
         self.threshold_state = float(zf[0])
         rbar = z_series + self.bounds.meas_noise
-        return r, rbar
+        return r, np.repeat(rbar[:, None], r.shape[1], axis=1)
 
 
 def design_fdie(
@@ -251,49 +224,32 @@ def design_fdie(
     return Fdie(model, gain, max(alpha, 1.0), delta, bounds or FdiBounds())
 
 
-@dataclass
-class FdDecision:
-    """Fused fault decision: 0 means healthy, 1-3 names the isolated blade."""
-
-    d_fd: int = 0
-    k_d: int | None = None
-    ambiguous: bool = False
-
-    def __post_init__(self):
-        if self.d_fd != 0 and self.k_d is None:
-            raise ValueError("an isolated fault must carry its detection sample")
-
-
 class DecisionFuser:
     """Turns per-blade threshold crossings into one latched fault decision.
 
     A blade is isolated when its residual has exceeded its threshold for
     n_confirm consecutive samples while no other blade is crossing; the
-    detection sample is the first of that run.  Simultaneous multi-blade
-    crossings are reported as ambiguous and never isolate.  Once latched the
-    decision is immutable.
+    detection sample k_d is the first of that run.  Simultaneous multi-blade
+    crossings mark the scan ambiguous and never isolate.  Once latched the
+    decision (d_fd: 0 healthy, 1-3 the isolated blade) is immutable.
     """
 
     def __init__(self, n_confirm: int = 10):
         if n_confirm < 1:
             raise ValueError("n_confirm must be at least 1")
         self.n_confirm = int(n_confirm)
-        self.decision = FdDecision()
+        self.d_fd = 0
+        self.k_d: int | None = None
+        self.ambiguous = False
         #: sample at which the decision latched; later than k_d + n_confirm - 1
         #: when another blade's crossing held the confirmation back
         self.confirmed_at: int | None = None
         self._count = np.zeros(3, dtype=int)
         self._run_start = np.full(3, -1, dtype=int)
 
-    def update(self, residuals: np.ndarray, thresholds: np.ndarray, k: int) -> FdDecision:
-        crossing = np.abs(np.asarray(residuals)) > np.asarray(thresholds)
-        return self._absorb(crossing, k)
-
-    def _absorb(self, crossing: np.ndarray, k: int) -> FdDecision:
-        if self.decision.d_fd != 0:
-            return self.decision
+    def _absorb(self, crossing: np.ndarray, k: int) -> None:
         if crossing.sum() > 1:
-            self.decision.ambiguous = True
+            self.ambiguous = True
         for blade in range(3):
             if crossing[blade]:
                 if self._count[blade] == 0:
@@ -302,28 +258,25 @@ class DecisionFuser:
             else:
                 self._count[blade] = 0
         confirmed = np.flatnonzero(self._count >= self.n_confirm)
-        if confirmed.size == 0:
-            return self.decision
-        if confirmed.size > 1 or crossing.sum() > 1:
-            return self.decision
+        if confirmed.size != 1 or crossing.sum() > 1:
+            return
         blade = int(confirmed[0])
-        self.decision = FdDecision(
-            d_fd=blade + 1,
-            k_d=int(self._run_start[blade]),
-            ambiguous=self.decision.ambiguous,
-        )
+        self.d_fd = blade + 1
+        self.k_d = int(self._run_start[blade])
         self.confirmed_at = k
-        return self.decision
 
-    def scan_chunk(self, residuals: np.ndarray, thresholds: np.ndarray, k_start: int) -> FdDecision:
-        """Process aligned (n, 3) residual/threshold blocks; stops once latched."""
-        if self.decision.d_fd != 0:
-            return self.decision
+    def scan_chunk(self, residuals: np.ndarray, thresholds: np.ndarray, k_start: int) -> int:
+        """Process aligned (n, 3) residual/threshold blocks; stops once latched.
+
+        Returns the decision d_fd.
+        """
+        if self.d_fd != 0:
+            return self.d_fd
         crossing = np.abs(residuals) > thresholds
         if not crossing.any() and self._count.max() == 0:
-            return self.decision
+            return self.d_fd
         for i in range(crossing.shape[0]):
             self._absorb(crossing[i], k_start + i)
-            if self.decision.d_fd != 0:
+            if self.d_fd != 0:
                 break
-        return self.decision
+        return self.d_fd

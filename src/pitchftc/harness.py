@@ -371,13 +371,13 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
         init_error=cfg.init_error_bound,
         model_mismatch=cfg.model_mismatch_bound,
     )
-    # the three blades share one design: same model, gain and transient bound
-    fdies = [Fdie(actuator.model, probe.gain, probe.alpha, probe.delta, bounds) for _ in range(3)]
+    # one observer for the three blades: they share model, gain and transient bound
+    fdie = Fdie(actuator.model, probe.gain, probe.alpha, probe.delta, bounds)
     fuser = DecisionFuser(n_confirm=cfg.n_confirm)
 
-    actuator.init_steady(lc.collective_setpoint)
-    for fdie in fdies:
-        fdie.init_steady(lc.collective_setpoint)
+    start = np.full(3, lc.collective_setpoint)
+    actuator.init_steady(start)
+    fdie.init_steady(start)
 
     rng_plant, rng_meas, rng_prbs = _rng_streams(cfg.seed)
     load_noise = rng_plant.normal(0.0, lc.noise_std, size=(N, 3))
@@ -397,17 +397,12 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
     coeff_history = np.zeros((n_periods, 3, 2))
 
     def snapshot():
-        return (
-            actuator.get_state(),
-            plant.get_state(),
-            [fdie.get_state() for fdie in fdies],
-        )
+        return actuator.get_state(), plant.get_state(), fdie.get_state()
 
     def restore(state):
         actuator.set_state(state[0])
         plant.set_state(state[1])
-        for fdie, s in zip(fdies, state[2]):
-            fdie.set_state(s)
+        fdie.set_state(state[2])
 
     def simulate_span(a: int, b: int) -> None:
         n = b - a
@@ -421,10 +416,7 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
         series["u_act"][a:b] = u_act
         series["u_meas"][a:b] = u_meas
         series["y"][a:b] = y
-        for blade, fdie in enumerate(fdies):
-            r, rbar = fdie.run_chunk(u_ref[:, blade], u_meas[:, blade])
-            series["r"][a:b, blade] = r
-            series["rbar"][a:b, blade] = rbar
+        series["r"][a:b], series["rbar"][a:b] = fdie.run_chunk(u_ref, u_meas)
 
     def flush_identification(a: int, b: int) -> None:
         if not sprc_active:
@@ -457,9 +449,9 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
 
         # the fuser latches once, so a switch happens at most once per run
         switch_now = False
-        if fuser.decision.d_fd == 0:
-            fuser.scan_chunk(series["r"][k:b], series["rbar"][k:b], k)
-            switch_now = switching and fuser.decision.d_fd != 0
+        if fuser.d_fd == 0:
+            d_fd = fuser.scan_chunk(series["r"][k:b], series["rbar"][k:b], k)
+            switch_now = switching and d_fd != 0
             if switch_now and fuser.confirmed_at + 1 < b:
                 # the switch acts on the sample after confirmation: replay up to it
                 restore(pre_state)
@@ -469,7 +461,14 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
         flush_identification(k, b)
         if switch_now:
             switch_sample = b
-            switch_applied = _apply_switch(cfg, bank, fuser, identifier, law)
+            switch_applied = _supervisor.on_detection(
+                fuser.d_fd,
+                bank,
+                identifier,
+                law,
+                reseed_confidence=cfg.reseed_confidence,
+                expected_hash=dynamics_fingerprint(cfg),
+            )
         k = b
         if k % P == 0:
             _boundary_update(cfg, law, identifier, series, k, coeff_history)
@@ -477,7 +476,7 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
             # offline tuning stops once the last c increments, all of them
             # after start_period, are quiet
             if cfg.mode == "offline_tune" and cfg.start_period + c <= jj < coeff_history.shape[0]:
-                quiet, _ = convergence_time(
+                quiet = convergence_time(
                     coeff_history[jj - c : jj + 1], 1, cfg.convergence_eps, cfg.convergence_floor, c
                 )
                 if quiet is not None:
@@ -493,8 +492,8 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
         coeff_history = coeff_history[: end // P]
 
     series["dfd"] = np.zeros(end, dtype=int)
-    if fuser.decision.d_fd != 0:
-        series["dfd"][fuser.confirmed_at :] = fuser.decision.d_fd
+    if fuser.d_fd != 0:
+        series["dfd"][fuser.confirmed_at :] = fuser.d_fd
 
     report = report_from_series(
         cfg,
@@ -512,17 +511,6 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
         coeff_history=coeff_history,
         snapshot_coeffs=snapshot_coeffs,
         snapshot_markov=snapshot_markov,
-    )
-
-
-def _apply_switch(cfg, bank, fuser, identifier, law) -> bool:
-    return _supervisor.on_detection(
-        fuser.decision,
-        bank,
-        identifier,
-        law,
-        reseed_confidence=cfg.reseed_confidence,
-        expected_hash=dynamics_fingerprint(cfg),
     )
 
 
@@ -561,24 +549,22 @@ def convergence_time(
     eps: float,
     floor: float,
     consecutive: int,
-) -> tuple[int | None, float]:
+) -> int | None:
     """First period index from which the coefficients stay quiet.
 
     Quiet means the per-blade increment stays below eps * max(norm, floor)
     for `consecutive` successive periods; the returned index is the first
-    period of that streak.  Also returns the final observed increment.
+    period of that streak.
     """
     n = coeff_history.shape[0]
     streak = 0
-    final_inc = float("nan")
     for j in range(max(start_period, 1), n):
         inc = _coeff_increment(coeff_history[j], coeff_history[j - 1])
-        final_inc = inc
         scale = _coeff_scale(coeff_history[j], floor)
         streak = streak + 1 if inc < eps * scale else 0
         if streak >= consecutive:
-            return j - consecutive + 1, final_inc
-    return None, final_inc
+            return j - consecutive + 1
+    return None
 
 
 def _psd_peak_1p(y: np.ndarray, cfg: RunConfig) -> float:
@@ -667,19 +653,18 @@ def report_from_series(
     else:
         max_ratio = 0.0
 
-    # without a post-fault stretch this covers the whole history, so its
-    # final increment is the run's
-    healthy_conv, final_inc = convergence_time(
+    scan_start = cfg.start_period + 1
+    healthy_conv = convergence_time(
         coeff_history[: healthy_hi // P],
-        cfg.start_period + 1,
+        scan_start,
         cfg.convergence_eps,
         cfg.convergence_floor,
         cfg.convergence_consecutive,
     )
     postfault_conv = None
     if k0 is not None and n_periods > k0 // P:
-        first_eligible = k0 // P + cfg.settle_periods
-        j_star, final_inc = convergence_time(
+        first_eligible = scan_start = k0 // P + cfg.settle_periods
+        j_star = convergence_time(
             coeff_history,
             first_eligible,
             cfg.convergence_eps,
@@ -689,6 +674,10 @@ def report_from_series(
         if j_star is not None:
             j_star = max(j_star, first_eligible)
             postfault_conv = j_star - first_eligible + 1
+    # both scans end at the last applied period, whose increment is the final one
+    final_inc = 0.0
+    if n_periods > max(scan_start, 1):
+        final_inc = _coeff_increment(coeff_history[-1], coeff_history[-2])
 
     return RunReport(
         schema="pitchftc-report-v1",
@@ -710,7 +699,7 @@ def report_from_series(
         psd_peak_1p=psd_peaks,
         healthy_converged_period=healthy_conv,
         postfault_converged_periods=postfault_conv,
-        final_coeff_increment=float(final_inc) if np.isfinite(final_inc) else 0.0,
+        final_coeff_increment=final_inc,
         converged_period=converged_period,
         frozen_updates=cfg.step_gain == 0.0,
         threshold_crossings=[int(c) for c in crossing.sum(axis=0)],

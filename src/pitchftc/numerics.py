@@ -59,14 +59,6 @@ class StateSpaceModel:
     def n_states(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def n_inputs(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.C.shape[0]
-
     def dc_gain(self) -> np.ndarray:
         return self.C @ np.linalg.solve(np.eye(self.n_states) - self.A, self.B) + self.D
 
@@ -100,26 +92,18 @@ class RlsEstimator:
         self.factor = init_scale * np.eye(self.dim)
         self.rhs = np.zeros(self.dim)
         self.degenerate = False
-        self.n_updates = 0
 
     @property
     def estimate(self) -> np.ndarray:
         """Current least-squares solution (row vector of length dim)."""
         return sla.solve_triangular(self.factor, self.rhs, check_finite=False)
 
-    def update(self, regressor: np.ndarray, observation: float) -> None:
-        """Absorb a single (regressor, observation) pair."""
-        regressor = np.asarray(regressor, dtype=float).reshape(-1)
-        if regressor.shape[0] != self.dim:
-            raise ValueError(f"regressor must have length {self.dim}")
-        self.update_block(regressor[None, :], np.array([float(observation)]))
-
     def update_block(self, regressors: np.ndarray, observations: np.ndarray) -> None:
         """Absorb a block of rows in chronological order.
 
-        Equivalent to calling :meth:`update` on each row in sequence: sample i
-        of a block of length B carries weight forgetting**(B-1-i) and the
-        prior is scaled by forgetting**B.
+        Equivalent to absorbing the rows one at a time: sample i of a block
+        of length B carries weight forgetting**(B-1-i) and the prior is
+        scaled by forgetting**B.
         """
         phi = np.asarray(regressors, dtype=float)
         y = np.asarray(observations, dtype=float).reshape(-1)
@@ -151,7 +135,6 @@ class RlsEstimator:
         flip = np.where(diag < 0.0, -1.0, 1.0)
         self.factor = flip[:, None] * r[: self.dim, : self.dim]
         self.rhs = flip * r[: self.dim, self.dim]
-        self.n_updates += b
 
         adiag = np.abs(np.diagonal(self.factor))
         if adiag.min() < self.DEGENERATE_RTOL * adiag.max():

@@ -18,7 +18,6 @@ __all__ = [
     "LoadCase",
     "LOAD_CASES",
     "load_case_params",
-    "periodic_disturbance",
     "Plant",
 ]
 
@@ -56,13 +55,6 @@ def load_case_params(case_id: str) -> LoadCase:
         raise KeyError(f"unknown load case {case_id!r}, expected one of {sorted(LOAD_CASES)}")
 
 
-def periodic_disturbance(azimuth: float, blade: int, lc: LoadCase) -> float:
-    """1P load disturbance on one blade at a given rotor azimuth (radians)."""
-    if blade not in (1, 2, 3):
-        raise ValueError("blade must be 1, 2 or 3")
-    return lc.disturbance_amplitude * np.sin(azimuth + 2.0 * np.pi * (blade - 1) / 3.0)
-
-
 class Plant:
     """Stateful blade-load surrogate stepped at a fixed rate.
 
@@ -83,10 +75,7 @@ class Plant:
         if Ts <= 0 or period_samples < 4:
             raise ValueError("need Ts > 0 and at least 4 samples per period")
         self.lc = lc
-        self.Ts = float(Ts)
         self.period_samples = int(period_samples)
-        self.load_gain = float(load_gain)
-        self.load_tau = float(load_tau)
         pole = float(np.exp(-Ts / load_tau))
         self._num = np.array([0.0, load_gain * (1.0 - pole)])
         self._den = np.array([1.0, -pole])
@@ -96,10 +85,7 @@ class Plant:
         self.disturbance_table = lc.disturbance_amplitude * np.sin(
             2.0 * np.pi * k[:, None] / self.period_samples + phase[None, :]
         )
-        self.reset()
-
-    def reset(self) -> None:
-        self._zi = np.zeros((3, 1))
+        self._zi = np.zeros((1, 3))
 
     def get_state(self) -> np.ndarray:
         return self._zi.copy()
@@ -107,32 +93,15 @@ class Plant:
     def set_state(self, state: np.ndarray) -> None:
         self._zi = state.copy()
 
-    def azimuth(self, k: int) -> float:
-        """Rotor azimuth in [0, 2pi) at sample k."""
-        return 2.0 * np.pi * (k % self.period_samples) / self.period_samples
-
     def run_chunk(self, pitch: np.ndarray, k_start: int, noise: np.ndarray | None = None) -> np.ndarray:
         """Advance the plant over pitch[(n, 3)] starting at sample index k_start."""
         pitch = np.asarray(pitch, dtype=float)
         if pitch.ndim != 2 or pitch.shape[1] != 3:
             raise ValueError("pitch must be (n, 3)")
-        n = pitch.shape[0]
-        clipped = np.clip(pitch, PITCH_MIN_DEG, PITCH_MAX_DEG)
-        y = np.empty((n, 3))
-        dev = clipped - self.lc.collective_setpoint
-        for blade in range(3):
-            out, self._zi[blade] = signal.lfilter(
-                self._num, self._den, dev[:, blade], zi=self._zi[blade]
-            )
-            y[:, blade] = out
-        idx = (k_start + np.arange(n)) % self.period_samples
+        dev = np.clip(pitch, PITCH_MIN_DEG, PITCH_MAX_DEG) - self.lc.collective_setpoint
+        y, self._zi = signal.lfilter(self._num, self._den, dev, axis=0, zi=self._zi)
+        idx = (k_start + np.arange(pitch.shape[0])) % self.period_samples
         y += self.disturbance_table[idx]
         if noise is not None:
             y += noise
         return y
-
-    def step(self, pitch: np.ndarray, k: int, noise: np.ndarray | None = None) -> np.ndarray:
-        """Single-sample convenience wrapper around :meth:`run_chunk`."""
-        pitch = np.asarray(pitch, dtype=float).reshape(1, 3)
-        noise = None if noise is None else np.asarray(noise, dtype=float).reshape(1, 3)
-        return self.run_chunk(pitch, k, noise)[0]

@@ -26,7 +26,6 @@ from .numerics import DareError, RlsEstimator, pseudo_inverse, solve_dare
 
 __all__ = [
     "build_basis",
-    "DeltaBuffers",
     "build_regressor_block",
     "MarkovIdentifier",
     "build_lifted",
@@ -50,47 +49,6 @@ def build_basis(period_samples: int) -> np.ndarray:
     return np.column_stack([np.sin(angle), np.cos(angle)])
 
 
-class DeltaBuffers:
-    """Per-sample ring buffers producing period-differenced regressors.
-
-    Holds the last P + p + 1 samples of pitch and load per blade.  Once warm,
-    every new sample k yields, per blade, the stacked regressor
-    [du(k-p) ... du(k-1), dy(k-p) ... dy(k-1)] and the target dy(k), where
-    d is the difference across one rotor period.
-    """
-
-    def __init__(self, period_samples: int, past_window: int):
-        if past_window < 1:
-            raise ValueError("past_window must be positive")
-        self.P = int(period_samples)
-        self.p = int(past_window)
-        self._cap = self.P + self.p + 1
-        self._u = np.zeros((self._cap, 3))
-        self._y = np.zeros((self._cap, 3))
-        self._count = 0
-
-    @property
-    def warm(self) -> bool:
-        return self._count >= self._cap
-
-    def update(self, u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """Push one sample; returns (regressors (3, 2p), targets (3,)) when warm."""
-        slot = self._count % self._cap
-        self._u[slot] = u
-        self._y[slot] = y
-        self._count += 1
-        if not self.warm:
-            return None
-        # unroll the ring into chronological order ending at the newest sample
-        order = (np.arange(self._cap) + self._count) % self._cap
-        u_seq = self._u[order]
-        y_seq = self._y[order]
-        du = u_seq[self.P :] - u_seq[: self.p + 1]
-        dy = y_seq[self.P :] - y_seq[: self.p + 1]
-        regressors = np.concatenate([du[:-1], dy[:-1]], axis=0).T.copy()
-        return regressors, dy[-1].copy()
-
-
 def build_regressor_block(
     u_series: np.ndarray,
     y_series: np.ndarray,
@@ -99,10 +57,13 @@ def build_regressor_block(
     period_samples: int,
     past_window: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized equivalent of stepping :class:`DeltaBuffers` over [lo, hi).
+    """Period-differenced regressors and targets for samples lo..hi-1.
 
-    Returns (regressors (n, 2p, 3), targets (n, 3)) for targets lo..hi-1.
-    Requires lo >= period_samples + past_window.
+    Per blade, the regressor of sample k stacks
+    [du(k-p) ... du(k-1), dy(k-p) ... dy(k-1)] and the target is dy(k),
+    where d is the difference across one rotor period.  Returns
+    (regressors (n, 2p, 3), targets (n, 3)); requires
+    lo >= period_samples + past_window.
     """
     P, p = period_samples, past_window
     if lo < P + p:
@@ -128,19 +89,11 @@ class MarkovIdentifier:
     """
 
     def __init__(self, past_window: int, forgetting: float = 0.99999, init_scale: float = 1e-4):
-        self.p = int(past_window)
-        self.forgetting = float(forgetting)
         self.estimators = [
-            RlsEstimator(2 * self.p, forgetting=forgetting, init_scale=init_scale)
+            RlsEstimator(2 * int(past_window), forgetting=forgetting, init_scale=init_scale)
             for _ in range(3)
         ]
         self.frozen = np.zeros(3, dtype=bool)
-
-    def update(self, regressors: np.ndarray, targets: np.ndarray) -> None:
-        """Absorb one sample: regressors (3, 2p), targets (3,)."""
-        for blade in range(3):
-            if not self.frozen[blade]:
-                self.estimators[blade].update(regressors[blade], targets[blade])
 
     def update_block(self, regressors: np.ndarray, targets: np.ndarray) -> None:
         """Absorb a chronological block: regressors (n, 2p, 3), targets (n, 3)."""
@@ -311,9 +264,6 @@ class RepetitiveLaw:
         """Control waveform samples k_start .. k_start+n-1, shape (n, 3)."""
         idx = (k_start + np.arange(n)) % self.P
         return self.basis[idx] @ self.coeffs.T
-
-    def output_at(self, k: int) -> np.ndarray:
-        return self.output_slice(k, 1)[0]
 
     def freeze_blade(self, blade: int) -> None:
         self.frozen[blade - 1] = True

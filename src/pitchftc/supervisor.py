@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .fdi import FdDecision
 from .plant import LoadCase
 from .sprc import MarkovIdentifier, RepetitiveLaw
 
@@ -95,7 +94,7 @@ def compose_pitch_command(
 
 
 def on_detection(
-    decision: FdDecision,
+    d_fd: int,
     bank: PretunedBank | None,
     identifier: MarkovIdentifier,
     law: RepetitiveLaw,
@@ -104,26 +103,25 @@ def on_detection(
 ) -> bool:
     """Switch the controller to the pre-tuned state for the isolated fault.
 
-    Returns True when the switch was applied.  A healthy decision is a no-op;
+    d_fd is the isolated blade (0: healthy).  Returns True when the switch
+    was applied.  A healthy decision is a no-op;
     a missing or incompatible bank entry leaves the controller running
     unswitched (degraded adaptive-only operation) with a logged warning, but
     the stuck blade is still frozen since isolation itself is trusted.
     """
-    if decision.d_fd == 0:
+    if d_fd == 0:
         return False
-    law.freeze_blade(decision.d_fd)
-    identifier.frozen[decision.d_fd - 1] = True
-    entry = bank.get(decision.d_fd) if bank is not None else None
+    law.freeze_blade(d_fd)
+    identifier.frozen[d_fd - 1] = True
+    entry = bank.get(d_fd) if bank is not None else None
     if entry is None:
-        log.warning(
-            "no pre-tuned entry for blade %d; continuing without warm start", decision.d_fd
-        )
+        log.warning("no pre-tuned entry for blade %d; continuing without warm start", d_fd)
         return False
     if expected_hash is not None and entry.config_hash != expected_hash:
         log.warning(
             "bank entry for blade %d was tuned under a different configuration "
             "(%s != %s); continuing without warm start",
-            decision.d_fd,
+            d_fd,
             entry.config_hash,
             expected_hash,
         )
@@ -131,11 +129,11 @@ def on_detection(
 
     law.set_coeffs(entry.coeffs_array())
     identifier.reseed(entry.markov_array(), confidence=reseed_confidence)
-    log.info("switched to pre-tuned parameters for blade %d at sample %s", decision.d_fd, decision.k_d)
+    log.info("switched to pre-tuned parameters for blade %d", d_fd)
     return True
 
 
-def offline_tune(cfg, convergence_eps: float | None = None):
+def offline_tune(cfg):
     """Run the fault-from-start adaptation and snapshot the converged state.
 
     Returns (entry, report).  Raises RuntimeError when the run ends without

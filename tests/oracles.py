@@ -1,0 +1,129 @@
+"""Per-sample reference implementations that the chunked library is tested against.
+
+The library advances every block over whole chunks of samples.  These
+references follow the defining recursions one sample at a time, so tests
+can pin the chunked code to them at arbitrary chunk boundaries.
+"""
+
+import numpy as np
+
+
+class DeltaBuffers:
+    """Per-sample ring buffers producing period-differenced regressors.
+
+    Holds the last P + p + 1 samples of pitch and load per blade.  Once warm,
+    every new sample k yields, per blade, the stacked regressor
+    [du(k-p) ... du(k-1), dy(k-p) ... dy(k-1)] and the target dy(k), where
+    d is the difference across one rotor period.
+    """
+
+    def __init__(self, period_samples, past_window):
+        self.P = int(period_samples)
+        self.p = int(past_window)
+        self._cap = self.P + self.p + 1
+        self._u = np.zeros((self._cap, 3))
+        self._y = np.zeros((self._cap, 3))
+        self._count = 0
+
+    def update(self, u, y):
+        """Push one sample; returns (regressors (3, 2p), targets (3,)) when warm."""
+        slot = self._count % self._cap
+        self._u[slot] = u
+        self._y[slot] = y
+        self._count += 1
+        if self._count < self._cap:
+            return None
+        # unroll the ring into chronological order ending at the newest sample
+        order = (np.arange(self._cap) + self._count) % self._cap
+        u_seq = self._u[order]
+        y_seq = self._y[order]
+        du = u_seq[self.P :] - u_seq[: self.p + 1]
+        dy = y_seq[self.P :] - y_seq[: self.p + 1]
+        regressors = np.concatenate([du[:-1], dy[:-1]], axis=0).T.copy()
+        return regressors, dy[-1].copy()
+
+
+def apply_pas_fault(u, fault, k):
+    """Output stuck mask: the faulty blade reads its stuck angle once the fault is active."""
+    u = np.asarray(u, dtype=float).copy()
+    if fault is not None and k >= fault.start_sample:
+        u[fault.blade - 1] = fault.stuck_angle
+    return u
+
+
+def azimuth(k, period_samples):
+    """Rotor azimuth in [0, 2pi) at sample k."""
+    return 2.0 * np.pi * (k % period_samples) / period_samples
+
+
+def periodic_disturbance(azimuth, blade, lc):
+    """1P load disturbance on one blade (1-3) at a given rotor azimuth (radians)."""
+    return lc.disturbance_amplitude * np.sin(azimuth + 2.0 * np.pi * (blade - 1) / 3.0)
+
+
+class FdieOracle:
+    """Single-blade state-space observer and threshold recursion, one sample per call."""
+
+    def __init__(self, model, gain, alpha, delta, bounds):
+        self.model = model
+        self.gain = np.asarray(gain, dtype=float).reshape(-1)
+        self.A0 = model.A - np.outer(self.gain, model.C[0])
+        self.alpha = float(alpha)
+        self.delta = float(delta)
+        self.bounds = bounds
+        self.xhat = np.zeros(model.n_states)
+        self.threshold_state = self.alpha * bounds.init_error
+
+    def init_steady(self, u0):
+        """Start settled at a constant angle (zero residual)."""
+        self.xhat = np.linalg.solve(
+            np.eye(self.model.n_states) - self.A0, (self.model.B[:, 0] + self.gain) * u0
+        )
+
+    def step(self, u_ref, u_meas):
+        """Advance one sample; returns the residual u_meas - uhat."""
+        uhat = float(self.model.C[0] @ self.xhat + self.model.D[0, 0] * u_ref)
+        r = u_meas - uhat
+        self.xhat = self.model.A @ self.xhat + self.model.B[:, 0] * u_ref + self.gain * r
+        return r
+
+    def threshold_step(self, model_mismatch=None, state_noise=None, meas_noise=None):
+        """Advance the threshold one sample; per-call bounds override the constant ones."""
+        b = self.bounds
+        mismatch = b.model_mismatch if model_mismatch is None else model_mismatch
+        state = b.state_noise if state_noise is None else state_noise
+        meas = b.meas_noise if meas_noise is None else meas_noise
+        rbar = self.threshold_state + meas
+        self.threshold_state = self.delta * self.threshold_state + self.alpha * (mismatch + state)
+        return rbar
+
+
+class FuserOracle:
+    """Per-sample latched isolation with run start and ambiguity."""
+
+    def __init__(self, n_confirm):
+        self.n_confirm = n_confirm
+        self.d_fd, self.k_d, self.ambiguous, self.confirmed_at = 0, None, False, None
+        self._count = np.zeros(3, dtype=int)
+        self._run_start = np.full(3, -1)
+
+    def update(self, residuals, thresholds, k):
+        """Absorb one sample of (3,) residuals and thresholds; returns self."""
+        if self.d_fd != 0:
+            return self
+        crossing = np.abs(np.asarray(residuals)) > np.asarray(thresholds)
+        if crossing.sum() > 1:
+            self.ambiguous = True
+        for blade in range(3):
+            if crossing[blade]:
+                if self._count[blade] == 0:
+                    self._run_start[blade] = k
+                self._count[blade] += 1
+            else:
+                self._count[blade] = 0
+        confirmed = np.flatnonzero(self._count >= self.n_confirm)
+        if confirmed.size == 1 and crossing.sum() <= 1:
+            self.d_fd = int(confirmed[0]) + 1
+            self.k_d = int(self._run_start[confirmed[0]])
+            self.confirmed_at = k
+        return self

@@ -23,11 +23,11 @@ import numpy as np
 import pytest
 
 from conftest import PipelineSystem
+from oracles import DeltaBuffers, FdieOracle
 from pitchftc import harness, supervisor
-from pitchftc.fdi import Fdie, FdiBounds
+from pitchftc.fdi import FdiBounds
 from pitchftc.numerics import RlsEstimator, StateSpaceModel, solve_dare
 from pitchftc.sprc import (
-    DeltaBuffers,
     MarkovIdentifier,
     RepetitiveLaw,
     build_basis,
@@ -151,7 +151,7 @@ def test_a3_threshold_recursion_oracle():
     alpha = float(rng.uniform(1.0, 3.0))
     delta = float(rng.uniform(0.5, 0.97))
     eps0 = float(rng.uniform(0.0, 2.0))
-    fdie = Fdie(model, [0.1], alpha, delta, FdiBounds(init_error=eps0))
+    fdie = FdieOracle(model, [0.1], alpha, delta, FdiBounds(init_error=eps0))
 
     n = 100_000
     mism = rng.uniform(0.0, 2.0, size=n)

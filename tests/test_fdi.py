@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import FdieOracle, FuserOracle
 from pitchftc.actuator import ActuatorBank
 from pitchftc.fdi import (
     DecisionFuser,
-    FdDecision,
     Fdie,
     FdiBounds,
     compute_alpha_delta,
@@ -76,44 +76,29 @@ class TestAlphaDelta:
 class TestFdieStep:
     def test_zero_residual_with_exact_model_and_matched_start(self, actuator_model):
         fdie = design_fdie(actuator_model, 0.9)
-        fdie.init_steady(8.0)
+        fdie.init_steady(np.full(3, 8.0))
         plant = ActuatorBank(TS)
-        plant.init_steady(8.0)
+        plant.init_steady(np.full(3, 8.0))
         rng = np.random.default_rng(0)
         u_ref = 8.0 + rng.normal(0, 2, size=(300, 3))
         u = plant.run_chunk(u_ref, 0)
         for k in range(300):
-            r = fdie.step(u_ref[k, 0], u[k, 0])
-            assert abs(r) < 1e-9
-
-    def test_chunk_equals_step(self, actuator_model):
-        bounds = FdiBounds(state_noise=0.1, meas_noise=1.0, init_error=0.5)
-        fd_a = design_fdie(actuator_model, 0.9, bounds=bounds)
-        fd_b = design_fdie(actuator_model, 0.9, bounds=bounds)
-        fd_a.init_steady(5.0)
-        fd_b.init_steady(5.0)
-        rng = np.random.default_rng(1)
-        u_ref = 5.0 + rng.normal(0, 1, size=200)
-        u_meas = 5.0 + rng.normal(0, 1, size=200)
-        r_chunk, rbar_chunk = fd_a.run_chunk(u_ref, u_meas)
-        r_step = np.array([fd_b.step(u_ref[k], u_meas[k]) for k in range(200)])
-        rbar_step = np.array([fd_b.threshold_step() for _ in range(200)])
-        np.testing.assert_allclose(r_chunk, r_step, atol=1e-9)
-        np.testing.assert_allclose(rbar_chunk, rbar_step, atol=1e-12)
+            r, _ = fdie.run_chunk(u_ref[k : k + 1], u[k : k + 1])
+            assert np.abs(r).max() < 1e-9
 
     def test_healthy_noise_stays_under_threshold(self, actuator_model):
         sigma = np.sqrt(1.5)
         probe = design_fdie(actuator_model, 0.98)
         eta_y = 6.5 * residual_noise_std(actuator_model, probe.gain, sigma)
         fdie = design_fdie(actuator_model, 0.98, bounds=FdiBounds(meas_noise=eta_y))
-        fdie.init_steady(10.0)
+        fdie.init_steady([10.0])
         plant = ActuatorBank(TS)
         plant.init_steady(10.0)
         rng = np.random.default_rng(2)
         u_ref = 10.0 + rng.normal(0, 2, size=(20_000, 3))
         u = plant.run_chunk(u_ref, 0)
         u_meas = u[:, 0] + rng.normal(0, sigma, size=20_000)
-        r, rbar = fdie.run_chunk(u_ref[:, 0], u_meas)
+        r, rbar = fdie.run_chunk(u_ref[:, :1], u_meas[:, None])
         assert np.all(np.abs(r) < rbar)
 
     def test_stuck_output_crosses_threshold(self, actuator_model):
@@ -121,14 +106,14 @@ class TestFdieStep:
         probe = design_fdie(actuator_model, 0.98)
         eta_y = 6.5 * residual_noise_std(actuator_model, probe.gain, sigma)
         fdie = design_fdie(actuator_model, 0.98, bounds=FdiBounds(meas_noise=eta_y))
-        fdie.init_steady(19.0)
-        u_ref = np.full(500, 19.0)
-        u_meas = np.full(500, 5.0)  # stuck far from the command
+        fdie.init_steady([19.0])
+        u_ref = np.full((500, 1), 19.0)
+        u_meas = np.full((500, 1), 5.0)  # stuck far from the command
         r, rbar = fdie.run_chunk(u_ref, u_meas)
         assert np.abs(r[0]) > rbar[0]
         assert np.all(np.abs(r[-100:]) > rbar[-100:])
         # residual settles toward the command/stuck gap
-        assert abs(r[-1]) == pytest.approx(abs(5.0 - 19.0), rel=0.7)
+        assert abs(r[-1, 0]) == pytest.approx(abs(5.0 - 19.0), rel=0.7)
 
 
 class TestThreshold:
@@ -136,23 +121,26 @@ class TestThreshold:
         model = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]], TS)
         return Fdie(model, [0.1], alpha, delta, bounds)
 
+    def thresholds(self, fdie, n):
+        return fdie.run_chunk(np.zeros((n, 1)), np.zeros((n, 1)))[1][:, 0]
+
     def test_all_zero_bounds_give_zero(self):
         fdie = self.make(1.0, 0.5, FdiBounds())
-        assert all(fdie.threshold_step() == 0.0 for _ in range(50))
+        assert np.all(self.thresholds(fdie, 50) == 0.0)
 
     def test_measurement_bound_only_is_constant(self):
         fdie = self.make(1.0, 0.5, FdiBounds(meas_noise=3.3))
-        assert all(fdie.threshold_step() == 3.3 for _ in range(50))
+        assert np.all(self.thresholds(fdie, 50) == 3.3)
 
     def test_geometric_limit(self):
         fdie = self.make(1.0, 0.5, FdiBounds(state_noise=1.0))
-        rbar = [fdie.threshold_step() for _ in range(200)]
+        rbar = self.thresholds(fdie, 200)
         assert rbar[0] == 0.0
         assert rbar[-1] == pytest.approx(2.0, abs=1e-9)
 
     def test_initial_error_term_decays(self):
         fdie = self.make(2.0, 0.5, FdiBounds(init_error=1.0))
-        rbar = [fdie.threshold_step() for _ in range(60)]
+        rbar = self.thresholds(fdie, 60)
         expected = [2.0 * 0.5**k for k in range(60)]
         np.testing.assert_allclose(rbar, expected, atol=1e-12)
 
@@ -163,7 +151,8 @@ class TestThreshold:
         alpha = float(rng.uniform(1.0, 3.0))
         delta = float(rng.uniform(0.3, 0.95))
         eps0 = float(rng.uniform(0.0, 2.0))
-        fdie = self.make(alpha, delta, FdiBounds(init_error=eps0))
+        model = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]], TS)
+        fdie = FdieOracle(model, [0.1], alpha, delta, FdiBounds(init_error=eps0))
         n = 400
         mism = rng.uniform(0.0, 2.0, size=n)
         eta_x = rng.uniform(0.0, 2.0, size=n)
@@ -198,31 +187,38 @@ class TestThreshold:
             fdie = Fdie(model, [L], *compute_alpha_delta([[a - L]], [[1.0]]), bounds)
             rng = np.random.default_rng(seed)
             x = 0.0
+            u = np.empty((3000, 1))
+            y_meas = np.empty((3000, 1))
             for k in range(3000):
-                u = float(rng.uniform(-1, 1))
+                u[k] = float(rng.uniform(-1, 1))
                 noise = float(rng.uniform(-noise_bound, noise_bound))
-                y_meas = x + noise
-                r = fdie.step(u, y_meas)
-                rbar = fdie.threshold_step()
-                assert abs(r) <= rbar + 1e-12
-                x = a * x + u + nl(x)
+                y_meas[k] = x + noise
+                x = a * x + u[k, 0] + nl(x)
+            r, rbar = fdie.run_chunk(u, y_meas)
+            assert np.all(np.abs(r) <= rbar + 1e-12)
+
+
+def feed(fuser, residuals, thresholds, k):
+    """One sample through the chunked fuser."""
+    fuser.scan_chunk(np.atleast_2d(residuals), np.atleast_2d(thresholds), k)
+    return fuser
 
 
 class TestDecisionFuser:
     def test_all_below_stays_healthy(self):
         fuser = DecisionFuser(n_confirm=3)
         for k in range(50):
-            dec = fuser.update([0.1, -0.2, 0.05], [1.0, 1.0, 1.0], k)
+            dec = feed(fuser, [0.1, -0.2, 0.05], [1.0, 1.0, 1.0], k)
         assert dec.d_fd == 0 and dec.k_d is None and not dec.ambiguous
 
     def test_single_persistent_crossing_isolated_at_run_start(self):
         fuser = DecisionFuser(n_confirm=10)
         k = 89_990
         for _ in range(10):
-            fuser.update([0.1, 0.2, 0.1], [1.0, 1.0, 1.0], k)
+            feed(fuser, [0.1, 0.2, 0.1], [1.0, 1.0, 1.0], k)
             k += 1
         for _ in range(10):
-            dec = fuser.update([0.1, 0.2, 5.0], [1.0, 1.0, 1.0], k)
+            dec = feed(fuser, [0.1, 0.2, 5.0], [1.0, 1.0, 1.0], k)
             k += 1
         assert dec.d_fd == 3
         assert dec.k_d == 90_000
@@ -230,31 +226,31 @@ class TestDecisionFuser:
 
     def test_simultaneous_crossings_are_ambiguous(self):
         fuser = DecisionFuser(n_confirm=1)
-        dec = fuser.update([5.0, 5.0, 0.0], [1.0, 1.0, 1.0], 7)
+        dec = feed(fuser, [5.0, 5.0, 0.0], [1.0, 1.0, 1.0], 7)
         assert dec.ambiguous and dec.d_fd == 0
 
     def test_ambiguity_does_not_block_later_isolation(self):
         fuser = DecisionFuser(n_confirm=2)
-        fuser.update([5.0, 5.0, 0.0], [1.0, 1.0, 1.0], 0)
-        fuser.update([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1)
-        fuser.update([0.0, 5.0, 0.0], [1.0, 1.0, 1.0], 2)
-        dec = fuser.update([0.0, 5.0, 0.0], [1.0, 1.0, 1.0], 3)
+        feed(fuser, [5.0, 5.0, 0.0], [1.0, 1.0, 1.0], 0)
+        feed(fuser, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1)
+        feed(fuser, [0.0, 5.0, 0.0], [1.0, 1.0, 1.0], 2)
+        dec = feed(fuser, [0.0, 5.0, 0.0], [1.0, 1.0, 1.0], 3)
         assert dec.d_fd == 2 and dec.k_d == 2 and dec.ambiguous
 
     def test_decision_latches(self):
         fuser = DecisionFuser(n_confirm=1)
-        fuser.update([5.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0)
-        dec = fuser.update([0.0, 9.0, 0.0], [1.0, 1.0, 1.0], 1)
+        feed(fuser, [5.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0)
+        dec = feed(fuser, [0.0, 9.0, 0.0], [1.0, 1.0, 1.0], 1)
         assert dec.d_fd == 1 and dec.k_d == 0
 
     def test_interrupted_run_restarts(self):
         fuser = DecisionFuser(n_confirm=3)
-        fuser.update([0, 0, 5.0], [1, 1, 1], 0)
-        fuser.update([0, 0, 5.0], [1, 1, 1], 1)
-        fuser.update([0, 0, 0.0], [1, 1, 1], 2)  # dip resets the counter
-        fuser.update([0, 0, 5.0], [1, 1, 1], 3)
-        fuser.update([0, 0, 5.0], [1, 1, 1], 4)
-        dec = fuser.update([0, 0, 5.0], [1, 1, 1], 5)
+        feed(fuser, [0, 0, 5.0], [1, 1, 1], 0)
+        feed(fuser, [0, 0, 5.0], [1, 1, 1], 1)
+        feed(fuser, [0, 0, 0.0], [1, 1, 1], 2)  # dip resets the counter
+        feed(fuser, [0, 0, 5.0], [1, 1, 1], 3)
+        feed(fuser, [0, 0, 5.0], [1, 1, 1], 4)
+        dec = feed(fuser, [0, 0, 5.0], [1, 1, 1], 5)
         assert dec.d_fd == 3 and dec.k_d == 3
 
     def test_scan_chunk_matches_per_sample(self):
@@ -265,11 +261,16 @@ class TestDecisionFuser:
         a = DecisionFuser(n_confirm=5)
         a.scan_chunk(r[:250], th[:250], 0)
         a.scan_chunk(r[250:], th[250:], 250)
-        b = DecisionFuser(n_confirm=5)
+        b = FuserOracle(n_confirm=5)
         for k in range(400):
             b.update(r[k], th[k], k)
-        assert a.decision == b.decision
+        assert (a.d_fd, a.k_d, a.ambiguous, a.confirmed_at) == (
+            b.d_fd, b.k_d, b.ambiguous, b.confirmed_at
+        )
 
     def test_isolated_decision_requires_detection_sample(self):
-        with pytest.raises(ValueError):
-            FdDecision(d_fd=2, k_d=None)
+        fuser = DecisionFuser(n_confirm=4)
+        r = np.zeros((20, 3))
+        r[6:, 1] = 5.0
+        assert fuser.scan_chunk(r, np.ones((20, 3)), 0) == 2
+        assert fuser.k_d == 6 and fuser.confirmed_at == 9

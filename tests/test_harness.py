@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import FuserOracle
 from pitchftc import supervisor
-from pitchftc.fdi import DecisionFuser
 from pitchftc.harness import (
     RunConfig,
     compare_modes,
@@ -230,14 +230,23 @@ class TestMetrics:
 
     def test_convergence_time_constant_series(self):
         history = np.ones((30, 3, 2))
-        j, _ = convergence_time(history, 5, eps=0.02, floor=1.0, consecutive=10)
-        assert j == 5
+        assert convergence_time(history, 5, eps=0.02, floor=1.0, consecutive=10) == 5
 
     def test_convergence_time_never(self):
         rng = np.random.default_rng(3)
         history = np.cumsum(rng.normal(5.0, 1.0, size=(30, 3, 2)), axis=0)
-        j, final = convergence_time(history, 1, eps=0.001, floor=1.0, consecutive=10)
-        assert j is None and final > 0
+        assert convergence_time(history, 1, eps=0.001, floor=1.0, consecutive=10) is None
+
+    def test_final_increment_is_the_last_period(self):
+        # converged at period 13; the streak completes at period 22, whose
+        # increment (0.133) is not the last period's (0.270)
+        cfg = short_cfg(duration_s=400.0)
+        result = run_simulation(cfg)
+        rep, history = result.report, result.coeff_history
+        assert rep.healthy_converged_period is not None
+        last = np.linalg.norm(history[-1] - history[-2], axis=1).max()
+        assert rep.final_coeff_increment == pytest.approx(last, rel=1e-9)
+        assert rep.final_coeff_increment == pytest.approx(0.2698, abs=1e-4)
 
     def test_frozen_updates_flagged_degenerate(self):
         cfg = short_cfg(step_gain=0.0, duration_s=80.0)
@@ -287,16 +296,17 @@ class TestReportFromSeries:
         series["rbar"] = np.ones((n, 3))
         series["r"][start : start + cfg.n_confirm + 5, 2] = 2.0
         series["r"][start + cfg.n_confirm - 1, 0] = 2.0
-        fuser = DecisionFuser(cfg.n_confirm)
-        fuser.scan_chunk(series["r"], series["rbar"], 0)
+        fuser = FuserOracle(cfg.n_confirm)
+        for k in range(n):
+            fuser.update(series["r"][k], series["rbar"][k], k)
         series["dfd"] = np.zeros(n, dtype=int)
-        series["dfd"][fuser.confirmed_at :] = fuser.decision.d_fd
+        series["dfd"][fuser.confirmed_at :] = fuser.d_fd
 
         rep = report_from_series(cfg, series)
         assert fuser.confirmed_at == start + cfg.n_confirm
         assert (rep.d_fd, rep.decision_sample) == (3, fuser.confirmed_at)
-        assert rep.k_d == fuser.decision.k_d == start
-        assert rep.ambiguous and fuser.decision.ambiguous
+        assert rep.k_d == fuser.k_d == start
+        assert rep.ambiguous and fuser.ambiguous
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_decision_record_matches_fuser_on_noisy_runs(self, seed):
@@ -307,12 +317,14 @@ class TestReportFromSeries:
             meas_noise_value=6.0, noise_multiplier=1.2,
         )
         result = run_simulation(cfg)
-        fuser = DecisionFuser(cfg.n_confirm)
-        fuser.scan_chunk(result.series["r"], result.series["rbar"], 0)
+        fuser = FuserOracle(cfg.n_confirm)
+        for k, (r, rbar) in enumerate(zip(result.series["r"], result.series["rbar"])):
+            if fuser.update(r, rbar, k).d_fd:
+                break
         rep = result.report
-        assert rep.d_fd == fuser.decision.d_fd == 3
-        assert (rep.k_d, rep.decision_sample) == (fuser.decision.k_d, fuser.confirmed_at)
-        assert rep.ambiguous == fuser.decision.ambiguous
+        assert rep.d_fd == fuser.d_fd == 3
+        assert (rep.k_d, rep.decision_sample) == (fuser.k_d, fuser.confirmed_at)
+        assert rep.ambiguous == fuser.ambiguous
 
     def test_saturation_counted_from_actuated_pitch(self):
         # blade 3 sticks below the physical pitch range for the second half

@@ -18,7 +18,7 @@ class TestRlsEstimator:
         # exact up to the tiny startup regularization of the factor
         est = RlsEstimator(dim=1, forgetting=1.0)
         for x in (1.0, 2.0, 3.0):
-            est.update([x], 2.0 * x)
+            est.update_block(np.array([[x]]), np.array([2.0 * x]))
         assert est.estimate == pytest.approx([2.0], abs=1e-8)
 
     def test_matches_batch_least_squares(self):
@@ -30,7 +30,7 @@ class TestRlsEstimator:
 
         est = RlsEstimator(dim=d, forgetting=1.0)
         for i in range(n):
-            est.update(phi[i], y[i])
+            est.update_block(phi[i : i + 1], y[i : i + 1])
         w_batch = np.linalg.lstsq(phi, y, rcond=None)[0]
         assert np.linalg.norm(est.estimate - w_batch) <= 1e-9 * np.linalg.norm(w_batch)
 
@@ -42,7 +42,7 @@ class TestRlsEstimator:
         seq = RlsEstimator(dim=d, forgetting=0.999)
         blk = RlsEstimator(dim=d, forgetting=0.999)
         for i in range(n):
-            seq.update(phi[i], y[i])
+            seq.update_block(phi[i : i + 1], y[i : i + 1])
         for lo in range(0, n, 37):
             blk.update_block(phi[lo : lo + 37], y[lo : lo + 37])
         np.testing.assert_allclose(blk.factor, seq.factor, rtol=1e-9, atol=1e-12)
@@ -67,7 +67,7 @@ class TestRlsEstimator:
 
     def test_degenerate_factor_flagged(self):
         est = RlsEstimator(dim=3, forgetting=1.0, init_scale=1e-16)
-        est.update([1e6, 0.0, 0.0], 1.0)
+        est.update_block(np.array([[1e6, 0.0, 0.0]]), np.array([1.0]))
         assert est.degenerate
 
     def test_reseed_sets_estimate(self):
@@ -83,7 +83,7 @@ class TestRlsEstimator:
             RlsEstimator(dim=2, forgetting=0.0)
         est = RlsEstimator(dim=2)
         with pytest.raises(ValueError):
-            est.update([1.0, 2.0, 3.0], 0.0)
+            est.update_block(np.array([[1.0, 2.0, 3.0]]), np.array([0.0]))
 
 
 class TestSolveDare:

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import azimuth, periodic_disturbance
 from pitchftc.numerics import psd_estimate
-from pitchftc.plant import (
-    LOAD_CASES,
-    LoadCase,
-    Plant,
-    load_case_params,
-    periodic_disturbance,
-)
+from pitchftc.plant import LOAD_CASES, LoadCase, Plant, load_case_params
 
 TS = 0.01
 P = 625
@@ -37,8 +32,11 @@ class TestLoadCases:
 
 
 class TestPeriodicDisturbance:
+    # the oracle's azimuth formula; the plant's table is checked against it
     def test_zero_at_zero_azimuth_blade_one(self):
-        assert periodic_disturbance(0.0, 1, load_case_params("LC3")) == 0.0
+        lc = load_case_params("LC3")
+        assert periodic_disturbance(0.0, 1, lc) == 0.0
+        assert Plant(lc, TS, P).disturbance_table[0, 0] == 0.0
 
     def test_blade_phases_offset_by_120_degrees(self):
         lc = load_case_params("LC2")
@@ -55,6 +53,10 @@ class TestPeriodicDisturbance:
         idx = (np.arange(3 * P)) % P
         tiled = table[idx]
         np.testing.assert_array_equal(tiled[:P], tiled[P : 2 * P])
+        expected = [
+            [periodic_disturbance(azimuth(k, P), b, lc) for b in (1, 2, 3)] for k in range(P)
+        ]
+        np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
     def test_zero_mean_over_one_period(self):
         lc = load_case_params("LC3")
@@ -62,6 +64,8 @@ class TestPeriodicDisturbance:
             periodic_disturbance(2 * np.pi * k / P, 2, lc) for k in range(P)
         )
         assert abs(total) < 1e-9 * lc.disturbance_amplitude
+        table_sums = Plant(lc, TS, P).disturbance_table.sum(axis=0)
+        assert np.abs(table_sums).max() < 1e-9 * lc.disturbance_amplitude
 
 
 class TestPlant:
@@ -107,15 +111,6 @@ class TestPlant:
         y1 = Plant(lc, TS, P).run_chunk(pitch, 0, noise)
         y2 = Plant(lc, TS, P).run_chunk(pitch, 0, noise)
         np.testing.assert_array_equal(y1, y2)
-
-    def test_step_matches_chunk(self):
-        lc = load_case_params("LC2")
-        rng = np.random.default_rng(2)
-        pitch = lc.collective_setpoint + rng.normal(0, 1, size=(50, 3))
-        chunk = Plant(lc, TS, P).run_chunk(pitch, 0)
-        stepper = Plant(lc, TS, P)
-        single = np.vstack([stepper.step(pitch[k], k) for k in range(50)])
-        np.testing.assert_allclose(single, chunk, atol=1e-12)
 
     def test_open_loop_psd_peak_at_rotor_frequency(self):
         lc = load_case_params("LC3")

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import PipelineSystem, scalar_markov_row
+from oracles import DeltaBuffers
 from pitchftc.numerics import pseudo_inverse, psd_estimate
 from pitchftc.sprc import (
-    DeltaBuffers,
     GainResult,
     MarkovIdentifier,
     RepetitiveLaw,

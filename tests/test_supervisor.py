@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pitchftc import harness, supervisor
-from pitchftc.fdi import FdDecision
 from pitchftc.plant import load_case_params
 from pitchftc.sprc import MarkovIdentifier, RepetitiveLaw, build_basis
 from pitchftc.supervisor import (
@@ -77,7 +76,7 @@ class TestCompose:
 
         prbs = generate_prbs(625, rng, amplitude=3.0)
         for k in range(0, 625, 50):
-            u = compose_pitch_command(lc, law.output_at(k), prbs[k])
+            u = compose_pitch_command(lc, law.output_slice(k, 1)[0], prbs[k])
             assert np.all(np.abs(u - lc.collective_setpoint) <= bound + 1e-9)
 
 
@@ -89,13 +88,12 @@ class TestOnDetection:
         self.bank = PretunedBank({3: self.entry})
 
     def test_healthy_decision_is_noop(self):
-        applied = on_detection(FdDecision(), self.bank, self.identifier, self.law)
+        applied = on_detection(0, self.bank, self.identifier, self.law)
         assert not applied
         assert not self.law.frozen.any()
 
     def test_switch_replaces_state_and_freezes_blade(self):
-        decision = FdDecision(d_fd=3, k_d=90_000)
-        applied = on_detection(decision, self.bank, self.identifier, self.law)
+        applied = on_detection(3, self.bank, self.identifier, self.law)
         assert applied
         np.testing.assert_array_equal(self.law.coeffs, self.entry.coeffs_array())
         np.testing.assert_allclose(
@@ -105,10 +103,9 @@ class TestOnDetection:
         assert not self.law.frozen[:2].any()
 
     def test_missing_entry_degrades_with_warning(self, caplog):
-        decision = FdDecision(d_fd=2, k_d=100)
         before = self.law.coeffs.copy()
         with caplog.at_level(logging.WARNING):
-            applied = on_detection(decision, self.bank, self.identifier, self.law)
+            applied = on_detection(2, self.bank, self.identifier, self.law)
         assert not applied
         assert "no pre-tuned entry" in caplog.text
         np.testing.assert_array_equal(self.law.coeffs, before)
@@ -116,11 +113,8 @@ class TestOnDetection:
         assert self.law.frozen[1]
 
     def test_configuration_mismatch_degrades(self, caplog):
-        decision = FdDecision(d_fd=3, k_d=100)
         with caplog.at_level(logging.WARNING):
-            applied = on_detection(
-                decision, self.bank, self.identifier, self.law, expected_hash="zzz"
-            )
+            applied = on_detection(3, self.bank, self.identifier, self.law, expected_hash="zzz")
         assert not applied
         assert "different configuration" in caplog.text
 
