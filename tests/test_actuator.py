@@ -94,6 +94,14 @@ class TestActuatorBank:
         # output fault: healthy internal response continues underneath
         np.testing.assert_array_equal(u_f[k0:, 1:], u_h[k0:, 1:])
 
+    def test_step_matches_chunk(self):
+        rng = np.random.default_rng(8)
+        ref = rng.normal(0.0, 3.0, size=(60, 3))
+        chunk = ActuatorBank(TS).run_chunk(ref, 0)
+        stepper = ActuatorBank(TS)
+        single = np.vstack([one_row(stepper, ref[k], k) for k in range(60)])
+        np.testing.assert_allclose(single, chunk, atol=1e-12)
+
     def test_step_response_overshoot_matches_closed_form(self):
         # the lead zero raises the overshoot of the bare second-order lag;
         # compare against the analytic response of the full transfer function

@@ -86,6 +86,22 @@ class TestFdieStep:
             r, _ = fdie.run_chunk(u_ref[k : k + 1], u[k : k + 1])
             assert np.abs(r).max() < 1e-9
 
+    def test_chunk_equals_step(self, actuator_model):
+        bounds = FdiBounds(state_noise=0.1, meas_noise=1.0, init_error=0.5)
+        fdie = design_fdie(actuator_model, 0.9, bounds=bounds)
+        fdie.init_steady(np.full(3, 5.0))
+        rng = np.random.default_rng(1)
+        u_ref = 5.0 + rng.normal(0, 1, size=(200, 3))
+        u_meas = 5.0 + rng.normal(0, 1, size=(200, 3))
+        r_chunk, rbar_chunk = fdie.run_chunk(u_ref, u_meas)
+        for blade in range(3):
+            oracle = FdieOracle(fdie.model, fdie.gain, fdie.alpha, fdie.delta, bounds)
+            oracle.init_steady(5.0)
+            r_step = [oracle.step(u_ref[k, blade], u_meas[k, blade]) for k in range(200)]
+            rbar_step = [oracle.threshold_step() for _ in range(200)]
+            np.testing.assert_allclose(r_chunk[:, blade], r_step, atol=1e-9)
+            np.testing.assert_allclose(rbar_chunk[:, blade], rbar_step, atol=1e-12)
+
     def test_healthy_noise_stays_under_threshold(self, actuator_model):
         sigma = np.sqrt(1.5)
         probe = design_fdie(actuator_model, 0.98)

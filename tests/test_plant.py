@@ -112,6 +112,15 @@ class TestPlant:
         y2 = Plant(lc, TS, P).run_chunk(pitch, 0, noise)
         np.testing.assert_array_equal(y1, y2)
 
+    def test_step_matches_chunk(self):
+        lc = load_case_params("LC2")
+        rng = np.random.default_rng(2)
+        pitch = lc.collective_setpoint + rng.normal(0, 1, size=(50, 3))
+        chunk = Plant(lc, TS, P).run_chunk(pitch, 0)
+        stepper = Plant(lc, TS, P)
+        single = np.vstack([stepper.run_chunk(pitch[k : k + 1], k) for k in range(50)])
+        np.testing.assert_allclose(single, chunk, atol=1e-12)
+
     def test_open_loop_psd_peak_at_rotor_frequency(self):
         lc = load_case_params("LC3")
         plant = Plant(lc, TS, P)
