@@ -18,12 +18,13 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import signal
 
-from .numerics import StateSpaceModel
+from .numerics import StateSpaceModel, run_lengths
 
 __all__ = [
     "FdiBounds",
     "Fdie",
     "DecisionFuser",
+    "decision_record",
     "design_fdie",
     "compute_alpha_delta",
     "place_observer_gain",
@@ -227,11 +228,11 @@ def design_fdie(
 class DecisionFuser:
     """Turns per-blade threshold crossings into one latched fault decision.
 
-    A blade is isolated when its residual has exceeded its threshold for
-    n_confirm consecutive samples while no other blade is crossing; the
-    detection sample k_d is the first of that run.  Simultaneous multi-blade
-    crossings mark the scan ambiguous and never isolate.  Once latched the
-    decision (d_fd: 0 healthy, 1-3 the isolated blade) is immutable.
+    A blade is isolated on the first sample where it is the only blade
+    crossing and its unbroken crossing run has reached n_confirm samples.
+    Once latched the decision (d_fd: 0 healthy, 1-3 the isolated blade) is
+    immutable; :func:`decision_record` reads the run start and the ambiguity
+    flag back from the crossings.
     """
 
     def __init__(self, n_confirm: int = 10):
@@ -239,31 +240,9 @@ class DecisionFuser:
             raise ValueError("n_confirm must be at least 1")
         self.n_confirm = int(n_confirm)
         self.d_fd = 0
-        self.k_d: int | None = None
-        self.ambiguous = False
-        #: sample at which the decision latched; later than k_d + n_confirm - 1
-        #: when another blade's crossing held the confirmation back
+        #: sample at which the decision latched
         self.confirmed_at: int | None = None
-        self._count = np.zeros(3, dtype=int)
-        self._run_start = np.full(3, -1, dtype=int)
-
-    def _absorb(self, crossing: np.ndarray, k: int) -> None:
-        if crossing.sum() > 1:
-            self.ambiguous = True
-        for blade in range(3):
-            if crossing[blade]:
-                if self._count[blade] == 0:
-                    self._run_start[blade] = k
-                self._count[blade] += 1
-            else:
-                self._count[blade] = 0
-        confirmed = np.flatnonzero(self._count >= self.n_confirm)
-        if confirmed.size != 1 or crossing.sum() > 1:
-            return
-        blade = int(confirmed[0])
-        self.d_fd = blade + 1
-        self.k_d = int(self._run_start[blade])
-        self.confirmed_at = k
+        self._runs = np.zeros(3, dtype=int)  # crossing runs carried into the next chunk
 
     def scan_chunk(self, residuals: np.ndarray, thresholds: np.ndarray, k_start: int) -> int:
         """Process aligned (n, 3) residual/threshold blocks; stops once latched.
@@ -273,10 +252,31 @@ class DecisionFuser:
         if self.d_fd != 0:
             return self.d_fd
         crossing = np.abs(residuals) > thresholds
-        if not crossing.any() and self._count.max() == 0:
+        if not crossing.any() and not self._runs.any():
             return self.d_fd
-        for i in range(crossing.shape[0]):
-            self._absorb(crossing[i], k_start + i)
-            if self.d_fd != 0:
-                break
+        runs = run_lengths(crossing, self._runs)
+        hits = np.flatnonzero((crossing.sum(axis=1) == 1) & (runs >= self.n_confirm).any(axis=1))
+        if hits.size:
+            i = int(hits[0])
+            self.d_fd = int(np.argmax(crossing[i])) + 1
+            self.confirmed_at = k_start + i
+        self._runs = runs[-1]
         return self.d_fd
+
+
+def decision_record(crossing: np.ndarray, dfd: np.ndarray) -> tuple[int, int | None, int | None, bool]:
+    """The fuser's decision read back from its (n, 3) crossings and dfd column.
+
+    Returns (d_fd, k_d, decision_sample, ambiguous): the isolated blade, the
+    first sample of its crossing run ending at the decision sample (the
+    first nonzero dfd), that sample, and whether any scanned sample had two
+    or more blades crossing.  Without a decision every sample was scanned.
+    """
+    nonzero = np.flatnonzero(dfd)
+    scanned = int(nonzero[0]) + 1 if nonzero.size else len(dfd)
+    ambiguous = bool((np.count_nonzero(crossing[:scanned], axis=1) > 1).any())
+    if not nonzero.size:
+        return 0, None, None, ambiguous
+    d_fd = int(dfd[scanned - 1])
+    k_d = scanned - int(run_lengths(crossing[:scanned, d_fd - 1])[-1])
+    return d_fd, k_d, scanned - 1, ambiguous

@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .actuator import ActuatorBank, FaultDescriptor
-from .fdi import DecisionFuser, Fdie, FdiBounds, design_fdie, residual_noise_std
-from .numerics import pseudo_inverse
+from .fdi import DecisionFuser, FdiBounds, decision_record, design_fdie, residual_noise_std
+from .numerics import pseudo_inverse, run_lengths
 from .plant import LOAD_CASES, PITCH_MAX_DEG, PITCH_MIN_DEG, LoadCase, Plant, load_case_params
 from .sprc import (
     MarkovIdentifier,
@@ -137,6 +137,14 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int and not isinstance(value, np.integer):
+                raise ValueError(f"{f.name} must be an integer")
+            if f.type.startswith("float") and value is not None and not (
+                isinstance(value, (int, float, np.number)) and np.isfinite(value)
+            ):
+                raise ValueError(f"{f.name} must be a finite number")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.load_case not in LOAD_CASES:
@@ -158,8 +166,8 @@ class RunConfig:
             raise ValueError("past_window must be in [1, period_samples)")
         if not 0.0 <= self.pole_radius < 1.0:
             raise ValueError("pole_radius must be in [0, 1)")
-        if self.meas_noise_value < 0:
-            raise ValueError("meas_noise_value must be nonnegative")
+        if self.meas_noise_value < 0 or self.noise_multiplier < 0:
+            raise ValueError("meas_noise_value and noise_multiplier must be nonnegative")
         if self.n_confirm < 1 or self.settle_periods < 0 or self.start_period < 1:
             raise ValueError("n_confirm/start_period must be >= 1, settle_periods >= 0")
 
@@ -229,8 +237,6 @@ _DYNAMICS_FIELDS = (
     "load_case",
     "Ts",
     "rotor_period_s",
-    "fault_blade",
-    "fault_angle",
     "forgetting",
     "past_window",
     "lqr_q",
@@ -254,9 +260,10 @@ _DYNAMICS_FIELDS = (
 def dynamics_fingerprint(cfg: RunConfig) -> str:
     """Hash of the fields that define the plant and controller tuning.
 
-    Mode, seed, run length and fault timing are excluded on purpose: a bank
-    entry tuned offline stays valid for any online protocol on the same
-    physics and tuning.
+    Mode, seed, run length and the injected fault (blade, angle, timing) are
+    excluded on purpose: a bank entry tuned offline stays valid for any
+    online protocol on the same physics and tuning, and the supervisor does
+    not see the ground truth the diagnosis is meant to find.
     """
     payload = {name: getattr(cfg, name) for name in _DYNAMICS_FIELDS}
     blob = json.dumps(payload, sort_keys=True)
@@ -322,11 +329,6 @@ class RunResult:
     snapshot_markov: np.ndarray | None = None
 
 
-def _rng_streams(seed: int) -> tuple[np.random.Generator, ...]:
-    children = np.random.SeedSequence(seed).spawn(3)
-    return tuple(np.random.default_rng(c) for c in children)
-
-
 def run_simulation(cfg: RunConfig, bank: "_supervisor.PretunedBank | None" = None) -> RunResult:
     """Execute one closed-loop run; deterministic in (config, seed)."""
     cfg.validate()
@@ -364,22 +366,24 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
     plant = Plant(lc, cfg.Ts, P, load_gain=cfg.load_gain, load_tau=cfg.load_tau)
 
     sigma = cfg.meas_noise_std
-    probe = design_fdie(actuator.model, cfg.pole_radius, margin=cfg.threshold_margin)
+    # one observer for the three blades: they share model, gain and transient bound
     bounds = FdiBounds(
         state_noise=cfg.state_noise_bound,
-        meas_noise=cfg.noise_multiplier * residual_noise_std(actuator.model, probe.gain, sigma),
         init_error=cfg.init_error_bound,
         model_mismatch=cfg.model_mismatch_bound,
     )
-    # one observer for the three blades: they share model, gain and transient bound
-    fdie = Fdie(actuator.model, probe.gain, probe.alpha, probe.delta, bounds)
+    fdie = design_fdie(actuator.model, cfg.pole_radius, bounds, margin=cfg.threshold_margin)
+    # the measurement bound scales the residual noise, which depends on the gain
+    meas_bound = cfg.noise_multiplier * residual_noise_std(actuator.model, fdie.gain, sigma)
+    fdie.bounds = replace(bounds, meas_noise=meas_bound)
     fuser = DecisionFuser(n_confirm=cfg.n_confirm)
 
     start = np.full(3, lc.collective_setpoint)
     actuator.init_steady(start)
     fdie.init_steady(start)
 
-    rng_plant, rng_meas, rng_prbs = _rng_streams(cfg.seed)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(3)
+    rng_plant, rng_meas, rng_prbs = (np.random.default_rng(c) for c in seeds)
     load_noise = rng_plant.normal(0.0, lc.noise_std, size=(N, 3))
     meas_noise = rng_meas.normal(0.0, sigma, size=(N, 3))
     prbs_amp = cfg.prbs_amplitude if sprc_active else 0.0
@@ -529,18 +533,14 @@ def _boundary_update(cfg, law, identifier, series, k, coeff_history) -> None:
         coeff_history[j + 1] = law.coeffs
 
 
-def _coeff_increment(now: np.ndarray, before: np.ndarray) -> float:
-    """Largest per-blade coefficient change (deg).
+def _coeff_increment(now: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """Largest per-blade coefficient change (deg) of each (..., 3, 2) period.
 
     The per-blade maximum keeps the measure scale-consistent: a runaway on
     one blade is not diluted by two quiet blades the way a pooled norm
     would dilute it.
     """
-    return float(np.linalg.norm(now - before, axis=1).max())
-
-
-def _coeff_scale(now: np.ndarray, floor: float) -> float:
-    return max(float(np.linalg.norm(now, axis=1).max()), floor)
+    return np.linalg.norm(now - before, axis=-1).max(axis=-1)
 
 
 def convergence_time(
@@ -556,15 +556,12 @@ def convergence_time(
     for `consecutive` successive periods; the returned index is the first
     period of that streak.
     """
-    n = coeff_history.shape[0]
-    streak = 0
-    for j in range(max(start_period, 1), n):
-        inc = _coeff_increment(coeff_history[j], coeff_history[j - 1])
-        scale = _coeff_scale(coeff_history[j], floor)
-        streak = streak + 1 if inc < eps * scale else 0
-        if streak >= consecutive:
-            return j - consecutive + 1
-    return None
+    lo = max(start_period, 1)
+    now, before = coeff_history[lo:], coeff_history[lo - 1 : -1]
+    scale = np.maximum(np.linalg.norm(now, axis=-1).max(axis=-1), floor)
+    quiet = _coeff_increment(now, before) < eps * scale
+    done = np.flatnonzero(run_lengths(quiet) >= consecutive)
+    return int(lo + done[0] - consecutive + 1) if done.size else None
 
 
 def _psd_peak_1p(y: np.ndarray, cfg: RunConfig) -> float:
@@ -608,21 +605,8 @@ def report_from_series(
     for j in range(n_periods):
         coeff_history[j] = (binv @ series["sprc"][j * P : (j + 1) * P]).T
 
-    # decision record, as the fuser saw it: the isolating blade's crossing run
-    # ends at the decision sample, and every sample up to it was scanned
     crossing = np.abs(series["r"]) > series["rbar"]
-    dfd = series["dfd"]
-    nonzero = np.flatnonzero(dfd)
-    if nonzero.size:
-        decision_sample = int(nonzero[0])
-        d_fd = int(dfd[decision_sample])
-        quiet = np.flatnonzero(~crossing[: decision_sample + 1, d_fd - 1])
-        k_d = int(quiet[-1]) + 1 if quiet.size else 0
-        scanned = decision_sample + 1
-    else:
-        decision_sample, d_fd, k_d = None, 0, None
-        scanned = end
-    ambiguous = bool((np.count_nonzero(crossing[:scanned], axis=1) > 1).any())
+    d_fd, k_d, decision_sample, ambiguous = decision_record(crossing, series["dfd"])
 
     u_act = series["u_act"]
     saturation = int(np.count_nonzero((u_act < PITCH_MIN_DEG) | (u_act > PITCH_MAX_DEG)))
@@ -646,38 +630,26 @@ def report_from_series(
         for b in range(3)
     ]
 
-    if healthy_hi > 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(series["r"][:healthy_hi]) / series["rbar"][:healthy_hi]
-        max_ratio = float(np.nanmax(ratio)) if ratio.size else 0.0
-    else:
-        max_ratio = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(series["r"][:healthy_hi]) / series["rbar"][:healthy_hi]
+    max_ratio = float(np.nanmax(ratio)) if ratio.size else 0.0
+
+    def quiet_from(history, start):
+        eps, floor, c = cfg.convergence_eps, cfg.convergence_floor, cfg.convergence_consecutive
+        return convergence_time(history, start, eps, floor, c)
 
     scan_start = cfg.start_period + 1
-    healthy_conv = convergence_time(
-        coeff_history[: healthy_hi // P],
-        scan_start,
-        cfg.convergence_eps,
-        cfg.convergence_floor,
-        cfg.convergence_consecutive,
-    )
+    healthy_conv = quiet_from(coeff_history[: healthy_hi // P], scan_start)
     postfault_conv = None
     if k0 is not None and n_periods > k0 // P:
         first_eligible = scan_start = k0 // P + cfg.settle_periods
-        j_star = convergence_time(
-            coeff_history,
-            first_eligible,
-            cfg.convergence_eps,
-            cfg.convergence_floor,
-            cfg.convergence_consecutive,
-        )
+        j_star = quiet_from(coeff_history, first_eligible)  # never before first_eligible
         if j_star is not None:
-            j_star = max(j_star, first_eligible)
             postfault_conv = j_star - first_eligible + 1
     # both scans end at the last applied period, whose increment is the final one
     final_inc = 0.0
     if n_periods > max(scan_start, 1):
-        final_inc = _coeff_increment(coeff_history[-1], coeff_history[-2])
+        final_inc = float(_coeff_increment(coeff_history[-1], coeff_history[-2]))
 
     return RunReport(
         schema="pitchftc-report-v1",

@@ -6,7 +6,8 @@ Everything here is plain linear algebra with no knowledge of turbines:
 - a fixed-point solver for the discrete algebraic Riccati equation,
 - Moore-Penrose pseudo-inverse for full-column-rank matrices,
 - zero-order-hold discretization of a second-order lag with a lead zero,
-- averaged-periodogram power spectral density estimation.
+- averaged-periodogram power spectral density estimation,
+- lengths of unbroken runs in a boolean stream, carried across chunks.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "pseudo_inverse",
     "discretize_second_order",
     "psd_estimate",
+    "run_lengths",
 ]
 
 
@@ -282,3 +284,16 @@ def psd_estimate(
         scaling="density",
     )
     return freqs, power
+
+
+def run_lengths(mask: np.ndarray, carry=0) -> np.ndarray:
+    """Length of the unbroken run of True ending at each sample (0 where False).
+
+    ``mask`` is (n,) or (n, m) with time along axis 0; ``carry`` is the run
+    length each column brought in from the previous chunk, so a stream cut
+    into chunks gives the same lengths as the whole stream.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    count = np.arange(1, mask.shape[0] + 1).reshape((-1,) + (1,) * (mask.ndim - 1))
+    last_quiet = np.maximum.accumulate(np.where(mask, 0, count), axis=0)
+    return count - last_quiet + np.where(last_quiet == 0, carry, 0)

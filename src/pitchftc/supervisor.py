@@ -49,6 +49,12 @@ class BankEntry:
     converged_period: int
     seed: int
 
+    def __post_init__(self):
+        for name, shape in (("coeffs", (3, 2)), ("markov_rows", (3, 2 * self.past_window))):
+            values = np.asarray(getattr(self, name), dtype=float)  # ragged rows raise here
+            if values.shape != shape or not np.isfinite(values).all():
+                raise ValueError(f"{name} must be a finite {shape[0]}x{shape[1]} array")
+
     def coeffs_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
 
@@ -80,10 +86,13 @@ class PretunedBank:
         payload = json.loads(Path(path).read_text())
         if payload.get("schema") != BANK_SCHEMA:
             raise ValueError(f"unrecognized bank schema in {path}")
-        entries = {
-            int(k): BankEntry(**v) for k, v in payload["entries"].items()
-        }
-        return cls(entries)
+        bank = cls()
+        for key, data in payload["entries"].items():
+            entry = BankEntry(**data)
+            if int(key) != entry.fault_blade:
+                raise ValueError(f"bank key {key} holds the entry for blade {entry.fault_blade}")
+            bank.add(entry)
+        return bank
 
 
 def compose_pitch_command(

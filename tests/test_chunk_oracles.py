@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import FdieOracle, apply_pas_fault, azimuth, periodic_disturbance
+from oracles import FdieOracle, FuserOracle, apply_pas_fault, azimuth, periodic_disturbance
 from pitchftc.actuator import ActuatorBank, FaultDescriptor
-from pitchftc.fdi import FdiBounds, design_fdie
+from pitchftc.fdi import DecisionFuser, FdiBounds, decision_record, design_fdie
 from pitchftc.plant import Plant, load_case_params
 
 TS = 0.01
@@ -75,3 +75,36 @@ def test_chunked_blocks_match_per_sample_oracles(seed, cuts, fault_blade, k0):
         rbar_step = [oracle.threshold_step() for _ in range(N)]
         np.testing.assert_allclose(r[:, blade], r_step, rtol=0, atol=1e-9)
         np.testing.assert_allclose(rbar[:, blade], rbar_step, rtol=0, atol=1e-12)
+
+
+@given(
+    # runs of one crossing pattern: (blade bit mask, length in samples)
+    blocks=st.lists(st.tuples(st.integers(0, 7), st.integers(1, 12)), min_size=1, max_size=24),
+    cuts=st.sets(st.integers(1, 287), max_size=10),
+    n_confirm=st.integers(1, 8),
+)
+@example(blocks=[(0, 2), (4, 3), (0, 2)], cuts={5}, n_confirm=3)  # confirms on a chunk's last sample
+@example(blocks=[(0, 2), (4, 3), (0, 2)], cuts={3}, n_confirm=3)  # confirming run spans a cut
+@settings(max_examples=200, deadline=None)
+def test_chunked_fuser_matches_per_sample_oracle(blocks, cuts, n_confirm):
+    bits = [[(mask >> blade) & 1 for blade in range(3)] for mask, _ in blocks]
+    crossing = np.repeat(np.array(bits, dtype=bool), [length for _, length in blocks], axis=0)
+    n = crossing.shape[0]
+    residuals, thresholds = 2.0 * crossing, np.ones((n, 3))
+
+    fuser = DecisionFuser(n_confirm)
+    edges = [0, *sorted(c for c in cuts if c < n), n]
+    for a, b in zip(edges[:-1], edges[1:]):
+        fuser.scan_chunk(residuals[a:b], thresholds[a:b], a)
+    dfd = np.zeros(n, dtype=int)
+    if fuser.d_fd:
+        dfd[fuser.confirmed_at :] = fuser.d_fd
+    d_fd, k_d, decision_sample, ambiguous = decision_record(crossing, dfd)
+
+    oracle = FuserOracle(n_confirm)
+    for k in range(n):
+        oracle.update(residuals[k], thresholds[k], k)
+    assert (fuser.d_fd, fuser.confirmed_at) == (oracle.d_fd, oracle.confirmed_at)
+    assert (d_fd, k_d, decision_sample, ambiguous) == (
+        oracle.d_fd, oracle.k_d, oracle.confirmed_at, oracle.ambiguous
+    )

@@ -9,6 +9,7 @@ from pitchftc.fdi import (
     Fdie,
     FdiBounds,
     compute_alpha_delta,
+    decision_record,
     design_fdie,
     place_observer_gain,
     residual_noise_std,
@@ -214,6 +215,48 @@ class TestThreshold:
             assert np.all(np.abs(r) <= rbar + 1e-12)
 
 
+class Scan:
+    """The library fuser plus the crossings it was fed from sample k_first on.
+
+    The decision record (k_d, ambiguous) is read back from those crossings
+    by :func:`decision_record`, the way the run report reads it.
+    """
+
+    def __init__(self, n_confirm):
+        self.fuser = DecisionFuser(n_confirm=n_confirm)
+        self.crossing = np.zeros((0, 3), dtype=bool)
+        self.k_first = None
+
+    def scan_chunk(self, residuals, thresholds, k_start):
+        if self.k_first is None:
+            self.k_first = k_start
+        self.crossing = np.vstack([self.crossing, np.abs(residuals) > thresholds])
+        return self.fuser.scan_chunk(residuals, thresholds, k_start)
+
+    @property
+    def d_fd(self):
+        return self.fuser.d_fd
+
+    @property
+    def confirmed_at(self):
+        return self.fuser.confirmed_at
+
+    def _record(self):
+        dfd = np.zeros(len(self.crossing), dtype=int)
+        if self.fuser.d_fd:
+            dfd[self.fuser.confirmed_at - self.k_first :] = self.fuser.d_fd
+        return decision_record(self.crossing, dfd)
+
+    @property
+    def k_d(self):
+        k_d = self._record()[1]
+        return None if k_d is None else self.k_first + k_d
+
+    @property
+    def ambiguous(self):
+        return self._record()[3]
+
+
 def feed(fuser, residuals, thresholds, k):
     """One sample through the chunked fuser."""
     fuser.scan_chunk(np.atleast_2d(residuals), np.atleast_2d(thresholds), k)
@@ -222,13 +265,13 @@ def feed(fuser, residuals, thresholds, k):
 
 class TestDecisionFuser:
     def test_all_below_stays_healthy(self):
-        fuser = DecisionFuser(n_confirm=3)
+        fuser = Scan(n_confirm=3)
         for k in range(50):
             dec = feed(fuser, [0.1, -0.2, 0.05], [1.0, 1.0, 1.0], k)
         assert dec.d_fd == 0 and dec.k_d is None and not dec.ambiguous
 
     def test_single_persistent_crossing_isolated_at_run_start(self):
-        fuser = DecisionFuser(n_confirm=10)
+        fuser = Scan(n_confirm=10)
         k = 89_990
         for _ in range(10):
             feed(fuser, [0.1, 0.2, 0.1], [1.0, 1.0, 1.0], k)
@@ -241,12 +284,12 @@ class TestDecisionFuser:
         assert fuser.confirmed_at == 90_009
 
     def test_simultaneous_crossings_are_ambiguous(self):
-        fuser = DecisionFuser(n_confirm=1)
+        fuser = Scan(n_confirm=1)
         dec = feed(fuser, [5.0, 5.0, 0.0], [1.0, 1.0, 1.0], 7)
         assert dec.ambiguous and dec.d_fd == 0
 
     def test_ambiguity_does_not_block_later_isolation(self):
-        fuser = DecisionFuser(n_confirm=2)
+        fuser = Scan(n_confirm=2)
         feed(fuser, [5.0, 5.0, 0.0], [1.0, 1.0, 1.0], 0)
         feed(fuser, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1)
         feed(fuser, [0.0, 5.0, 0.0], [1.0, 1.0, 1.0], 2)
@@ -254,13 +297,13 @@ class TestDecisionFuser:
         assert dec.d_fd == 2 and dec.k_d == 2 and dec.ambiguous
 
     def test_decision_latches(self):
-        fuser = DecisionFuser(n_confirm=1)
+        fuser = Scan(n_confirm=1)
         feed(fuser, [5.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0)
         dec = feed(fuser, [0.0, 9.0, 0.0], [1.0, 1.0, 1.0], 1)
         assert dec.d_fd == 1 and dec.k_d == 0
 
     def test_interrupted_run_restarts(self):
-        fuser = DecisionFuser(n_confirm=3)
+        fuser = Scan(n_confirm=3)
         feed(fuser, [0, 0, 5.0], [1, 1, 1], 0)
         feed(fuser, [0, 0, 5.0], [1, 1, 1], 1)
         feed(fuser, [0, 0, 0.0], [1, 1, 1], 2)  # dip resets the counter
@@ -274,7 +317,7 @@ class TestDecisionFuser:
         r = rng.normal(0, 1, size=(400, 3))
         r[200:, 2] += 6.0
         th = np.full((400, 3), 3.0)
-        a = DecisionFuser(n_confirm=5)
+        a = Scan(n_confirm=5)
         a.scan_chunk(r[:250], th[:250], 0)
         a.scan_chunk(r[250:], th[250:], 250)
         b = FuserOracle(n_confirm=5)
@@ -285,7 +328,7 @@ class TestDecisionFuser:
         )
 
     def test_isolated_decision_requires_detection_sample(self):
-        fuser = DecisionFuser(n_confirm=4)
+        fuser = Scan(n_confirm=4)
         r = np.zeros((20, 3))
         r[6:, 1] = 5.0
         assert fuser.scan_chunk(r, np.ones((20, 3)), 0) == 2

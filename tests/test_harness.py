@@ -104,6 +104,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="past_window"):
             RunConfig(past_window=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"noise_multiplier": float("nan")},
+            {"noise_multiplier": -1.0},
+            {"past_window": 1.5},
+            {"duration_s": float("inf")},
+            {"lqr_q": float("nan")},
+            {"seed": True},
+        ],
+        ids=["nan_multiplier", "negative_multiplier", "fractional_window", "inf_duration",
+             "nan_lqr_q", "bool_seed"],
+    )
+    def test_from_dict_rejects_bad_numbers(self, bad):
+        # a NaN multiplier gives NaN thresholds that no residual crosses, so
+        # the stuck blade would never be detected
+        data = {"mode": "baseline", "duration_s": 60, "fault_blade": 3, "fault_time_s": 30}
+        with pytest.raises(ValueError):
+            RunConfig.from_dict({**data, **bad})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"mode": "baseline", "turbo": 1})
@@ -122,6 +142,14 @@ class TestConfig:
         a = RunConfig()
         b = replace(a, seed=99, duration_s=700.0, fault_time_s=300.0, mode="sprc_only")
         assert dynamics_fingerprint(a) == dynamics_fingerprint(b)
+        # the injected scenario is ground truth the supervisor must not see
+        stuck = a.effective_load_case().stuck_angle
+        for scenario in (
+            replace(a, fault_blade=2),
+            replace(a, fault_angle=12.0),
+            replace(a, fault_angle=stuck),
+        ):
+            assert dynamics_fingerprint(scenario) == dynamics_fingerprint(a)
         c = replace(a, load_case="LC1")
         assert dynamics_fingerprint(a) != dynamics_fingerprint(c)
 

@@ -9,6 +9,7 @@ from pitchftc.numerics import (
     discretize_second_order,
     pseudo_inverse,
     psd_estimate,
+    run_lengths,
     solve_dare,
 )
 
@@ -277,3 +278,13 @@ class TestStateSpaceModel:
             StateSpaceModel(np.eye(2), np.ones((3, 1)), np.ones((1, 2)), [[0.0]], 0.01)
         with pytest.raises(ValueError):
             StateSpaceModel(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [[0.0]], -1.0)
+
+
+class TestRunLengths:
+    def test_counts_unbroken_runs(self):
+        mask = np.array([1, 1, 0, 1, 1, 1, 0, 0, 1], dtype=bool)
+        np.testing.assert_array_equal(run_lengths(mask), [1, 2, 0, 1, 2, 3, 0, 0, 1])
+
+    def test_carry_extends_only_the_leading_run(self):
+        mask = np.array([[1, 0], [1, 1], [0, 1]], dtype=bool)
+        np.testing.assert_array_equal(run_lengths(mask, np.array([3, 5])), [[4, 0], [5, 1], [0, 2]])

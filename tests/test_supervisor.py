@@ -51,6 +51,27 @@ class TestBank:
         with pytest.raises(ValueError, match="schema"):
             PretunedBank.load(path)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda e: e["markov_rows"][1].pop(),
+            lambda e: e["markov_rows"].pop(),
+            lambda e: e["coeffs"][0].append(0.0),
+            lambda e: e["coeffs"][2].__setitem__(1, float("nan")),
+            lambda e: e.__setitem__("fault_blade", 2),
+        ],
+        ids=["truncated_markov_row", "missing_markov_row", "long_coeff_row", "nan_coeff",
+             "key_mismatch"],
+    )
+    def test_malformed_entry_rejected_at_load(self, tmp_path, corrupt):
+        path = tmp_path / "bank.json"
+        PretunedBank({3: make_entry()}).save(path)
+        payload = json.loads(path.read_text())
+        corrupt(payload["entries"]["3"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            PretunedBank.load(path)
+
     def test_missing_entry_is_none(self):
         assert PretunedBank().get(2) is None
 
