@@ -14,10 +14,6 @@ from . import harness, supervisor
 from .numerics import psd_estimate
 
 
-def _load_config(path: str) -> harness.RunConfig:
-    return harness.RunConfig.from_json_file(path)
-
-
 def _cmd_config(args) -> int:
     harness.RunConfig().to_json_file(args.out)
     print(f"wrote default configuration to {args.out}")
@@ -25,7 +21,7 @@ def _cmd_config(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = harness.RunConfig.from_json_file(args.config)
     entry, report = supervisor.offline_tune(cfg)
     bank_path = Path(args.bank)
     if bank_path.exists():
@@ -42,7 +38,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = harness.RunConfig.from_json_file(args.config)
     result = harness.run_simulation(cfg)
     if args.csv:
         harness.write_csv(args.csv, result.series, cfg.Ts)
@@ -56,7 +52,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = harness.RunConfig.from_json_file(args.config)
     bank = supervisor.PretunedBank.load(args.bank) if args.bank else None
     outcome = harness.compare_modes(cfg, bank=bank)
     outdir = Path(args.out)
@@ -71,7 +67,7 @@ def _cmd_compare(args) -> int:
     print(f"{'mode':<12}{'blade1 %':>10}{'blade2 %':>10}{'blade3 %':>10}{'cumulative %':>14}")
     for mode, metrics in outcome["reduction"].items():
         cells = [
-            f"{metrics.get(f'blade{b}', float('nan')):>10.2f}" if f"blade{b}" in metrics else f"{'-':>10}"
+            f"{metrics[f'blade{b}']:>10.2f}" if f"blade{b}" in metrics else f"{'-':>10}"
             for b in (1, 2, 3)
         ]
         print(f"{mode:<12}" + "".join(cells) + f"{metrics['cumulative']:>14.2f}")

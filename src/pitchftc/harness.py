@@ -24,7 +24,6 @@ Controller modes:
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
@@ -62,14 +61,10 @@ __all__ = [
 MODES = ("baseline", "sprc_only", "proposed", "offline_tune")
 
 CSV_SCHEMA = "pitchftc-timeseries-v1"
-_CSV_COLUMNS = (
-    ["k", "t"]
-    + [f"{name}{b}" for name in ("u_ref", "u_act", "u_meas", "y", "sprc", "prbs") for b in (1, 2, 3)]
-    + [f"r{b}" for b in (1, 2, 3)]
-    + [f"rbar{b}" for b in (1, 2, 3)]
-    + [f"ident_res{b}" for b in (1, 2, 3)]
-    + ["dfd"]
-)
+_SERIES = ("u_ref", "u_act", "u_meas", "y", "sprc", "prbs", "r", "rbar", "ident_res")
+_CSV_COLUMNS = ["k", "t", *(f"{name}{b}" for name in _SERIES for b in (1, 2, 3)), "dfd"]
+_CSV_ROW = ",".join(["%d"] + ["%.17g"] * (len(_CSV_COLUMNS) - 2) + ["%d"]) + "\n"
+_CSV_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -145,6 +140,8 @@ class RunConfig:
                 isinstance(value, (int, float, np.number)) and np.isfinite(value)
             ):
                 raise ValueError(f"{f.name} must be a finite number")
+            if f.type == "bool" and type(value) is not bool:
+                raise ValueError(f"{f.name} must be true or false")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.load_case not in LOAD_CASES:
@@ -168,8 +165,12 @@ class RunConfig:
             raise ValueError("pole_radius must be in [0, 1)")
         if self.meas_noise_value < 0 or self.noise_multiplier < 0:
             raise ValueError("meas_noise_value and noise_multiplier must be nonnegative")
-        if self.n_confirm < 1 or self.settle_periods < 0 or self.start_period < 1:
-            raise ValueError("n_confirm/start_period must be >= 1, settle_periods >= 0")
+        if min(self.n_confirm, self.start_period, self.prbs_hold, self.convergence_consecutive) < 1:
+            raise ValueError("n_confirm, start_period, prbs_hold, convergence_consecutive must be >= 1")
+        if self.settle_periods < 0:
+            raise ValueError("settle_periods must be nonnegative")
+        if min(self.prbs_tau, self.load_tau, self.comparison_window_s, self.convergence_eps) <= 0:
+            raise ValueError("prbs_tau, load_tau, comparison_window_s, convergence_eps must be positive")
 
     # derived quantities ---------------------------------------------------
 
@@ -392,11 +393,7 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
         filter_tau=cfg.prbs_tau, Ts=cfg.Ts,
     )
 
-    series = {
-        name: np.zeros((N, 3))
-        for name in ("u_ref", "u_act", "u_meas", "y", "sprc", "r", "rbar", "ident_res")
-    }
-    series["prbs"] = prbs
+    series = {name: prbs if name == "prbs" else np.zeros((N, 3)) for name in _SERIES}
     n_periods = N // P
     coeff_history = np.zeros((n_periods, 3, 2))
 
@@ -642,13 +639,14 @@ def report_from_series(
     healthy_conv = quiet_from(coeff_history[: healthy_hi // P], scan_start)
     postfault_conv = None
     if k0 is not None and n_periods > k0 // P:
-        first_eligible = scan_start = k0 // P + cfg.settle_periods
+        first_eligible = k0 // P + cfg.settle_periods
         j_star = quiet_from(coeff_history, first_eligible)  # never before first_eligible
         if j_star is not None:
             postfault_conv = j_star - first_eligible + 1
-    # both scans end at the last applied period, whose increment is the final one
+    # both scans end at the last applied period, whose increment is the final
+    # one; a fault in the last settle periods leaves the post-fault scan empty
     final_inc = 0.0
-    if n_periods > max(scan_start, 1):
+    if n_periods > scan_start:
         final_inc = float(_coeff_increment(coeff_history[-1], coeff_history[-2]))
 
     return RunReport(
@@ -748,45 +746,44 @@ def compare_modes(
 
 
 def write_csv(path: str | Path, series: dict, Ts: float) -> None:
-    """Emit the per-sample time series with the fixed, versioned column set."""
+    """Emit the per-sample time series with the fixed, versioned column set.
+
+    Every row has one format: k and dfd as integers, the other columns as
+    ``%.17g``, which reads back to the same float64 bit for bit.
+    """
     n = series["y"].shape[0]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"# {CSV_SCHEMA}"])
-        writer.writerow(_CSV_COLUMNS)
-        cols = []
-        cols.append(np.arange(n))
-        cols.append(np.arange(n) * Ts)
-        for name in ("u_ref", "u_act", "u_meas", "y", "sprc", "prbs", "r", "rbar", "ident_res"):
-            for b in range(3):
-                cols.append(series[name][:, b])
-        cols.append(series["dfd"])
-        for i in range(n):
-            writer.writerow(
-                [
-                    int(cols[0][i]),
-                    *(repr(float(c[i])) for c in cols[1:-1]),
-                    int(cols[-1][i]),
-                ]
-            )
+    k = np.arange(n)
+    block = np.column_stack([k, k * Ts, *(series[name] for name in _SERIES), series["dfd"]])
+    with open(path, "w", newline="\n") as handle:
+        handle.write(f"# {CSV_SCHEMA}\n" + ",".join(_CSV_COLUMNS) + "\n")
+        # formatted slice by slice, so only one slice at a time is Python floats
+        for lo in range(0, n, _CSV_CHUNK_ROWS):
+            rows = block[lo : lo + _CSV_CHUNK_ROWS].tolist()
+            handle.writelines(_CSV_ROW % tuple(row) for row in rows)
 
 
 def read_csv(path: str | Path) -> dict:
-    """Read a time-series CSV back into the in-memory series layout."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        schema = next(reader)[0].lstrip("# ")
+    """Read a time-series CSV back into the in-memory series layout.
+
+    Raises ValueError unless the file holds the schema line, the fixed
+    header and at least one row, every row a number in each column, ``k``
+    counting the rows from 0 and ``dfd`` a blade number 0-3.  Files with
+    CRLF line ends or shortest-repr floats read back exactly too.
+    """
+    with open(path) as handle:
+        schema = handle.readline().rstrip("\n").lstrip("# ")
         if schema != CSV_SCHEMA:
             raise ValueError(f"unrecognized CSV schema {schema!r}")
-        header = next(reader)
-        if header != _CSV_COLUMNS:
+        if handle.readline().rstrip("\n").split(",") != _CSV_COLUMNS:
             raise ValueError("CSV columns do not match the fixed schema")
-        rows = [row for row in reader]
-    data = np.array(rows, dtype=float)
-    series = {}
-    for base_idx, name in enumerate(
-        ("u_ref", "u_act", "u_meas", "y", "sprc", "prbs", "r", "rbar", "ident_res")
-    ):
-        series[name] = data[:, 2 + 3 * base_idx : 2 + 3 * (base_idx + 1)].copy()
+        data = np.loadtxt(handle, delimiter=",", ndmin=2)
+    n = data.shape[0]
+    if n == 0 or data.shape[1] != len(_CSV_COLUMNS):
+        raise ValueError(f"CSV body must hold rows of {len(_CSV_COLUMNS)} numbers")
+    if not np.array_equal(data[:, 0], np.arange(n)):
+        raise ValueError("CSV column k must count the rows 0..n-1")
+    if not np.isin(data[:, -1], (0, 1, 2, 3)).all():
+        raise ValueError("CSV column dfd must hold blade numbers 0-3")
+    series = {name: data[:, 2 + 3 * i : 5 + 3 * i].copy() for i, name in enumerate(_SERIES)}
     series["dfd"] = data[:, -1].astype(int)
     return series

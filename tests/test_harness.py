@@ -1,12 +1,16 @@
+import csv
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import FuserOracle
 from pitchftc import supervisor
 from pitchftc.harness import (
+    CSV_SCHEMA,
     RunConfig,
     compare_modes,
     convergence_time,
@@ -44,6 +48,15 @@ def lc3_bank():
     )
     entry, _ = supervisor.offline_tune(cfg)
     return supervisor.PretunedBank({3: entry})
+
+
+@pytest.fixture(scope="module")
+def last_period_fault_run(lc3_bank):
+    # the fault lands in the last rotor period, inside the settle periods
+    cfg = RunConfig(
+        mode="proposed", load_case="LC3", seed=5, duration_s=100.0, fault_blade=3, fault_time_s=95.0
+    )
+    return cfg, run_simulation(cfg, bank=lc3_bank)
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +126,17 @@ class TestConfig:
             {"duration_s": float("inf")},
             {"lqr_q": float("nan")},
             {"seed": True},
+            {"meas_noise_is_std": "false"},
+            {"prbs_hold": 0},
+            {"prbs_tau": 0.0},
+            {"load_tau": 0.0},
+            {"comparison_window_s": -5.0},
+            {"convergence_consecutive": 0},
+            {"convergence_eps": -0.01},
         ],
         ids=["nan_multiplier", "negative_multiplier", "fractional_window", "inf_duration",
-             "nan_lqr_q", "bool_seed"],
+             "nan_lqr_q", "bool_seed", "string_bool_flag", "zero_prbs_hold", "zero_prbs_tau",
+             "zero_load_tau", "negative_comparison_window", "zero_consecutive", "negative_eps"],
     )
     def test_from_dict_rejects_bad_numbers(self, bad):
         # a NaN multiplier gives NaN thresholds that no residual crosses, so
@@ -231,6 +252,28 @@ class TestFaultyRun:
         stuck = result.series["u_act"][k0:, 2]
         np.testing.assert_array_equal(stuck, cfg.effective_load_case().stuck_angle)
 
+    def test_fault_before_start_period(self, lc3_bank):
+        cfg = RunConfig(
+            mode="proposed", load_case="LC3", seed=5, duration_s=100.0, fault_blade=3,
+            fault_time_s=10.0,
+        )
+        result = run_simulation(cfg, bank=lc3_bank)
+        rep, history, P = result.report, result.coeff_history, cfg.period_samples
+        assert rep.d_fd == 3 and rep.switch_applied
+        assert rep.switch_sample < cfg.start_period * P  # before any adaptation
+        # the warm start lands in the next period and the stuck blade never moves
+        j = rep.switch_sample // P + 1
+        np.testing.assert_array_equal(history[j], lc3_bank.get(3).coeffs_array())
+        assert (history[j:, 2] == history[j, 2]).all()
+
+    def test_fault_in_last_period(self, last_period_fault_run):
+        cfg, result = last_period_fault_run
+        rep = result.report
+        assert rep.duration_s == cfg.duration_s
+        assert cfg.fault_sample // cfg.period_samples == result.coeff_history.shape[0] - 1
+        assert rep.windows["faulty"] is None and rep.variance_faulty is None
+        assert rep.d_fd == 3 and rep.switch_applied
+
 
 class TestMetrics:
     def test_reduction_percentages(self):
@@ -276,10 +319,50 @@ class TestMetrics:
         assert rep.final_coeff_increment == pytest.approx(last, rel=1e-9)
         assert rep.final_coeff_increment == pytest.approx(0.2698, abs=1e-4)
 
+    def test_final_increment_when_fault_in_last_settle_periods(self):
+        # the post-fault scan is empty, but the controller still moved
+        cfg = short_cfg(duration_s=100.0, fault_blade=3, fault_time_s=95.0)
+        result = run_simulation(cfg)
+        history = result.coeff_history
+        last = np.linalg.norm(history[-1] - history[-2], axis=1).max()
+        assert last > 0.1
+        assert result.report.final_coeff_increment == pytest.approx(last, rel=1e-9)
+
     def test_frozen_updates_flagged_degenerate(self):
         cfg = short_cfg(step_gain=0.0, duration_s=80.0)
         result = run_simulation(cfg)
         assert result.report.frozen_updates
+
+
+SERIES = ("u_ref", "u_act", "u_meas", "y", "sprc", "prbs", "r", "rbar", "ident_res")
+# signed zeros, the smallest and largest subnormals, and the edge of the range
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 1e308, -1e308]
+FLOATS = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _synthetic_series(values):
+    """Series dict from an (n, 27) block, nine three-blade columns in CSV order."""
+    series = {name: values[:, 3 * i : 3 * i + 3] for i, name in enumerate(SERIES)}
+    series["dfd"] = np.arange(values.shape[0]) % 4
+    return series
+
+
+def _set_cell(rows, row, col, value):
+    cells = rows[row + 2].rstrip("\n").split(",")
+    cells[col] = value
+    return rows[: row + 2] + [",".join(cells) + "\n"] + rows[row + 3 :]
+
+
+def _write_earlier_format(path, series, Ts):
+    """The earlier writer: csv module rows of repr floats, CRLF line ends."""
+    columns = ["k", "t", *(f"{name}{b}" for name in SERIES for b in (1, 2, 3)), "dfd"]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"# {CSV_SCHEMA}"])
+        writer.writerow(columns)
+        for k, dfd in enumerate(series["dfd"]):
+            cells = [repr(float(series[name][k, b])) for name in SERIES for b in range(3)]
+            writer.writerow([k, repr(k * Ts), *cells, int(dfd)])
 
 
 class TestCsvArtifacts:
@@ -291,7 +374,9 @@ class TestCsvArtifacts:
         for name in result.series:
             np.testing.assert_array_equal(series[name], result.series[name])
 
-    @pytest.mark.parametrize("run", ["healthy_run", "faulty_run", "tune_run"])
+    @pytest.mark.parametrize(
+        "run", ["healthy_run", "faulty_run", "tune_run", "last_period_fault_run"]
+    )
     def test_report_recomputable_from_series(self, tmp_path, request, run):
         cfg, result = request.getfixturevalue(run)
         path = tmp_path / "run.csv"
@@ -310,6 +395,59 @@ class TestCsvArtifacts:
         assert a.keys() == b.keys()
         for key in a:
             assert json.dumps(b[key]) == json.dumps(a[key]), key
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows[:2],
+            lambda rows: rows[:-1] + [rows[-1][: len(rows[-1]) // 2]],
+            lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0] + "\n"],
+            lambda rows: rows[:-1] + [rows[-1][:-2]],
+            lambda rows: _set_cell(rows, 1, 4, "abc"),
+            lambda rows: rows[:3] + rows[4:],
+            lambda rows: rows[:2] + rows[3:],
+            lambda rows: _set_cell(rows, 1, -1, "7"),
+            lambda rows: _set_cell(rows, 1, -1, "2.5"),
+            lambda rows: ["# pitchftc-timeseries-v0\n"] + rows[1:],
+            lambda rows: rows[:1] + [rows[1].replace("y1", "load1")] + rows[2:],
+        ],
+        ids=["empty_body", "truncated_last_row", "ragged_last_row", "empty_last_cell",
+             "non_numeric_cell", "k_gap", "k_not_from_zero", "dfd_out_of_range",
+             "dfd_fractional", "unknown_schema", "renamed_column"],
+    )
+    @pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns on an empty body first
+    def test_malformed_file_rejected(self, tmp_path, edit):
+        path = tmp_path / "run.csv"
+        write_csv(path, _synthetic_series(np.ones((5, 27))), 0.01)
+        read_csv(path)  # the unedited file is valid
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(rows)))
+        with pytest.raises(ValueError):
+            read_csv(path)
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(27)), elements=FLOATS))
+    @example(np.resize(EXTREMES, (2, 27)))
+    @settings(max_examples=60, deadline=None)
+    def test_floats_roundtrip_bit_exactly(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("csv") / "run.csv"
+        written = _synthetic_series(values)
+        write_csv(path, written, 0.01)
+        series = read_csv(path)
+        for name in SERIES:
+            np.testing.assert_array_equal(series[name].view(np.int64), written[name].view(np.int64))
+        np.testing.assert_array_equal(series["dfd"], written["dfd"])
+
+    def test_reads_files_in_the_earlier_format(self, tmp_path):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(6, 27)) * 10.0 ** rng.integers(-300, 300, size=(6, 27))
+        written = _synthetic_series(np.vstack([values, np.resize(EXTREMES, (1, 27))]))
+        path = tmp_path / "old.csv"
+        _write_earlier_format(path, written, 0.01)
+        assert b"\r\n" in path.read_bytes()
+        series = read_csv(path)
+        for name in SERIES:
+            np.testing.assert_array_equal(series[name].view(np.int64), written[name].view(np.int64))
+        np.testing.assert_array_equal(series["dfd"], written["dfd"])
 
 
 class TestReportFromSeries:
