@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .actuator import ActuatorBank, FaultDescriptor
 from .fdi import DecisionFuser, FdiBounds, decision_record, design_fdie, residual_noise_std
-from .numerics import pseudo_inverse, run_lengths
+from .numerics import run_lengths
 from .plant import LOAD_CASES, PITCH_MAX_DEG, PITCH_MIN_DEG, LoadCase, Plant, load_case_params
 from .sprc import (
     MarkovIdentifier,
@@ -41,6 +42,7 @@ from .sprc import (
     build_basis,
     build_regressor_block,
     generate_prbs,
+    project,
 )
 from . import supervisor as _supervisor
 
@@ -134,14 +136,23 @@ class RunConfig:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and type(value) is not int and not isinstance(value, np.integer):
+            if isinstance(value, np.generic):
+                # the Python scalar, which JSON and the fingerprint can encode
+                value = value.item()
+                setattr(self, f.name, value)
+            kind = f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            if kind == "int" and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer")
-            if f.type.startswith("float") and value is not None and not (
-                isinstance(value, (int, float, np.number)) and np.isfinite(value)
+            if kind == "float" and not (
+                isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
             ):
                 raise ValueError(f"{f.name} must be a finite number")
-            if f.type == "bool" and type(value) is not bool:
+            if kind == "bool" and type(value) is not bool:
                 raise ValueError(f"{f.name} must be true or false")
+            if kind == "str" and not isinstance(value, str):
+                raise ValueError(f"{f.name} must be a string")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.load_case not in LOAD_CASES:
@@ -525,7 +536,7 @@ def _boundary_update(cfg, law, identifier, series, k, coeff_history) -> None:
     j = k // P - 1  # just-completed period
     if cfg.mode != "baseline" and j >= cfg.start_period:
         load_proj = law.project(series["y"][k - P : k])
-        law.period_update(load_proj, identifier.rows(), cfg.past_window)
+        law.period_update(load_proj, identifier.rows())
     if j + 1 < coeff_history.shape[0]:
         coeff_history[j + 1] = law.coeffs
 
@@ -585,7 +596,7 @@ def report_from_series(
     This is the only report builder: a live run calls it on its own series,
     so rebuilding the report from the CSV gives the live report exactly.
     The applied waveform coefficients come back from projecting the control
-    column period by period, the decision record from the dfd column and
+    column onto the basis, the decision record from the dfd column and
     the residual crossings, saturation from the actuated pitch.  Only the
     controller tallies (gain failures, factor degeneracy, the switch record
     and the offline-tuning convergence period) are not in the series; they
@@ -596,11 +607,9 @@ def report_from_series(
     k0 = cfg.fault_sample
     settle = cfg.settle_periods * P
 
-    binv = pseudo_inverse(build_basis(P))
     n_periods = end // P
-    coeff_history = np.zeros((n_periods, 3, 2))
-    for j in range(n_periods):
-        coeff_history[j] = (binv @ series["sprc"][j * P : (j + 1) * P]).T
+    periods = series["sprc"][: n_periods * P].reshape(n_periods, P, 3)
+    coeff_history = project(build_basis(P), periods).transpose(0, 2, 1)
 
     crossing = np.abs(series["r"]) > series["rbar"]
     d_fd, k_d, decision_sample, ambiguous = decision_record(crossing, series["dfd"])

@@ -4,7 +4,6 @@ Everything here is plain linear algebra with no knowledge of turbines:
 
 - square-root recursive least squares (QR form, exponential forgetting),
 - a fixed-point solver for the discrete algebraic Riccati equation,
-- Moore-Penrose pseudo-inverse for full-column-rank matrices,
 - zero-order-hold discretization of a second-order lag with a lead zero,
 - averaged-periodogram power spectral density estimation,
 - lengths of unbroken runs in a boolean stream, carried across chunks.
@@ -23,7 +22,6 @@ __all__ = [
     "RlsEstimator",
     "DareError",
     "solve_dare",
-    "pseudo_inverse",
     "discretize_second_order",
     "psd_estimate",
     "run_lengths",
@@ -60,9 +58,6 @@ class StateSpaceModel:
     @property
     def n_states(self) -> int:
         return self.A.shape[0]
-
-    def dc_gain(self) -> np.ndarray:
-        return self.C @ np.linalg.solve(np.eye(self.n_states) - self.A, self.B) + self.D
 
 
 class RlsEstimator:
@@ -217,22 +212,6 @@ def solve_dare(
     if rho >= 1.0:
         raise DareError(f"closed loop not stable, spectral radius {rho:.6f}")
     return P, K
-
-
-def pseudo_inverse(M: np.ndarray, rank_rtol: float = 1e-10) -> np.ndarray:
-    """Left pseudo-inverse of a full-column-rank matrix.
-
-    Computed from the thin QR factorization, which equals (M'M)^-1 M' without
-    squaring the condition number.  Rank-deficient input is rejected.
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] < M.shape[1]:
-        raise ValueError("need at least as many rows as columns")
-    q, r = sla.qr(M, mode="economic", check_finite=False)
-    diag = np.abs(np.diagonal(r))
-    if diag.min() < rank_rtol * max(diag.max(), 1e-300):
-        raise ValueError("matrix is rank deficient")
-    return sla.solve_triangular(r, q.T, check_finite=False)
 
 
 def discretize_second_order(omega: float, damping: float, Ts: float) -> StateSpaceModel:

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .numerics import DareError, RlsEstimator, pseudo_inverse, solve_dare
+from .numerics import DareError, RlsEstimator, solve_dare
 
 __all__ = [
     "build_basis",
+    "project",
     "build_regressor_block",
     "MarkovIdentifier",
     "build_lifted",
@@ -47,6 +48,16 @@ def build_basis(period_samples: int) -> np.ndarray:
     k = np.arange(period_samples)
     angle = 2.0 * np.pi * k / period_samples
     return np.column_stack([np.sin(angle), np.cos(angle)])
+
+
+def project(basis: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Basis coefficients of periods of samples: (P, m) -> (2, m).
+
+    Stacked periods (n, P, m) give (n, 2, m).  The basis columns are
+    orthogonal with squared norm P/2, so the least-squares projection is the
+    scaled transpose.
+    """
+    return (2.0 / basis.shape[0]) * (basis.T @ samples)
 
 
 def build_regressor_block(
@@ -99,9 +110,7 @@ class MarkovIdentifier:
         """Absorb a chronological block: regressors (n, 2p, 3), targets (n, 3)."""
         for blade in range(3):
             if not self.frozen[blade]:
-                self.estimators[blade].update_block(
-                    np.ascontiguousarray(regressors[:, :, blade]), targets[:, blade]
-                )
+                self.estimators[blade].update_block(regressors[:, :, blade], targets[:, blade])
 
     def rows(self) -> np.ndarray:
         """Current Markov row estimates, shape (3, 2p)."""
@@ -121,7 +130,6 @@ def build_lifted(
     period_samples: int,
     past_window: int,
     basis: np.ndarray,
-    basis_pinv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected one-period-ahead model for a single blade.
 
@@ -136,8 +144,6 @@ def build_lifted(
     row = np.asarray(markov_row, dtype=float).reshape(-1)
     if row.shape[0] != 2 * p:
         raise ValueError("markov_row must have length 2 * past_window")
-    if basis_pinv is None:
-        basis_pinv = pseudo_inverse(basis)
 
     # impulse terms by ascending step count (row stores oldest-first)
     mu = row[:p][::-1]
@@ -150,8 +156,8 @@ def build_lifted(
     trans_u = mu_pad[exponents]
     trans_y = my_pad[exponents]
     tail = basis[P - p :, :]
-    s_u = basis_pinv @ (trans_u @ tail)
-    s_y = basis_pinv @ (trans_y @ tail)
+    s_u = project(basis, trans_u @ tail)
+    s_y = project(basis, trans_y @ tail)
 
     # within-period response: strictly causal convolution of the impulse terms
     conv = np.empty((P, 2))
@@ -159,7 +165,7 @@ def build_lifted(
         full = np.convolve(basis[:, j], mu)
         conv[1:, j] = full[: P - 1]
     conv[0, :] = 0.0
-    s_h = basis_pinv @ conv
+    s_h = project(basis, conv)
 
     eye2 = np.eye(2)
     zero2 = np.zeros((2, 2))
@@ -243,7 +249,6 @@ class RepetitiveLaw:
         if not 0.0 <= hold_gain <= 1.0 or not 0.0 <= step_gain <= 1.0:
             raise ValueError("hold_gain and step_gain must lie in [0, 1]")
         self.basis = basis
-        self.basis_pinv = pseudo_inverse(basis)
         self.P = basis.shape[0]
         self.hold_gain = float(hold_gain)
         self.step_gain = float(step_gain)
@@ -258,7 +263,7 @@ class RepetitiveLaw:
 
     def project(self, period_block: np.ndarray) -> np.ndarray:
         """Project one period of per-blade samples (P, 3) onto the basis -> (3, 2)."""
-        return (self.basis_pinv @ period_block).T
+        return project(self.basis, period_block).T
 
     def output_slice(self, k_start: int, n: int) -> np.ndarray:
         """Control waveform samples k_start .. k_start+n-1, shape (n, 3)."""
@@ -273,12 +278,13 @@ class RepetitiveLaw:
         self.coeffs = np.asarray(coeffs, dtype=float).reshape(3, 2).copy()
         self._dcoeffs = np.zeros((3, 2))
 
-    def period_update(self, load_proj: np.ndarray, markov_rows: np.ndarray, past_window: int) -> None:
+    def period_update(self, load_proj: np.ndarray, markov_rows: np.ndarray) -> None:
         """One adaptation step from the just-completed period.
 
         load_proj is the measured per-blade load projection (3, 2) of that
         period; markov_rows (3, 2p) is the current identification state.
         """
+        past_window = markov_rows.shape[1] // 2
         load_proj = np.asarray(load_proj, dtype=float).reshape(3, 2)
         if self._load_proj_prev is None:
             dload = np.zeros((3, 2))
@@ -289,9 +295,7 @@ class RepetitiveLaw:
         for blade in range(3):
             if self.frozen[blade]:
                 continue
-            a_lift, b_lift = build_lifted(
-                markov_rows[blade], self.P, past_window, self.basis, self.basis_pinv
-            )
+            a_lift, b_lift = build_lifted(markov_rows[blade], self.P, past_window, self.basis)
             result = update_gain(a_lift, b_lift, self.Q, self.R, previous=self._gains[blade])
             if not result.ok:
                 self.gain_failures += 1

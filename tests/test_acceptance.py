@@ -251,7 +251,7 @@ def test_a5_riccati_oracle_and_runtime_gains():
     radii = []
     for blade in range(3):
         a_lift, b_lift = build_lifted(
-            ident.rows()[blade], cfg.period_samples, cfg.past_window, basis, law.basis_pinv
+            ident.rows()[blade], cfg.period_samples, cfg.past_window, basis
         )
         res = update_gain(a_lift, b_lift, law.Q, law.R)
         assert res.ok

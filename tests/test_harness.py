@@ -1,10 +1,10 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import FuserOracle
@@ -133,10 +133,14 @@ class TestConfig:
             {"comparison_window_s": -5.0},
             {"convergence_consecutive": 0},
             {"convergence_eps": -0.01},
+            {"load_case": []},
+            {"mode": 3},
+            {"bank_path": 5},
         ],
         ids=["nan_multiplier", "negative_multiplier", "fractional_window", "inf_duration",
              "nan_lqr_q", "bool_seed", "string_bool_flag", "zero_prbs_hold", "zero_prbs_tau",
-             "zero_load_tau", "negative_comparison_window", "zero_consecutive", "negative_eps"],
+             "zero_load_tau", "negative_comparison_window", "zero_consecutive", "negative_eps",
+             "list_load_case", "int_mode", "int_bank_path"],
     )
     def test_from_dict_rejects_bad_numbers(self, bad):
         # a NaN multiplier gives NaN thresholds that no residual crosses, so
@@ -144,6 +148,56 @@ class TestConfig:
         data = {"mode": "baseline", "duration_s": 60, "fault_blade": 3, "fault_time_s": 30}
         with pytest.raises(ValueError):
             RunConfig.from_dict({**data, **bad})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("past_window", np.int64(100)), ("seed", np.int32(3)), ("load_tau", np.float32(0.5))],
+        ids=["int64_window", "int32_seed", "float32_tau"],
+    )
+    def test_numpy_scalars_become_python_scalars(self, tmp_path, name, value):
+        cfg = short_cfg(**{name: value})
+        plain = short_cfg(**{name: value.item()})
+        assert dynamics_fingerprint(cfg) == dynamics_fingerprint(plain)
+        path = tmp_path / "cfg.json"
+        cfg.to_json_file(path)
+        assert RunConfig.from_json_file(path) == cfg == plain
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_from_dict_rejects_or_roundtrips(self, tmp_path_factory, data):
+        # any value JSON or numpy can hand over: a config either refuses it
+        # or survives the JSON round trip and has a fingerprint
+        wrong = st.one_of(
+            st.text(max_size=5), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+            st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+        )
+        by_type = {
+            "int": st.one_of(st.integers(), st.integers(-(2**31), 2**31 - 1).map(np.int64)),
+            "float": st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-(10**400), 10**400),
+                st.floats(-1e6, 1e6, width=32).map(np.float32),
+                st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+            ),
+            "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+            "str": st.one_of(st.sampled_from(["proposed", "sprc_only", "LC1", "LC3"]), st.text()),
+        }
+        kinds = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
+        names = data.draw(st.sets(st.sampled_from(sorted(kinds)), max_size=6))
+        values = {
+            name: data.draw(st.one_of(by_type[kinds[name]], wrong), label=name)
+            for name in sorted(names)
+        }
+        try:
+            cfg = RunConfig.from_dict(values)
+        except ValueError:
+            event("rejected")
+            return
+        event("accepted")
+        path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+        cfg.to_json_file(path)
+        assert RunConfig.from_json_file(path) == cfg
+        dynamics_fingerprint(cfg)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):

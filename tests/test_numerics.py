@@ -7,7 +7,6 @@ from pitchftc.numerics import (
     RlsEstimator,
     StateSpaceModel,
     discretize_second_order,
-    pseudo_inverse,
     psd_estimate,
     run_lengths,
     solve_dare,
@@ -140,48 +139,16 @@ class TestSolveDare:
             solve_dare(A, B, np.eye(2), [[1.0]], max_iter=300)
 
 
-class TestPseudoInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-12)
-
-    def test_column_vector_averages(self):
-        np.testing.assert_allclose(
-            pseudo_inverse(np.array([[1.0], [1.0]])), [[0.5, 0.5]], atol=1e-12
-        )
-
-    def test_quadrature_basis_quarter_period(self):
-        from pitchftc.sprc import build_basis
-
-        basis = build_basis(4)
-        np.testing.assert_allclose(pseudo_inverse(basis), 0.5 * basis.T, atol=1e-12)
-
-    def test_left_inverse_property(self):
-        rng = np.random.default_rng(11)
-        M = rng.normal(size=(40, 7))
-        Mp = pseudo_inverse(M)
-        np.testing.assert_allclose(Mp @ M, np.eye(7), atol=1e-10)
-
-    @given(st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=25, deadline=None)
-    def test_penrose_identities(self, seed):
-        rng = np.random.default_rng(seed)
-        rows = int(rng.integers(3, 12))
-        cols = int(rng.integers(1, rows + 1))
-        M = rng.normal(size=(rows, cols)) + np.eye(rows, cols)
-        Mp = pseudo_inverse(M)
-        np.testing.assert_allclose(Mp @ M @ Mp, Mp, atol=1e-9)
-        np.testing.assert_allclose(M @ Mp @ M, M, atol=1e-9)
-
-    def test_rank_deficient_rejected(self):
-        M = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        with pytest.raises(ValueError, match="rank"):
-            pseudo_inverse(M)
+def dc_gain(model: StateSpaceModel) -> float:
+    """Steady-state gain C (I - A)^-1 B + D of a single-input single-output model."""
+    eye = np.eye(model.n_states)
+    return (model.C @ np.linalg.solve(eye - model.A, model.B) + model.D)[0, 0]
 
 
 class TestDiscretizeSecondOrder:
     def test_reference_actuator_dc_gain_is_unity(self):
         model = discretize_second_order(6.28, 0.7, 0.01)
-        assert model.dc_gain()[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert dc_gain(model) == pytest.approx(1.0, abs=1e-12)
 
     @given(
         st.floats(min_value=0.5, max_value=50.0),
@@ -191,7 +158,7 @@ class TestDiscretizeSecondOrder:
     @settings(max_examples=40, deadline=None)
     def test_dc_gain_unity_everywhere(self, omega, damping, Ts):
         model = discretize_second_order(omega, damping, Ts)
-        assert model.dc_gain()[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert dc_gain(model) == pytest.approx(1.0, abs=1e-12)
 
     def test_pole_magnitude(self):
         model = discretize_second_order(6.28, 0.7, 0.01)

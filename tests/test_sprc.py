@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import PipelineSystem, scalar_markov_row
 from oracles import DeltaBuffers
-from pitchftc.numerics import pseudo_inverse, psd_estimate
+from pitchftc.numerics import psd_estimate
 from pitchftc.sprc import (
     GainResult,
     MarkovIdentifier,
@@ -12,6 +14,7 @@ from pitchftc.sprc import (
     build_lifted,
     build_regressor_block,
     generate_prbs,
+    project,
     update_gain,
 )
 
@@ -45,7 +48,27 @@ class TestBasis:
 
     def test_projection_is_identity_on_basis(self):
         basis = build_basis(625)
-        np.testing.assert_allclose(pseudo_inverse(basis) @ basis, np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(project(basis, basis), np.eye(2), atol=1e-10)
+
+    @given(
+        st.integers(min_value=4, max_value=2000),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=4),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_project_recovers_coefficients_and_stacks(self, P, m, n, data):
+        basis = build_basis(P)
+        coeffs = data.draw(arrays(float, (2, m), elements=st.floats(-1e3, 1e3)))
+        scale = max(1.0, np.abs(coeffs).max())
+        recovered = project(basis, basis @ coeffs)
+        np.testing.assert_allclose(recovered, coeffs, rtol=0, atol=1e-12 * scale)
+
+        periods = np.random.default_rng(P * m + n).normal(size=(n, P, m)) * scale
+        stacked = project(basis, periods)
+        assert stacked.shape == (n, 2, m)
+        one_by_one = np.stack([project(basis, period) for period in periods])
+        np.testing.assert_allclose(stacked, one_by_one, rtol=0, atol=1e-14 * scale)
 
     def test_minimum_length(self):
         with pytest.raises(ValueError):
@@ -210,8 +233,7 @@ class TestBuildLifted:
             for k in range(P):
                 Y[j, k] = c * x + d[k]
                 x = a * x + b * u[k]
-        binv = pseudo_inverse(basis)
-        proj = (binv @ Y.T).T  # (n_periods, 2)
+        proj = project(basis, Y.T).T  # (n_periods, 2)
 
         errs = []
         for j in range(3, n_periods - 1):
@@ -272,14 +294,14 @@ class TestRepetitiveLaw:
         law = RepetitiveLaw(build_basis(16), hold_gain=1.0, step_gain=0.3)
         law.set_coeffs(np.ones((3, 2)))
         # gains start at zero and the zero markov rows keep them there
-        law.period_update(np.random.default_rng(0).normal(size=(3, 2)), np.zeros((3, 8)), 4)
+        law.period_update(np.random.default_rng(0).normal(size=(3, 2)), np.zeros((3, 8)))
         np.testing.assert_array_equal(law.coeffs, np.ones((3, 2)))
 
     def test_pure_decay_without_feedback(self):
         law = RepetitiveLaw(build_basis(16), hold_gain=0.5, step_gain=0.0)
         law.set_coeffs(np.full((3, 2), 8.0))
         for _ in range(4):
-            law.period_update(np.zeros((3, 2)), np.zeros((3, 8)), 4)
+            law.period_update(np.zeros((3, 2)), np.zeros((3, 8)))
         np.testing.assert_allclose(law.coeffs, 8.0 * 0.5**4, atol=1e-12)
 
     def test_output_quarter_period(self):
@@ -313,7 +335,7 @@ class TestRepetitiveLaw:
         law.freeze_blade(3)
         before = law.coeffs[2].copy()
         for _ in range(3):
-            law.period_update(rng.normal(size=(3, 2)), rows, p)
+            law.period_update(rng.normal(size=(3, 2)), rows)
         np.testing.assert_array_equal(law.coeffs[2], before)
         assert not np.array_equal(law.coeffs[0], before)
 
