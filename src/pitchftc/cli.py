@@ -31,7 +31,7 @@ def _cmd_tune(args) -> int:
     bank.add(entry)
     bank.save(bank_path)
     print(
-        f"tuned blade {entry.fault_blade} on {entry.load_case}: "
+        f"tuned blade {entry.fault_blade} on {entry.config.load_case}: "
         f"converged at period {entry.converged_period}, bank saved to {bank_path}"
     )
     return 0

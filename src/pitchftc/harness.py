@@ -24,7 +24,6 @@ Controller modes:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -50,7 +49,6 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "RunResult",
-    "dynamics_fingerprint",
     "run_simulation",
     "load_reduction_metrics",
     "convergence_time",
@@ -137,7 +135,7 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.generic):
-                # the Python scalar, which JSON and the fingerprint can encode
+                # the Python scalar, which JSON can encode
                 value = value.item()
                 setattr(self, f.name, value)
             kind = f.type.removesuffix(" | None")
@@ -145,10 +143,10 @@ class RunConfig:
                 continue
             if kind == "int" and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer")
-            if kind == "float" and not (
-                isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            ):
-                raise ValueError(f"{f.name} must be a finite number")
+            if kind == "float":
+                if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                    raise ValueError(f"{f.name} must be a finite number")
+                setattr(self, f.name, float(value))  # one spelling: -30 is -30.0
             if kind == "bool" and type(value) is not bool:
                 raise ValueError(f"{f.name} must be true or false")
             if kind == "str" and not isinstance(value, str):
@@ -178,10 +176,14 @@ class RunConfig:
             raise ValueError("meas_noise_value and noise_multiplier must be nonnegative")
         if min(self.n_confirm, self.start_period, self.prbs_hold, self.convergence_consecutive) < 1:
             raise ValueError("n_confirm, start_period, prbs_hold, convergence_consecutive must be >= 1")
-        if self.settle_periods < 0:
-            raise ValueError("settle_periods must be nonnegative")
-        if min(self.prbs_tau, self.load_tau, self.comparison_window_s, self.convergence_eps) <= 0:
-            raise ValueError("prbs_tau, load_tau, comparison_window_s, convergence_eps must be positive")
+        if min(self.settle_periods, self.seed) < 0:
+            raise ValueError("settle_periods and seed must be nonnegative")
+        positive = ("prbs_tau", "load_tau", "comparison_window_s", "convergence_eps", "lqr_q",
+                    "lqr_r", "reseed_confidence")
+        if min(getattr(self, name) for name in positive) <= 0:
+            raise ValueError(f"{', '.join(positive)} must be positive")
+        if not (0.0 <= self.hold_gain <= 1.0 and 0.0 <= self.step_gain <= 1.0):
+            raise ValueError("hold_gain and step_gain must lie in [0, 1]")
 
     # derived quantities ---------------------------------------------------
 
@@ -226,11 +228,22 @@ class RunConfig:
 
     # serialization ---------------------------------------------------------
 
+    def dynamics(self) -> dict:
+        """Plant and controller tuning fields; a bank entry fits a run when they are equal.
+
+        Mode, seed, run length and the injected fault (blade, angle, timing)
+        are left out: an offline-tuned entry stays valid for any online
+        protocol, and the supervisor must not see the ground truth.
+        """
+        return {name: getattr(self, name) for name in _DYNAMICS_FIELDS}
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError("a config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -267,19 +280,6 @@ _DYNAMICS_FIELDS = (
     "collective_setpoint",
     "load_noise_std",
 )
-
-
-def dynamics_fingerprint(cfg: RunConfig) -> str:
-    """Hash of the fields that define the plant and controller tuning.
-
-    Mode, seed, run length and the injected fault (blade, angle, timing) are
-    excluded on purpose: a bank entry tuned offline stays valid for any
-    online protocol on the same physics and tuning, and the supervisor does
-    not see the ground truth the diagnosis is meant to find.
-    """
-    payload = {name: getattr(cfg, name) for name in _DYNAMICS_FIELDS}
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -478,8 +478,7 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
                 bank,
                 identifier,
                 law,
-                reseed_confidence=cfg.reseed_confidence,
-                expected_hash=dynamics_fingerprint(cfg),
+                config=cfg,
             )
         k = b
         if k % P == 0:

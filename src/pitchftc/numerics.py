@@ -117,13 +117,9 @@ class RlsEstimator:
         prior_scale = lam ** (0.5 * b)
         stacked[: self.dim, : self.dim] = prior_scale * self.factor
         stacked[: self.dim, self.dim] = prior_scale * self.rhs
-        if lam < 1.0:
-            w = lam ** (0.5 * (b - 1 - np.arange(b)))
-            stacked[self.dim :, : self.dim] = w[:, None] * phi
-            stacked[self.dim :, self.dim] = w * y
-        else:
-            stacked[self.dim :, : self.dim] = phi
-            stacked[self.dim :, self.dim] = y
+        w = lam ** (0.5 * (b - 1 - np.arange(b)))
+        stacked[self.dim :, : self.dim] = w[:, None] * phi
+        stacked[self.dim :, self.dim] = w * y
 
         r = sla.qr(stacked, mode="r", check_finite=False)[0]
         # One triangular factor per information matrix; fix signs so the

@@ -246,8 +246,6 @@ class RepetitiveLaw:
         lqr_q: float = 1.0,
         lqr_r: float = 0.1,
     ):
-        if not 0.0 <= hold_gain <= 1.0 or not 0.0 <= step_gain <= 1.0:
-            raise ValueError("hold_gain and step_gain must lie in [0, 1]")
         self.basis = basis
         self.P = basis.shape[0]
         self.hold_gain = float(hold_gain)

@@ -13,13 +13,17 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .plant import LoadCase
 from .sprc import MarkovIdentifier, RepetitiveLaw
+
+if TYPE_CHECKING:
+    from .harness import RunConfig
 
 __all__ = [
     "BankEntry",
@@ -31,29 +35,29 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-BANK_SCHEMA = "pitchftc-bank-v1"
+BANK_SCHEMA = "pitchftc-bank-v2"
 
 
 @dataclass
 class BankEntry:
     """Converged controller snapshot for one fault scenario."""
 
-    fault_blade: int
-    load_case: str
+    config: RunConfig       # the tuning run's, with its stuck angle in fault_angle
     coeffs: list            # (3, 2) waveform coefficients
     markov_rows: list       # (3, 2p) identification rows
-    forgetting: float
-    period_samples: int
-    past_window: int
-    config_hash: str
     converged_period: int
-    seed: int
 
     def __post_init__(self):
-        for name, shape in (("coeffs", (3, 2)), ("markov_rows", (3, 2 * self.past_window))):
-            values = np.asarray(getattr(self, name), dtype=float)  # ragged rows raise here
-            if values.shape != shape or not np.isfinite(values).all():
-                raise ValueError(f"{name} must be a finite {shape[0]}x{shape[1]} array")
+        for name, shape in (("coeffs", (3, 2)), ("markov_rows", (3, 2 * self.config.past_window))):
+            values = np.asarray(getattr(self, name))  # ragged rows raise ValueError here
+            if values.shape != shape or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+                raise ValueError(f"{name} must be a finite {shape[0]}x{shape[1]} array of numbers")
+        if type(self.converged_period) is not int or self.converged_period < 0:
+            raise ValueError("converged_period must be a nonnegative integer")
+
+    @property
+    def fault_blade(self) -> int:
+        return self.config.fault_blade
 
     def coeffs_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
@@ -83,12 +87,19 @@ class PretunedBank:
 
     @classmethod
     def load(cls, path: str | Path) -> "PretunedBank":
+        from .harness import RunConfig  # local import; harness imports this module
+
         payload = json.loads(Path(path).read_text())
-        if payload.get("schema") != BANK_SCHEMA:
+        if not isinstance(payload, dict) or payload.get("schema") != BANK_SCHEMA:
             raise ValueError(f"unrecognized bank schema in {path}")
+        if set(payload) != {"schema", "entries"} or not isinstance(payload["entries"], dict):
+            raise ValueError(f"bank {path} must hold exactly a schema and an entries object")
+        keys = {f.name for f in fields(BankEntry)}
         bank = cls()
         for key, data in payload["entries"].items():
-            entry = BankEntry(**data)
+            if not isinstance(data, dict) or set(data) != keys:
+                raise ValueError(f"bank entry {key} must have exactly the keys {sorted(keys)}")
+            entry = BankEntry(**{**data, "config": RunConfig.from_dict(data["config"])})
             if int(key) != entry.fault_blade:
                 raise ValueError(f"bank key {key} holds the entry for blade {entry.fault_blade}")
             bank.add(entry)
@@ -107,16 +118,16 @@ def on_detection(
     bank: PretunedBank | None,
     identifier: MarkovIdentifier,
     law: RepetitiveLaw,
-    reseed_confidence: float = 1e-2,
-    expected_hash: str | None = None,
+    config: RunConfig,
 ) -> bool:
     """Switch the controller to the pre-tuned state for the isolated fault.
 
     d_fd is the isolated blade (0: healthy).  Returns True when the switch
-    was applied.  A healthy decision is a no-op;
-    a missing or incompatible bank entry leaves the controller running
-    unswitched (degraded adaptive-only operation) with a logged warning, but
-    the stuck blade is still frozen since isolation itself is trusted.
+    was applied.  A healthy decision is a no-op; a missing bank entry, or
+    one tuned under other ``RunConfig.dynamics()`` than the live ``config``,
+    leaves the controller running unswitched (degraded adaptive-only
+    operation) with a logged warning, but the stuck blade is still frozen
+    since isolation itself is trusted.
     """
     if d_fd == 0:
         return False
@@ -126,18 +137,18 @@ def on_detection(
     if entry is None:
         log.warning("no pre-tuned entry for blade %d; continuing without warm start", d_fd)
         return False
-    if expected_hash is not None and entry.config_hash != expected_hash:
+    tuned, live = entry.config.dynamics(), config.dynamics()
+    if tuned != live:
         log.warning(
             "bank entry for blade %d was tuned under a different configuration "
-            "(%s != %s); continuing without warm start",
+            "(%s differ); continuing without warm start",
             d_fd,
-            entry.config_hash,
-            expected_hash,
+            [name for name in tuned if tuned[name] != live[name]],
         )
         return False
 
     law.set_coeffs(entry.coeffs_array())
-    identifier.reseed(entry.markov_array(), confidence=reseed_confidence)
+    identifier.reseed(entry.markov_array(), confidence=config.reseed_confidence)
     log.info("switched to pre-tuned parameters for blade %d", d_fd)
     return True
 
@@ -151,7 +162,8 @@ def offline_tune(cfg):
     """
     from . import harness  # local import; harness orchestrates the run
 
-    tune_cfg = replace(cfg, mode="offline_tune")
+    # record the stuck angle the entry is tuned at, not the load-case default
+    tune_cfg = replace(cfg, mode="offline_tune", fault_angle=cfg.effective_load_case().stuck_angle)
     result = harness.run_simulation(tune_cfg)
     report = result.report
     if report.converged_period is None:
@@ -160,15 +172,9 @@ def offline_tune(cfg):
             f"{tune_cfg.duration_s:.0f}s (final increment {report.final_coeff_increment:.3g})"
         )
     entry = BankEntry(
-        fault_blade=tune_cfg.fault_blade,
-        load_case=tune_cfg.load_case,
+        config=tune_cfg,
         coeffs=result.snapshot_coeffs.tolist(),
         markov_rows=result.snapshot_markov.tolist(),
-        forgetting=tune_cfg.forgetting,
-        period_samples=tune_cfg.period_samples,
-        past_window=tune_cfg.past_window,
-        config_hash=harness.dynamics_fingerprint(tune_cfg),
         converged_period=report.converged_period,
-        seed=tune_cfg.seed,
     )
     return entry, report

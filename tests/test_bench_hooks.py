@@ -10,10 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from pitchftc import supervisor
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import bench_kernels  # noqa: E402
 import bench_trace  # noqa: E402
+import bench_workloads  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -28,3 +32,30 @@ def test_lifted_model_shapes():
     a_lift, b_lift = bench_kernels.lifted_model(np.random.default_rng(0))
     assert a_lift.shape == (6, 6)
     assert b_lift.shape == (6, 2)
+
+
+def test_diagnosis_sweep_setup_and_op_pass_their_checks():
+    work = bench_workloads.DiagnosisSweep(ROOT, 0)
+    work.setup()
+    checked = work.check(0, work.op(0))
+    work.close()
+    assert checked.failures == []
+
+
+def test_artifact_roundtrip_op_passes_its_checks(tmp_path):
+    short = {"duration_s": 150.0, "fault_time_s": 100.0}
+    work = bench_workloads.ArtifactRoundtrip(ROOT, 0, tmp_path, overrides=short)
+    work.setup()
+    try:
+        checked = work.check(0, work.op(0))
+    finally:
+        work.close()
+    assert checked.failures == []
+
+
+def test_reference_chain_builds_its_bank():
+    work = bench_workloads.ReferenceLc3(ROOT, 0)
+    work.setup()
+    entry, _ = supervisor.offline_tune(work.tune_cfg)
+    bank = supervisor.PretunedBank({entry.fault_blade: entry})
+    assert bank.get(work.run_cfg.fault_blade) is entry

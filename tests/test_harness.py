@@ -14,7 +14,6 @@ from pitchftc.harness import (
     RunConfig,
     compare_modes,
     convergence_time,
-    dynamics_fingerprint,
     load_reduction_metrics,
     read_csv,
     report_from_series,
@@ -136,11 +135,23 @@ class TestConfig:
             {"load_case": []},
             {"mode": 3},
             {"bank_path": 5},
+            {"lqr_q": True},
+            {"step_gain": False},
+            {"lqr_r": 0},
+            {"lqr_q": -1},
+            {"reseed_confidence": 0},
+            {"reseed_confidence": -1},
+            {"hold_gain": 2},
+            {"step_gain": -0.1},
+            {"seed": -1},
         ],
         ids=["nan_multiplier", "negative_multiplier", "fractional_window", "inf_duration",
              "nan_lqr_q", "bool_seed", "string_bool_flag", "zero_prbs_hold", "zero_prbs_tau",
              "zero_load_tau", "negative_comparison_window", "zero_consecutive", "negative_eps",
-             "list_load_case", "int_mode", "int_bank_path"],
+             "list_load_case", "int_mode", "int_bank_path", "bool_lqr_q", "bool_step_gain",
+             "zero_lqr_r", "negative_lqr_q", "zero_reseed_confidence",
+             "negative_reseed_confidence", "hold_gain_above_one", "negative_step_gain",
+             "negative_seed"],
     )
     def test_from_dict_rejects_bad_numbers(self, bad):
         # a NaN multiplier gives NaN thresholds that no residual crosses, so
@@ -157,7 +168,7 @@ class TestConfig:
     def test_numpy_scalars_become_python_scalars(self, tmp_path, name, value):
         cfg = short_cfg(**{name: value})
         plain = short_cfg(**{name: value.item()})
-        assert dynamics_fingerprint(cfg) == dynamics_fingerprint(plain)
+        assert json.dumps(cfg.dynamics()) == json.dumps(plain.dynamics())
         path = tmp_path / "cfg.json"
         cfg.to_json_file(path)
         assert RunConfig.from_json_file(path) == cfg == plain
@@ -166,7 +177,7 @@ class TestConfig:
     @settings(max_examples=200, deadline=None)
     def test_from_dict_rejects_or_roundtrips(self, tmp_path_factory, data):
         # any value JSON or numpy can hand over: a config either refuses it
-        # or survives the JSON round trip and has a fingerprint
+        # or survives the JSON round trip with the same dynamics
         wrong = st.one_of(
             st.text(max_size=5), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
             st.sampled_from([float("nan"), float("inf"), -float("inf")]),
@@ -196,8 +207,15 @@ class TestConfig:
         event("accepted")
         path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
         cfg.to_json_file(path)
-        assert RunConfig.from_json_file(path) == cfg
-        dynamics_fingerprint(cfg)
+        loaded = RunConfig.from_json_file(path)
+        assert loaded == cfg
+        assert json.dumps(loaded.dynamics()) == json.dumps(cfg.dynamics())
+
+    def test_float_fields_have_one_spelling(self):
+        cfg = RunConfig(load_gain=-30, duration_s=1400)
+        assert type(cfg.load_gain) is float and type(cfg.duration_s) is float
+        assert cfg.to_dict() == RunConfig().to_dict()
+        assert json.dumps(cfg.to_dict()) == json.dumps(RunConfig().to_dict())
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -213,10 +231,10 @@ class TestConfig:
         assert RunConfig().meas_noise_std == pytest.approx(np.sqrt(1.5))
         assert RunConfig(meas_noise_is_std=True).meas_noise_std == 1.5
 
-    def test_fingerprint_ignores_protocol_fields(self):
+    def test_dynamics_ignore_protocol_fields(self):
         a = RunConfig()
         b = replace(a, seed=99, duration_s=700.0, fault_time_s=300.0, mode="sprc_only")
-        assert dynamics_fingerprint(a) == dynamics_fingerprint(b)
+        assert a.dynamics() == b.dynamics()
         # the injected scenario is ground truth the supervisor must not see
         stuck = a.effective_load_case().stuck_angle
         for scenario in (
@@ -224,9 +242,9 @@ class TestConfig:
             replace(a, fault_angle=12.0),
             replace(a, fault_angle=stuck),
         ):
-            assert dynamics_fingerprint(scenario) == dynamics_fingerprint(a)
+            assert scenario.dynamics() == a.dynamics()
         c = replace(a, load_case="LC1")
-        assert dynamics_fingerprint(a) != dynamics_fingerprint(c)
+        assert a.dynamics() != c.dynamics()
 
     def test_proposed_with_fault_requires_bank(self):
         cfg = RunConfig(mode="proposed", duration_s=100.0, fault_time_s=50.0)

@@ -1,9 +1,10 @@
 import json
 import logging
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from pitchftc import harness, supervisor
 from pitchftc.plant import load_case_params
@@ -16,19 +17,15 @@ from pitchftc.supervisor import (
 )
 
 
-def make_entry(p=4, blade=3, config_hash="abc"):
+def make_entry(p=4, blade=3):
     rng = np.random.default_rng(0)
     return BankEntry(
-        fault_blade=blade,
-        load_case="LC3",
+        config=harness.RunConfig(
+            mode="offline_tune", seed=7, fault_blade=blade, fault_time_s=0.0, past_window=p
+        ),
         coeffs=rng.normal(size=(3, 2)).tolist(),
         markov_rows=rng.normal(size=(3, 2 * p)).tolist(),
-        forgetting=0.99999,
-        period_samples=625,
-        past_window=p,
-        config_hash=config_hash,
         converged_period=12,
-        seed=7,
     )
 
 
@@ -58,7 +55,7 @@ class TestBank:
             lambda e: e["markov_rows"].pop(),
             lambda e: e["coeffs"][0].append(0.0),
             lambda e: e["coeffs"][2].__setitem__(1, float("nan")),
-            lambda e: e.__setitem__("fault_blade", 2),
+            lambda e: e["config"].__setitem__("fault_blade", 2),
         ],
         ids=["truncated_markov_row", "missing_markov_row", "long_coeff_row", "nan_coeff",
              "key_mismatch"],
@@ -74,6 +71,54 @@ class TestBank:
 
     def test_missing_entry_is_none(self):
         assert PretunedBank().get(2) is None
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_load_rejects_or_roundtrips(self, tmp_path_factory, data):
+        # any edit of a valid file: dropped or added keys at every level,
+        # wrong types, ragged or NaN arrays, a key that differs from the
+        # blade, a bad schema.  The bank refuses it or survives a round trip.
+        payload = {
+            "schema": supervisor.BANK_SCHEMA,
+            "entries": {str(b): asdict(make_entry(blade=b)) for b in (2, 3)},
+        }
+        junk = st.one_of(
+            st.none(), st.booleans(), st.sampled_from([0, 1, 2, 3, -1]), st.integers(),
+            st.floats(), st.text(max_size=4),
+            st.lists(st.one_of(st.floats(), st.integers()), max_size=3),
+            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+        )
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            path, node = data.draw(st.sampled_from(list(_containers(payload))), label="at")
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            edit = data.draw(st.sampled_from(["drop", "add", "set"] if keys else ["add"]))
+            if edit == "add" and isinstance(node, dict):
+                node[data.draw(st.text(max_size=6), label=f"add to {path}")] = data.draw(junk)
+            elif edit == "add":
+                node.append(data.draw(junk, label=f"append to {path}"))
+            elif edit == "drop":
+                del node[data.draw(st.sampled_from(keys), label=f"drop from {path}")]
+            else:
+                node[data.draw(st.sampled_from(keys), label=f"set in {path}")] = data.draw(junk)
+        file = tmp_path_factory.mktemp("fuzz") / "bank.json"
+        file.write_text(json.dumps(payload))
+        try:
+            bank = PretunedBank.load(file)
+        except ValueError:
+            event("rejected")
+            return
+        event("accepted")
+        bank.save(file)
+        assert PretunedBank.load(file).entries == bank.entries
+
+
+def _containers(node, path="payload"):
+    """Every JSON object and array inside ``node``, with where it is."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _containers(value, f"{path}[{key!r}]")
 
 
 class TestCompose:
@@ -109,12 +154,12 @@ class TestOnDetection:
         self.bank = PretunedBank({3: self.entry})
 
     def test_healthy_decision_is_noop(self):
-        applied = on_detection(0, self.bank, self.identifier, self.law)
+        applied = on_detection(0, self.bank, self.identifier, self.law, self.entry.config)
         assert not applied
         assert not self.law.frozen.any()
 
     def test_switch_replaces_state_and_freezes_blade(self):
-        applied = on_detection(3, self.bank, self.identifier, self.law)
+        applied = on_detection(3, self.bank, self.identifier, self.law, self.entry.config)
         assert applied
         np.testing.assert_array_equal(self.law.coeffs, self.entry.coeffs_array())
         np.testing.assert_allclose(
@@ -126,7 +171,7 @@ class TestOnDetection:
     def test_missing_entry_degrades_with_warning(self, caplog):
         before = self.law.coeffs.copy()
         with caplog.at_level(logging.WARNING):
-            applied = on_detection(2, self.bank, self.identifier, self.law)
+            applied = on_detection(2, self.bank, self.identifier, self.law, self.entry.config)
         assert not applied
         assert "no pre-tuned entry" in caplog.text
         np.testing.assert_array_equal(self.law.coeffs, before)
@@ -134,10 +179,11 @@ class TestOnDetection:
         assert self.law.frozen[1]
 
     def test_configuration_mismatch_degrades(self, caplog):
+        live = replace(self.entry.config, lqr_r=0.2)
         with caplog.at_level(logging.WARNING):
-            applied = on_detection(3, self.bank, self.identifier, self.law, expected_hash="zzz")
+            applied = on_detection(3, self.bank, self.identifier, self.law, live)
         assert not applied
-        assert "different configuration" in caplog.text
+        assert "different configuration (['lqr_r'] differ)" in caplog.text
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +202,9 @@ class TestOfflineTune:
     def test_converged_snapshot_stored_for_faulty_blade(self, tune_cfg):
         entry, report = supervisor.offline_tune(tune_cfg)
         assert entry.fault_blade == 3
-        assert entry.load_case == "LC1"
+        assert entry.config.load_case == "LC1"
+        # the stuck angle it was tuned at, resolved from the load case
+        assert entry.config.fault_angle == load_case_params("LC1").stuck_angle
         assert report.converged_period == entry.converged_period
         assert entry.converged_period is not None
         # stuck blade has no authority: its waveform stays off
@@ -187,6 +235,21 @@ class TestOfflineTune:
             inc = np.linalg.norm(history[j] - history[j - 1], axis=1).max()
             scale = max(np.linalg.norm(history[j], axis=1).max(), floor)
             assert inc < eps * scale
+
+    def test_integer_spelling_keeps_the_warm_start(self):
+        # a bank tuned from a file that writes load_gain as -30 fits a run
+        # that writes it as -30.0: compatibility is by value
+        tune = harness.RunConfig.from_dict({
+            "mode": "offline_tune", "load_case": "LC3", "seed": 100, "duration_s": 600.0,
+            "fault_blade": 3, "fault_time_s": 0.0, "load_gain": -30,
+        })
+        entry, _ = supervisor.offline_tune(tune)
+        cfg = harness.RunConfig(
+            mode="proposed", load_case="LC3", seed=5, duration_s=100.0, fault_blade=3,
+            fault_time_s=10.0, load_gain=-30.0,
+        )
+        result = harness.run_simulation(cfg, bank=PretunedBank({3: entry}))
+        assert result.report.switch_applied
 
     def test_unconverged_tuning_raises(self, tune_cfg):
         short = replace(tune_cfg, duration_s=60.0)
