@@ -88,6 +88,9 @@ def compute_alpha_delta(
         raise ValueError(f"A0 must be stable, spectral radius {rho:.6f}")
     if margin is None:
         margin = min(0.02, 0.5 * (1.0 - rho))
+    if margin < 0.0:
+        # delta below rho: no alpha bounds the tail and the scan never ends
+        raise ValueError("margin must be nonnegative")
     delta = rho + margin
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta = rho + margin = {delta} must lie in (0, 1)")

@@ -172,6 +172,11 @@ class RunConfig:
             raise ValueError("past_window must be in [1, period_samples)")
         if not 0.0 <= self.pole_radius < 1.0:
             raise ValueError("pole_radius must be in [0, 1)")
+        margin = self.threshold_margin
+        if margin is not None and not 0.0 < margin < 1.0 - self.pole_radius:
+            raise ValueError("threshold_margin must be in (0, 1 - pole_radius)")
+        if self.prbs_amplitude < 0 or (self.load_noise_std or 0.0) < 0:
+            raise ValueError("prbs_amplitude and load_noise_std must be nonnegative")
         if self.meas_noise_value < 0 or self.noise_multiplier < 0:
             raise ValueError("meas_noise_value and noise_multiplier must be nonnegative")
         if min(self.n_confirm, self.start_period, self.prbs_hold, self.convergence_consecutive) < 1:

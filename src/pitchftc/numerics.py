@@ -3,7 +3,7 @@
 Everything here is plain linear algebra with no knowledge of turbines:
 
 - square-root recursive least squares (QR form, exponential forgetting),
-- a fixed-point solver for the discrete algebraic Riccati equation,
+- a stabilizing discrete Riccati solve (scipy) with a closed-loop check,
 - zero-order-hold discretization of a second-order lag with a lead zero,
 - averaged-periodogram power spectral density estimation,
 - lengths of unbroken runs in a boolean stream, carried across chunks.
@@ -144,7 +144,7 @@ class RlsEstimator:
 
 
 class DareError(RuntimeError):
-    """Riccati iteration failed to converge or produced a non-stabilizing gain."""
+    """The Riccati equation has no stabilizing solution, or its gain does not stabilize."""
 
 
 def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
@@ -157,20 +157,13 @@ def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray
 
 
 def solve_dare(
-    A: np.ndarray,
-    B: np.ndarray,
-    Q: np.ndarray,
-    R: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
-    initial: np.ndarray | None = None,
+    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the discrete algebraic Riccati equation by fixed-point iteration.
+    """Stabilizing solution of the discrete algebraic Riccati equation.
 
-    Returns (P, K) with K = (R + B'PB)^-1 B'PA, where P satisfies the Riccati
-    fixed point to a Frobenius residual below ``tol`` and A - BK has spectral
-    radius below one.  ``initial`` warm-starts the iteration (defaults to Q,
-    i.e. a cold start from the one-step cost).
+    Returns (P, K) with K = (R + B'PB)^-1 B'PA, where P is scipy's
+    stabilizing solution and A - BK is checked to have spectral radius below
+    one.  A pair with no stabilizing solution raises ``DareError``.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -179,6 +172,8 @@ def solve_dare(
     n = A.shape[0]
     if A.shape != (n, n) or B.shape[0] != n:
         raise ValueError("A must be n x n and B must have n rows")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("A and B must be finite")
     if np.any(sla.eigvalsh(Q) < -1e-10 * max(1.0, np.max(np.abs(Q)))):
         raise ValueError("Q must be positive semidefinite")
     try:
@@ -186,20 +181,11 @@ def solve_dare(
     except sla.LinAlgError as exc:
         raise ValueError("R must be positive definite") from exc
 
-    P = Q.copy() if initial is None else _check_symmetric(initial, "initial")
-    residual = np.inf
-    for _ in range(max_iter):
-        BtP = B.T @ P
-        G = R + BtP @ B
-        K = np.linalg.solve(G, BtP @ A)
-        P_next = Q + A.T @ P @ (A - B @ K)
-        P_next = 0.5 * (P_next + P_next.T)
-        residual = np.linalg.norm(P_next - P, "fro")
-        P = P_next
-        if residual < tol:
-            break
-    else:
-        raise DareError(f"no convergence in {max_iter} iterations, residual {residual:.3e}")
+    try:
+        P = sla.solve_discrete_are(A, B, Q, R)
+    except (sla.LinAlgError, ValueError) as exc:
+        # ordqz reports an ill-conditioned reordering as ValueError
+        raise DareError(f"no stabilizing solution: {exc}") from exc
 
     BtP = B.T @ P
     K = np.linalg.solve(R + BtP @ B, BtP @ A)

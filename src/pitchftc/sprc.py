@@ -135,10 +135,10 @@ def build_lifted(
 
     The state stacks [projected load; coefficient change; projected load
     change], each a sine/cosine pair, and the input is the next coefficient
-    change.  The period-to-period maps are formed by shift-stacking the
-    identified impulse-response terms over one period (entries whose exponent
-    reaches the past window are zero by the finite-memory truncation) and
-    compressing each map through the basis.
+    change.  The period-to-period maps convolve the identified
+    impulse-response terms with the last p samples of each basis column
+    (terms whose exponent reaches the past window are zero by the
+    finite-memory truncation) and compress the result through the basis.
     """
     P, p = period_samples, past_window
     row = np.asarray(markov_row, dtype=float).reshape(-1)
@@ -148,16 +148,16 @@ def build_lifted(
     # impulse terms by ascending step count (row stores oldest-first)
     mu = row[:p][::-1]
     my = row[p:][::-1]
-    mu_pad = np.concatenate([mu, np.zeros(P)])
-    my_pad = np.concatenate([my, np.zeros(P)])
 
-    # period-transition maps: row i holds terms with exponents i+p-1 .. i
-    exponents = np.arange(P)[:, None] + (p - 1 - np.arange(p))[None, :]
-    trans_u = mu_pad[exponents]
-    trans_y = my_pad[exponents]
+    # period-transition maps: sample i of the next period sees the last p
+    # inputs of this one through the terms of step counts i+p-1 .. i, so only
+    # its first p samples are nonzero and each map is a short convolution
     tail = basis[P - p :, :]
-    s_u = project(basis, trans_u @ tail)
-    s_y = project(basis, trans_y @ tail)
+    s_u, s_y = (
+        (2.0 / P) * basis[:p].T
+        @ np.column_stack([np.convolve(terms, tail[:, j])[p - 1 :] for j in range(2)])
+        for terms in (mu, my)
+    )
 
     # within-period response: strictly causal convolution of the impulse terms
     conv = np.empty((P, 2))
@@ -180,23 +180,9 @@ def build_lifted(
     return a_lift, b_lift
 
 
-def _stabilizable(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:
-    eigvals = np.linalg.eigvals(A)
-    n = A.shape[0]
-    scale = max(1.0, np.abs(A).max(), np.abs(B).max())
-    for lam in eigvals:
-        if np.abs(lam) >= 1.0 - 1e-9:
-            pencil = np.hstack([lam * np.eye(n) - A, B.astype(complex)])
-            smin = np.linalg.svd(pencil, compute_uv=False)[-1]
-            if smin < tol * scale:
-                return False
-    return True
-
-
 @dataclass
 class GainResult:
     gain: np.ndarray
-    riccati: np.ndarray | None
     ok: bool
 
 
@@ -206,8 +192,6 @@ def update_gain(
     Q: np.ndarray,
     R: np.ndarray,
     previous: GainResult | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 5000,
 ) -> GainResult:
     """LQR gain for the lifted model, falling back to the previous gain.
 
@@ -215,16 +199,12 @@ def update_gain(
     uncontrollable (no pitch authority identified yet); the Riccati solve
     then has no stabilizing solution and the last usable gain is kept.
     """
-    warm = previous.riccati if previous is not None else None
     try:
-        if not _stabilizable(a_lift, b_lift):
-            raise DareError("lifted pair is not stabilizable")
-        riccati, gain = solve_dare(a_lift, b_lift, Q, R, tol=tol, max_iter=max_iter, initial=warm)
-        return GainResult(gain, riccati, True)
+        return GainResult(solve_dare(a_lift, b_lift, Q, R)[1], True)
     except DareError:
         if previous is not None:
-            return GainResult(previous.gain, None, False)
-        return GainResult(np.zeros((b_lift.shape[1], a_lift.shape[0])), None, False)
+            return GainResult(previous.gain, False)
+        return GainResult(np.zeros((b_lift.shape[1], a_lift.shape[0])), False)
 
 
 class RepetitiveLaw:
@@ -256,7 +236,7 @@ class RepetitiveLaw:
         self.frozen = np.zeros(3, dtype=bool)
         self._dcoeffs = np.zeros((3, 2))
         self._load_proj_prev: np.ndarray | None = None
-        self._gains = [GainResult(np.zeros((2, 6)), None, False) for _ in range(3)]
+        self._gains = [GainResult(np.zeros((2, 6)), False) for _ in range(3)]
         self.gain_failures = 0
 
     def project(self, period_block: np.ndarray) -> np.ndarray:

@@ -52,6 +52,10 @@ class BankEntry:
             values = np.asarray(getattr(self, name))  # ragged rows raise ValueError here
             if values.shape != shape or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
                 raise ValueError(f"{name} must be a finite {shape[0]}x{shape[1]} array of numbers")
+            # asarray turns a bool beside floats into a float, so check the elements
+            elements = np.asarray(getattr(self, name), dtype=object).flat
+            if any(isinstance(x, (bool, np.bool_)) for x in elements):
+                raise ValueError(f"{name} must hold numbers, not true/false")
         if type(self.converged_period) is not int or self.converged_period < 0:
             raise ValueError("converged_period must be a nonnegative integer")
 

@@ -50,3 +50,10 @@ def scalar_markov_row(a, b, c, l, past_window):
     mu = np.array([c * at**j * b for j in range(past_window)])[::-1]
     my = np.array([c * at**j * l for j in range(past_window)])[::-1]
     return np.concatenate([mu, my])
+
+
+def assert_stabilizing_riccati(A, B, Q, R, P, K):
+    """P solves the Riccati equation to 1e-9 relative and A - BK is stable."""
+    resid = Q + A.T @ P @ (A - B @ K) - P
+    assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(P)
+    assert np.max(np.abs(np.linalg.eigvals(A - B @ K))) < 1.0

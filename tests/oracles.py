@@ -127,3 +127,21 @@ class FuserOracle:
             self.k_d = int(self._run_start[confirmed[0]])
             self.confirmed_at = k
         return self
+
+
+def lifted_transition_maps(markov_row, period_samples, past_window, basis):
+    """Projected period-to-period maps (s_u, s_y) of ``build_lifted`` by explicit shift-stacking.
+
+    Row i of each P x p transition matrix holds the impulse terms with
+    exponents i+p-1 .. i (zero where the exponent reaches the past window);
+    each matrix is applied to the last p basis samples and projected.
+    """
+    P, p = period_samples, past_window
+    row = np.asarray(markov_row, dtype=float)
+    exponents = np.arange(P)[:, None] + (p - 1 - np.arange(p))[None, :]
+    tail = basis[P - p :, :]
+    maps = []
+    for terms in (row[:p][::-1], row[p:][::-1]):
+        trans = np.concatenate([terms, np.zeros(P)])[exponents]
+        maps.append((2.0 / P) * (basis.T @ (trans @ tail)))
+    return maps

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pitchftc import supervisor
+from conftest import assert_stabilizing_riccati
+from pitchftc import numerics, supervisor
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -32,6 +33,19 @@ def test_lifted_model_shapes():
     a_lift, b_lift = bench_kernels.lifted_model(np.random.default_rng(0))
     assert a_lift.shape == (6, 6)
     assert b_lift.shape == (6, 2)
+
+
+def test_lifted_model_solves_the_riccati_equation():
+    a_lift, b_lift = bench_kernels.lifted_model(np.random.default_rng(0))
+    q, r = np.eye(6), 0.1 * np.eye(2)
+    assert_stabilizing_riccati(a_lift, b_lift, q, r, *numerics.solve_dare(a_lift, b_lift, q, r))
+
+
+def test_kernel_timings_are_positive():
+    timings = bench_kernels.measure(0)
+    assert len(timings) == 6
+    for name, (value, _unit) in timings.items():
+        assert np.isfinite(value) and value > 0, name
 
 
 def test_diagnosis_sweep_setup_and_op_pass_their_checks():

@@ -73,6 +73,10 @@ class TestAlphaDelta:
         with pytest.raises(ValueError, match="stable"):
             compute_alpha_delta([[1.01]], [[1.0]])
 
+    def test_negative_margin_rejected(self):
+        with pytest.raises(ValueError, match="margin"):
+            compute_alpha_delta([[0.98]], [[1.0]], margin=-0.5)
+
 
 class TestFdieStep:
     def test_zero_residual_with_exact_model_and_matched_start(self, actuator_model):

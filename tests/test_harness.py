@@ -144,6 +144,11 @@ class TestConfig:
             {"hold_gain": 2},
             {"step_gain": -0.1},
             {"seed": -1},
+            {"prbs_amplitude": -1},
+            {"load_noise_std": -1},
+            {"threshold_margin": 0.5},
+            {"threshold_margin": -0.5},
+            {"threshold_margin": 0},
         ],
         ids=["nan_multiplier", "negative_multiplier", "fractional_window", "inf_duration",
              "nan_lqr_q", "bool_seed", "string_bool_flag", "zero_prbs_hold", "zero_prbs_tau",
@@ -151,7 +156,9 @@ class TestConfig:
              "list_load_case", "int_mode", "int_bank_path", "bool_lqr_q", "bool_step_gain",
              "zero_lqr_r", "negative_lqr_q", "zero_reseed_confidence",
              "negative_reseed_confidence", "hold_gain_above_one", "negative_step_gain",
-             "negative_seed"],
+             "negative_seed", "negative_prbs_amplitude", "negative_load_noise_std",
+             "threshold_margin_past_unit_circle", "negative_threshold_margin",
+             "zero_threshold_margin"],
     )
     def test_from_dict_rejects_bad_numbers(self, bad):
         # a NaN multiplier gives NaN thresholds that no residual crosses, so

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_stabilizing_riccati
 from pitchftc.numerics import (
     DareError,
     RlsEstimator,
@@ -11,6 +12,7 @@ from pitchftc.numerics import (
     run_lengths,
     solve_dare,
 )
+from pitchftc.sprc import build_basis, build_lifted
 
 
 class TestRlsEstimator:
@@ -107,21 +109,13 @@ class TestSolveDare:
         B = rng.normal(size=(n, m))
         Q = np.eye(n)
         R = np.eye(m)
-        P, K = solve_dare(A, B, Q, R, tol=1e-11)
+        P, K = solve_dare(A, B, Q, R)
 
         BtP = B.T @ P
         resid = Q + A.T @ P @ (A - B @ K) - P
         assert np.linalg.norm(resid, "fro") < 1e-9
         assert np.max(np.abs(P - P.T)) < 1e-10
         assert np.max(np.abs(np.linalg.eigvals(A - B @ K))) < 1.0
-
-    def test_warm_start_agrees_with_cold(self):
-        A = np.array([[0.9, 0.1], [0.0, 0.8]])
-        B = np.array([[0.0], [1.0]])
-        P0, K0 = solve_dare(A, B, np.eye(2), [[1.0]])
-        P1, K1 = solve_dare(A, B, np.eye(2), [[1.0]], initial=P0 + 0.1 * np.eye(2))
-        np.testing.assert_allclose(P1, P0, atol=1e-7)
-        np.testing.assert_allclose(K1, K0, atol=1e-7)
 
     def test_indefinite_r_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -136,7 +130,32 @@ class TestSolveDare:
         A = np.array([[1.0, 0.0], [0.0, 0.5]])
         B = np.array([[0.0], [1.0]])
         with pytest.raises(DareError):
-            solve_dare(A, B, np.eye(2), [[1.0]], max_iter=300)
+            solve_dare(A, B, np.eye(2), [[1.0]])
+
+    @given(
+        st.integers(min_value=4, max_value=700),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=-3.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lifted_models_solve_the_riccati_equation(self, P, window_frac, log_scale, seed):
+        p = 1 + int(window_frac * (P - 2))
+        row = 10.0**log_scale * np.random.default_rng(seed).normal(size=2 * p)
+        A, B = build_lifted(row, P, p, build_basis(P))
+        Q, R = np.eye(6), 0.1 * np.eye(2)
+        assert_stabilizing_riccati(A, B, Q, R, *solve_dare(A, B, Q, R))
+
+    def test_zero_row_has_no_stabilizing_solution(self):
+        # no pitch authority identified: the load integrator is uncontrollable
+        A, B = build_lifted(np.zeros(8), 16, 4, build_basis(16))
+        with pytest.raises(DareError):
+            solve_dare(A, B, np.eye(6), 0.1 * np.eye(2))
+
+    def test_nan_model_rejected(self):
+        A = np.array([[0.5, np.nan], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            solve_dare(A, np.eye(2), np.eye(2), np.eye(2))
 
 
 def dc_gain(model: StateSpaceModel) -> float:

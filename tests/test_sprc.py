@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import PipelineSystem, scalar_markov_row
-from oracles import DeltaBuffers
+from oracles import DeltaBuffers, lifted_transition_maps
 from pitchftc.numerics import psd_estimate
 from pitchftc.sprc import (
     GainResult,
@@ -244,6 +244,22 @@ class TestBuildLifted:
             errs.append(np.linalg.norm(pred[:2] - proj[j + 1]) / np.linalg.norm(proj[j + 1]))
         assert max(errs) < 0.02
 
+    @given(
+        st.integers(min_value=4, max_value=700),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_transition_maps_match_shift_stack_oracle(self, P, window_frac, seed):
+        p = 1 + int(window_frac * (P - 2))
+        row = np.random.default_rng(seed).normal(size=2 * p)
+        basis = build_basis(P)
+        a_lift, _ = build_lifted(row, P, p, basis)
+        s_u, s_y = lifted_transition_maps(row, P, p, basis)
+        for got, want in ((a_lift[:2, 2:4], s_u), (a_lift[:2, 4:6], s_y)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        np.testing.assert_array_equal(a_lift[4:6], a_lift[:2] - np.eye(2, 6))
+
 
 class TestUpdateGain:
     def test_zero_row_keeps_finite_fallback_gain(self):
@@ -259,7 +275,7 @@ class TestUpdateGain:
         P, p = 16, 4
         basis = build_basis(P)
         a_lift, b_lift = build_lifted(np.zeros(2 * p), P, p, basis)
-        prev = GainResult(np.full((2, 6), 1.5), None, True)
+        prev = GainResult(np.full((2, 6), 1.5), True)
         result = update_gain(a_lift, b_lift, np.eye(6), 0.1 * np.eye(2), previous=prev)
         assert not result.ok
         np.testing.assert_array_equal(result.gain, prev.gain)

@@ -56,9 +56,10 @@ class TestBank:
             lambda e: e["coeffs"][0].append(0.0),
             lambda e: e["coeffs"][2].__setitem__(1, float("nan")),
             lambda e: e["config"].__setitem__("fault_blade", 2),
+            lambda e: e["coeffs"][0].__setitem__(0, True),
         ],
         ids=["truncated_markov_row", "missing_markov_row", "long_coeff_row", "nan_coeff",
-             "key_mismatch"],
+             "key_mismatch", "bool_in_coeff_row"],
     )
     def test_malformed_entry_rejected_at_load(self, tmp_path, corrupt):
         path = tmp_path / "bank.json"
