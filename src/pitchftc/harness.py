@@ -34,7 +34,7 @@ import numpy as np
 from .actuator import ActuatorBank, FaultDescriptor
 from .fdi import DecisionFuser, FdiBounds, decision_record, design_fdie, residual_noise_std
 from .numerics import run_lengths
-from .plant import LOAD_CASES, PITCH_MAX_DEG, PITCH_MIN_DEG, LoadCase, Plant, load_case_params
+from .plant import LOAD_CASES, PITCH_MAX_DEG, PITCH_MIN_DEG, LoadCase, Plant
 from .sprc import (
     MarkovIdentifier,
     RepetitiveLaw,
@@ -67,6 +67,17 @@ _CSV_ROW = ",".join(["%d"] + ["%.17g"] * (len(_CSV_COLUMNS) - 2) + ["%d"]) + "\n
 _CSV_CHUNK_ROWS = 4096
 
 
+#: one revolution at the fixed 9.6 rpm rotor speed
+ROTOR_PERIOD_S = 6.25
+#: first rotor period with coefficient updates
+START_PERIOD = 4
+# the coefficients are quiet once the per-blade increment stays below
+# CONVERGENCE_EPS * max(norm, CONVERGENCE_FLOOR) for CONVERGENCE_CONSECUTIVE periods
+CONVERGENCE_EPS = 0.04
+CONVERGENCE_FLOOR = 12.0            # deg
+CONVERGENCE_CONSECUTIVE = 10
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs; defaults reproduce the reference protocol."""
@@ -77,54 +88,27 @@ class RunConfig:
 
     Ts: float = 0.01                    # s, sample time
     duration_s: float = 1400.0          # s, simulated time
-    rotor_period_s: float = 6.25        # s, one revolution (9.6 rpm)
 
     fault_blade: int = 3                # 0 disables the fault
     fault_time_s: float = 900.0         # s, fault onset
     fault_angle: float | None = None    # deg; None takes the load-case angle
 
     # identification and repetitive control
-    forgetting: float = 0.99999
     past_window: int = 100              # samples of differenced history per channel
-    lqr_q: float = 1.0
-    lqr_r: float = 0.1
-    hold_gain: float = 1.0
+    lqr_r: float = 0.1                  # input weight against a unit state weight
     step_gain: float = 0.3
-    start_period: int = 4               # first rotor period with coefficient updates
-    reseed_confidence: float = 1e-2
 
-    # excitation
-    prbs_amplitude: float = 3.0         # deg, hard output bound
-    prbs_hold: int = 10                 # samples per binary level
-    prbs_tau: float = 0.08              # s, excitation shaping filter
-
-    # measurement noise on pitch angles: value is a variance unless
-    # meas_noise_is_std is set
-    meas_noise_value: float = 1.5
-    meas_noise_is_std: bool = False
+    meas_noise_var: float = 1.5         # deg^2, pitch measurement noise variance
 
     # diagnosis
     pole_radius: float = 0.98
-    threshold_margin: float | None = None
-    noise_multiplier: float = 6.5       # threshold bound = multiplier * residual std
-    state_noise_bound: float = 0.0
-    model_mismatch_bound: float = 0.0
-    init_error_bound: float = 0.0
-    n_confirm: int = 10
+    noise_multiplier: float = 6.5       # threshold = multiplier * residual std
 
-    # convergence bookkeeping
-    convergence_eps: float = 0.04
-    convergence_floor: float = 12.0     # deg, scale floor in the relative test
-    convergence_consecutive: int = 10
+    # report windows
     settle_periods: int = 2
     comparison_window_s: float = 200.0
 
-    # plant surrogate overrides (None keeps the load-case table value)
-    load_gain: float = -30.0
-    load_tau: float = 0.5
-    disturbance_amplitude: float | None = None
-    collective_setpoint: float | None = None
-    load_noise_std: float | None = None
+    load_gain: float = -30.0            # kN*m/deg, pitch-to-load gain
 
     bank_path: str | None = None
 
@@ -147,54 +131,41 @@ class RunConfig:
                 if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                     raise ValueError(f"{f.name} must be a finite number")
                 setattr(self, f.name, float(value))  # one spelling: -30 is -30.0
-            if kind == "bool" and type(value) is not bool:
-                raise ValueError(f"{f.name} must be true or false")
             if kind == "str" and not isinstance(value, str):
                 raise ValueError(f"{f.name} must be a string")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.load_case not in LOAD_CASES:
             raise ValueError(f"load_case must be one of {sorted(LOAD_CASES)}")
-        if self.Ts <= 0 or self.duration_s <= 0 or self.rotor_period_s <= 0:
-            raise ValueError("Ts, duration_s and rotor_period_s must be positive")
-        ratio = self.rotor_period_s / self.Ts
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 4:
-            raise ValueError("rotor_period_s must be an integer (>= 4) multiple of Ts")
+        if self.Ts <= 0 or self.duration_s <= 0:
+            raise ValueError("Ts and duration_s must be positive")
+        ratio = ROTOR_PERIOD_S / self.Ts  # overflows for a subnormal Ts
+        if ratio > sys.float_info.max or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 4:
+            raise ValueError("Ts must divide the rotor period into an integer (>= 4) of samples")
         if self.fault_blade not in (0, 1, 2, 3):
             raise ValueError("fault_blade must be 0 (none) or 1..3")
         if self.fault_blade and not 0.0 <= self.fault_time_s < self.duration_s:
             raise ValueError("fault_time_s must lie inside the run")
         if self.mode == "offline_tune" and self.fault_blade == 0:
             raise ValueError("offline_tune requires a configured fault")
-        if not 0.0 < self.forgetting <= 1.0:
-            raise ValueError("forgetting must be in (0, 1]")
         if self.past_window < 1 or self.past_window >= self.period_samples:
             raise ValueError("past_window must be in [1, period_samples)")
         if not 0.0 <= self.pole_radius < 1.0:
             raise ValueError("pole_radius must be in [0, 1)")
-        margin = self.threshold_margin
-        if margin is not None and not 0.0 < margin < 1.0 - self.pole_radius:
-            raise ValueError("threshold_margin must be in (0, 1 - pole_radius)")
-        if self.prbs_amplitude < 0 or (self.load_noise_std or 0.0) < 0:
-            raise ValueError("prbs_amplitude and load_noise_std must be nonnegative")
-        if self.meas_noise_value < 0 or self.noise_multiplier < 0:
-            raise ValueError("meas_noise_value and noise_multiplier must be nonnegative")
-        if min(self.n_confirm, self.start_period, self.prbs_hold, self.convergence_consecutive) < 1:
-            raise ValueError("n_confirm, start_period, prbs_hold, convergence_consecutive must be >= 1")
         if min(self.settle_periods, self.seed) < 0:
             raise ValueError("settle_periods and seed must be nonnegative")
-        positive = ("prbs_tau", "load_tau", "comparison_window_s", "convergence_eps", "lqr_q",
-                    "lqr_r", "reseed_confidence")
+        # a zero noise variance or multiplier is a zero threshold that every residual crosses
+        positive = ("lqr_r", "meas_noise_var", "noise_multiplier", "comparison_window_s")
         if min(getattr(self, name) for name in positive) <= 0:
             raise ValueError(f"{', '.join(positive)} must be positive")
-        if not (0.0 <= self.hold_gain <= 1.0 and 0.0 <= self.step_gain <= 1.0):
-            raise ValueError("hold_gain and step_gain must lie in [0, 1]")
+        if not 0.0 <= self.step_gain <= 1.0:
+            raise ValueError("step_gain must lie in [0, 1]")
 
     # derived quantities ---------------------------------------------------
 
     @property
     def period_samples(self) -> int:
-        return int(round(self.rotor_period_s / self.Ts))
+        return int(round(ROTOR_PERIOD_S / self.Ts))
 
     @property
     def n_samples(self) -> int:
@@ -208,28 +179,11 @@ class RunConfig:
 
     @property
     def meas_noise_std(self) -> float:
-        if self.meas_noise_is_std:
-            return self.meas_noise_value
-        return float(np.sqrt(self.meas_noise_value))
+        return float(np.sqrt(self.meas_noise_var))
 
     def effective_load_case(self) -> LoadCase:
-        base = load_case_params(self.load_case)
-        return LoadCase(
-            id=base.id,
-            u_hub=base.u_hub,
-            disturbance_amplitude=(
-                base.disturbance_amplitude
-                if self.disturbance_amplitude is None
-                else self.disturbance_amplitude
-            ),
-            collective_setpoint=(
-                base.collective_setpoint
-                if self.collective_setpoint is None
-                else self.collective_setpoint
-            ),
-            stuck_angle=base.stuck_angle if self.fault_angle is None else self.fault_angle,
-            noise_std=base.noise_std if self.load_noise_std is None else self.load_noise_std,
-        )
+        base = LOAD_CASES[self.load_case]
+        return base if self.fault_angle is None else replace(base, stuck_angle=self.fault_angle)
 
     # serialization ---------------------------------------------------------
 
@@ -264,26 +218,7 @@ class RunConfig:
 
 
 _DYNAMICS_FIELDS = (
-    "load_case",
-    "Ts",
-    "rotor_period_s",
-    "forgetting",
-    "past_window",
-    "lqr_q",
-    "lqr_r",
-    "hold_gain",
-    "step_gain",
-    "start_period",
-    "prbs_amplitude",
-    "prbs_hold",
-    "prbs_tau",
-    "meas_noise_value",
-    "meas_noise_is_std",
-    "load_gain",
-    "load_tau",
-    "disturbance_amplitude",
-    "collective_setpoint",
-    "load_noise_std",
+    "load_case", "Ts", "past_window", "lqr_r", "step_gain", "meas_noise_var", "load_gain"
 )
 
 
@@ -313,10 +248,10 @@ class RunReport:
     switch_sample: int | None
     switch_applied: bool
 
-    variance_healthy: list
+    variance_healthy: list | None         # None: window shorter than two samples
     variance_faulty: list | None
-    variance_comparison: list
-    psd_peak_1p: list
+    variance_comparison: list | None
+    psd_peak_1p: list | None              # None: comparison window under six periods
 
     healthy_converged_period: int | None
     postfault_converged_periods: int | None
@@ -371,29 +306,18 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
         fault = FaultDescriptor(cfg.fault_blade, lc.stuck_angle, k0)
 
     basis = build_basis(P)
-    law = RepetitiveLaw(
-        basis,
-        hold_gain=cfg.hold_gain,
-        step_gain=cfg.step_gain,
-        lqr_q=cfg.lqr_q,
-        lqr_r=cfg.lqr_r,
-    )
-    identifier = MarkovIdentifier(p, forgetting=cfg.forgetting)
+    law = RepetitiveLaw(basis, step_gain=cfg.step_gain, lqr_r=cfg.lqr_r)
+    identifier = MarkovIdentifier(p)
     actuator = ActuatorBank(cfg.Ts, fault=fault)
-    plant = Plant(lc, cfg.Ts, P, load_gain=cfg.load_gain, load_tau=cfg.load_tau)
+    plant = Plant(lc, cfg.Ts, P, load_gain=cfg.load_gain)
 
     sigma = cfg.meas_noise_std
     # one observer for the three blades: they share model, gain and transient bound
-    bounds = FdiBounds(
-        state_noise=cfg.state_noise_bound,
-        init_error=cfg.init_error_bound,
-        model_mismatch=cfg.model_mismatch_bound,
-    )
-    fdie = design_fdie(actuator.model, cfg.pole_radius, bounds, margin=cfg.threshold_margin)
+    fdie = design_fdie(actuator.model, cfg.pole_radius)
     # the measurement bound scales the residual noise, which depends on the gain
     meas_bound = cfg.noise_multiplier * residual_noise_std(actuator.model, fdie.gain, sigma)
-    fdie.bounds = replace(bounds, meas_noise=meas_bound)
-    fuser = DecisionFuser(n_confirm=cfg.n_confirm)
+    fdie.bounds = FdiBounds(meas_noise=meas_bound)
+    fuser = DecisionFuser()
 
     start = np.full(3, lc.collective_setpoint)
     actuator.init_steady(start)
@@ -403,11 +327,7 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
     rng_plant, rng_meas, rng_prbs = (np.random.default_rng(c) for c in seeds)
     load_noise = rng_plant.normal(0.0, lc.noise_std, size=(N, 3))
     meas_noise = rng_meas.normal(0.0, sigma, size=(N, 3))
-    prbs_amp = cfg.prbs_amplitude if sprc_active else 0.0
-    prbs = generate_prbs(
-        N, rng_prbs, amplitude=prbs_amp, hold_samples=cfg.prbs_hold,
-        filter_tau=cfg.prbs_tau, Ts=cfg.Ts,
-    )
+    prbs = generate_prbs(N, rng_prbs, Ts=cfg.Ts) if sprc_active else np.zeros((N, 3))
 
     series = {name: prbs if name == "prbs" else np.zeros((N, 3)) for name in _SERIES}
     n_periods = N // P
@@ -455,7 +375,7 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
     switch_sample = None
     converged_period = None
     snapshot_coeffs = snapshot_markov = None
-    c = cfg.convergence_consecutive
+    c = CONVERGENCE_CONSECUTIVE
     end = N
 
     k = 0
@@ -490,10 +410,10 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
             _boundary_update(cfg, law, identifier, series, k, coeff_history)
             jj = k // P  # period the freshly updated coefficients apply to
             # offline tuning stops once the last c increments, all of them
-            # after start_period, are quiet
-            if cfg.mode == "offline_tune" and cfg.start_period + c <= jj < coeff_history.shape[0]:
+            # after START_PERIOD, are quiet
+            if cfg.mode == "offline_tune" and START_PERIOD + c <= jj < coeff_history.shape[0]:
                 quiet = convergence_time(
-                    coeff_history[jj - c : jj + 1], 1, cfg.convergence_eps, cfg.convergence_floor, c
+                    coeff_history[jj - c : jj + 1], 1, CONVERGENCE_EPS, CONVERGENCE_FLOOR, c
                 )
                 if quiet is not None:
                     converged_period = jj - c + 1
@@ -538,7 +458,7 @@ def _boundary_update(cfg, law, identifier, series, k, coeff_history) -> None:
     """
     P = cfg.period_samples
     j = k // P - 1  # just-completed period
-    if cfg.mode != "baseline" and j >= cfg.start_period:
+    if cfg.mode != "baseline" and j >= START_PERIOD:
         load_proj = law.project(series["y"][k - P : k])
         law.period_update(load_proj, identifier.rows())
     if j + 1 < coeff_history.shape[0]:
@@ -582,7 +502,7 @@ def _psd_peak_1p(y: np.ndarray, cfg: RunConfig) -> float:
     fs = 1.0 / cfg.Ts
     segment = 4 * cfg.period_samples
     freqs, power = psd_estimate(y, fs, segment=segment)
-    f1p = 1.0 / cfg.rotor_period_s
+    f1p = 1.0 / ROTOR_PERIOD_S
     return float(power[np.argmin(np.abs(freqs - f1p))])
 
 
@@ -634,21 +554,20 @@ def report_from_series(
     comp_lo = max(0, end - int(round(cfg.comparison_window_s / cfg.Ts)))
     comp_window = (comp_lo, end)
     var_comparison = _window_var(series["y"], comp_window)
-    seg_need = 4 * P + 2 * P
-    psd_peaks = [
-        _psd_peak_1p(series["y"][comp_lo:end, b], cfg) if end - comp_lo >= seg_need else float("nan")
-        for b in range(3)
-    ]
+    psd_peaks = None
+    if end - comp_lo >= 6 * P:
+        psd_peaks = [_psd_peak_1p(series["y"][comp_lo:end, b], cfg) for b in range(3)]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(series["r"][:healthy_hi]) / series["rbar"][:healthy_hi]
     max_ratio = float(np.nanmax(ratio)) if ratio.size else 0.0
 
     def quiet_from(history, start):
-        eps, floor, c = cfg.convergence_eps, cfg.convergence_floor, cfg.convergence_consecutive
-        return convergence_time(history, start, eps, floor, c)
+        return convergence_time(
+            history, start, CONVERGENCE_EPS, CONVERGENCE_FLOOR, CONVERGENCE_CONSECUTIVE
+        )
 
-    scan_start = cfg.start_period + 1
+    scan_start = START_PERIOD + 1
     healthy_conv = quiet_from(coeff_history[: healthy_hi // P], scan_start)
     postfault_conv = None
     if k0 is not None and n_periods > k0 // P:
@@ -698,10 +617,10 @@ def report_from_series(
     )
 
 
-def _window_var(y: np.ndarray, window: tuple[int, int]) -> list:
+def _window_var(y: np.ndarray, window: tuple[int, int]) -> list | None:
     lo, hi = window
     if hi - lo < 2:
-        return [float("nan")] * y.shape[1]
+        return None
     return [float(v) for v in np.var(y[lo:hi], axis=0)]
 
 

@@ -99,11 +99,9 @@ class MarkovIdentifier:
     stream from a stuck actuator stops touching its estimate.
     """
 
-    def __init__(self, past_window: int, forgetting: float = 0.99999, init_scale: float = 1e-4):
-        self.estimators = [
-            RlsEstimator(2 * int(past_window), forgetting=forgetting, init_scale=init_scale)
-            for _ in range(3)
-        ]
+    def __init__(self, past_window: int, forgetting: float = 0.99999):
+        dim = 2 * int(past_window)
+        self.estimators = [RlsEstimator(dim, forgetting=forgetting) for _ in range(3)]
         self.frozen = np.zeros(3, dtype=bool)
 
     def update_block(self, regressors: np.ndarray, targets: np.ndarray) -> None:
@@ -116,9 +114,9 @@ class MarkovIdentifier:
         """Current Markov row estimates, shape (3, 2p)."""
         return np.vstack([est.estimate for est in self.estimators])
 
-    def reseed(self, rows: np.ndarray, confidence: float = 1e-2) -> None:
+    def reseed(self, rows: np.ndarray) -> None:
         for blade in range(3):
-            self.estimators[blade].reseed(rows[blade], confidence)
+            self.estimators[blade].reseed(rows[blade])
 
     @property
     def degenerate(self) -> bool:
@@ -212,25 +210,19 @@ class RepetitiveLaw:
 
     The waveform is basis @ coeffs per blade, exactly periodic while the
     coefficients hold.  At each period boundary the coefficients move along
-    the LQR feedback direction, scaled by step_gain and anchored by
-    hold_gain:
+    the LQR feedback direction, scaled by step_gain:
 
-        coeffs_next = hold_gain * coeffs - step_gain * K @ [load_proj, dcoeffs, dload]
+        coeffs_next = coeffs - step_gain * K @ [load_proj, dcoeffs, dload]
+
+    K weighs the six states by the identity and the input by lqr_r; scaling
+    both weights together leaves K unchanged, so lqr_r is the only knob.
     """
 
-    def __init__(
-        self,
-        basis: np.ndarray,
-        hold_gain: float = 1.0,
-        step_gain: float = 0.3,
-        lqr_q: float = 1.0,
-        lqr_r: float = 0.1,
-    ):
+    def __init__(self, basis: np.ndarray, step_gain: float = 0.3, lqr_r: float = 0.1):
         self.basis = basis
         self.P = basis.shape[0]
-        self.hold_gain = float(hold_gain)
         self.step_gain = float(step_gain)
-        self.Q = lqr_q * np.eye(6)
+        self.Q = np.eye(6)
         self.R = lqr_r * np.eye(2)
         self.coeffs = np.zeros((3, 2))
         self.frozen = np.zeros(3, dtype=bool)
@@ -279,9 +271,7 @@ class RepetitiveLaw:
                 self.gain_failures += 1
             self._gains[blade] = result
             state = np.concatenate([load_proj[blade], self._dcoeffs[blade], dload[blade]])
-            new_coeffs[blade] = (
-                self.hold_gain * self.coeffs[blade] - self.step_gain * (result.gain @ state)
-            )
+            new_coeffs[blade] = self.coeffs[blade] - self.step_gain * (result.gain @ state)
 
         self._dcoeffs = new_coeffs - self.coeffs
         self.coeffs = new_coeffs

@@ -35,7 +35,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-BANK_SCHEMA = "pitchftc-bank-v2"
+BANK_SCHEMA = "pitchftc-bank-v3"
 
 
 @dataclass
@@ -152,7 +152,7 @@ def on_detection(
         return False
 
     law.set_coeffs(entry.coeffs_array())
-    identifier.reseed(entry.markov_array(), confidence=config.reseed_confidence)
+    identifier.reseed(entry.markov_array())
     log.info("switched to pre-tuned parameters for blade %d", d_fd)
     return True
 
@@ -161,8 +161,8 @@ def offline_tune(cfg):
     """Run the fault-from-start adaptation and snapshot the converged state.
 
     Returns (entry, report).  Raises RuntimeError when the run ends without
-    meeting the convergence criterion; the report inside the exception
-    arguments carries the final coefficient increment for diagnosis.
+    meeting the convergence criterion; its message states the run length
+    and the final coefficient increment for diagnosis.
     """
     from . import harness  # local import; harness orchestrates the run
 

@@ -238,7 +238,7 @@ def test_a5_riccati_oracle_and_runtime_gains():
     result = harness.run_simulation(cfg)
     basis = build_basis(cfg.period_samples)
     law = RepetitiveLaw(basis)
-    ident = MarkovIdentifier(cfg.past_window, cfg.forgetting)
+    ident = MarkovIdentifier(cfg.past_window)
     regs, tgts = build_regressor_block(
         result.series["u_act"],
         result.series["y"],

@@ -25,6 +25,7 @@ def config_path(tmp_path):
 def test_config_verb_writes_defaults(tmp_path, capsys):
     out = tmp_path / "default.json"
     assert cli.main(["config", str(out)]) == 0
+    assert json.loads(out.read_text()) == RunConfig().to_dict()
     cfg = RunConfig.from_json_file(out)
     assert cfg.duration_s == 1400.0
 

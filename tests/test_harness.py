@@ -1,6 +1,7 @@
 import csv
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import FuserOracle
 from pitchftc import supervisor
+from pitchftc.fdi import DecisionFuser
 from pitchftc.harness import (
     CSV_SCHEMA,
+    START_PERIOD,
     RunConfig,
+    RunReport,
     compare_modes,
     convergence_time,
     load_reduction_metrics,
@@ -90,15 +94,58 @@ def faulty_run(lc3_bank):
     return cfg, run_simulation(cfg, bank=lc3_bank)
 
 
+# configs/tune_lc3.json in the earlier 40-key layout
+EARLIER_TUNE_LC3 = """{
+ "mode": "offline_tune",
+ "load_case": "LC3",
+ "seed": 100,
+ "Ts": 0.01,
+ "duration_s": 600.0,
+ "rotor_period_s": 6.25,
+ "fault_blade": 3,
+ "fault_time_s": 0.0,
+ "fault_angle": null,
+ "forgetting": 0.99999,
+ "past_window": 100,
+ "lqr_q": 1.0,
+ "lqr_r": 0.1,
+ "hold_gain": 1.0,
+ "step_gain": 0.3,
+ "start_period": 4,
+ "reseed_confidence": 0.01,
+ "prbs_amplitude": 3.0,
+ "prbs_hold": 10,
+ "prbs_tau": 0.08,
+ "meas_noise_value": 1.5,
+ "meas_noise_is_std": false,
+ "pole_radius": 0.98,
+ "threshold_margin": null,
+ "noise_multiplier": 6.5,
+ "state_noise_bound": 0.0,
+ "model_mismatch_bound": 0.0,
+ "init_error_bound": 0.0,
+ "n_confirm": 10,
+ "convergence_eps": 0.04,
+ "convergence_floor": 12.0,
+ "convergence_consecutive": 10,
+ "settle_periods": 2,
+ "comparison_window_s": 200.0,
+ "load_gain": -30.0,
+ "load_tau": 0.5,
+ "disturbance_amplitude": null,
+ "collective_setpoint": null,
+ "load_noise_std": null,
+ "bank_path": null
+}"""
+
+
 class TestConfig:
     def test_defaults_follow_reference_protocol(self):
         cfg = RunConfig()
         assert cfg.Ts == 0.01
         assert cfg.duration_s == 1400.0
         assert cfg.fault_time_s == 900.0
-        assert cfg.forgetting == 0.99999
-        assert cfg.prbs_amplitude == 3.0
-        assert cfg.meas_noise_value == 1.5 and not cfg.meas_noise_is_std
+        assert cfg.meas_noise_var == 1.5
         assert cfg.period_samples == 625
         assert cfg.n_samples == 140_000
 
@@ -108,7 +155,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="load_case"):
             RunConfig(load_case="LC7")
         with pytest.raises(ValueError, match="integer"):
-            RunConfig(rotor_period_s=6.2501)
+            RunConfig(Ts=0.03)
         with pytest.raises(ValueError, match="fault_time"):
             RunConfig(fault_time_s=2000.0)
         with pytest.raises(ValueError, match="offline_tune"):
@@ -123,27 +170,34 @@ class TestConfig:
             {"noise_multiplier": -1.0},
             {"past_window": 1.5},
             {"duration_s": float("inf")},
-            {"lqr_q": float("nan")},
+            {"lqr_r": float("nan")},
             {"seed": True},
+            {"comparison_window_s": -5.0},
+            {"load_case": []},
+            {"mode": 3},
+            {"bank_path": 5},
+            {"lqr_r": True},
+            {"step_gain": False},
+            {"lqr_r": 0},
+            {"step_gain": -0.1},
+            {"seed": -1},
+            {"noise_multiplier": 0.0},
+            {"meas_noise_var": 0.0},
+            {"Ts": 5e-324},
+            # knobs that are now fixed values: a config that still sets one is
+            # refused as an unknown key, not silently run at the fixed value
+            {"lqr_q": float("nan")},
             {"meas_noise_is_std": "false"},
             {"prbs_hold": 0},
             {"prbs_tau": 0.0},
             {"load_tau": 0.0},
-            {"comparison_window_s": -5.0},
             {"convergence_consecutive": 0},
             {"convergence_eps": -0.01},
-            {"load_case": []},
-            {"mode": 3},
-            {"bank_path": 5},
             {"lqr_q": True},
-            {"step_gain": False},
-            {"lqr_r": 0},
             {"lqr_q": -1},
             {"reseed_confidence": 0},
             {"reseed_confidence": -1},
             {"hold_gain": 2},
-            {"step_gain": -0.1},
-            {"seed": -1},
             {"prbs_amplitude": -1},
             {"load_noise_std": -1},
             {"threshold_margin": 0.5},
@@ -151,26 +205,31 @@ class TestConfig:
             {"threshold_margin": 0},
         ],
         ids=["nan_multiplier", "negative_multiplier", "fractional_window", "inf_duration",
-             "nan_lqr_q", "bool_seed", "string_bool_flag", "zero_prbs_hold", "zero_prbs_tau",
-             "zero_load_tau", "negative_comparison_window", "zero_consecutive", "negative_eps",
-             "list_load_case", "int_mode", "int_bank_path", "bool_lqr_q", "bool_step_gain",
-             "zero_lqr_r", "negative_lqr_q", "zero_reseed_confidence",
-             "negative_reseed_confidence", "hold_gain_above_one", "negative_step_gain",
-             "negative_seed", "negative_prbs_amplitude", "negative_load_noise_std",
+             "nan_lqr_r", "bool_seed", "negative_comparison_window", "list_load_case",
+             "int_mode", "int_bank_path", "bool_lqr_r", "bool_step_gain", "zero_lqr_r",
+             "negative_step_gain", "negative_seed", "zero_multiplier", "zero_meas_noise",
+             "subnormal_Ts",
+             "nan_lqr_q", "string_bool_flag", "zero_prbs_hold", "zero_prbs_tau",
+             "zero_load_tau", "zero_consecutive", "negative_eps", "bool_lqr_q",
+             "negative_lqr_q", "zero_reseed_confidence", "negative_reseed_confidence",
+             "hold_gain_above_one", "negative_prbs_amplitude", "negative_load_noise_std",
              "threshold_margin_past_unit_circle", "negative_threshold_margin",
              "zero_threshold_margin"],
     )
     def test_from_dict_rejects_bad_numbers(self, bad):
         # a NaN multiplier gives NaN thresholds that no residual crosses, so
-        # the stuck blade would never be detected
+        # the stuck blade would never be detected; a zero one (or a zero noise
+        # variance) gives zero thresholds that every residual crosses, so no
+        # blade is ever isolated
         data = {"mode": "baseline", "duration_s": 60, "fault_blade": 3, "fault_time_s": 30}
         with pytest.raises(ValueError):
             RunConfig.from_dict({**data, **bad})
 
     @pytest.mark.parametrize(
         "name, value",
-        [("past_window", np.int64(100)), ("seed", np.int32(3)), ("load_tau", np.float32(0.5))],
-        ids=["int64_window", "int32_seed", "float32_tau"],
+        [("past_window", np.int64(100)), ("seed", np.int32(3)),
+         ("comparison_window_s", np.float32(200.0))],
+        ids=["int64_window", "int32_seed", "float32_window"],
     )
     def test_numpy_scalars_become_python_scalars(self, tmp_path, name, value):
         cfg = short_cfg(**{name: value})
@@ -197,7 +256,6 @@ class TestConfig:
                 st.floats(-1e6, 1e6, width=32).map(np.float32),
                 st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
             ),
-            "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
             "str": st.one_of(st.sampled_from(["proposed", "sprc_only", "LC1", "LC3"]), st.text()),
         }
         kinds = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
@@ -228,6 +286,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"mode": "baseline", "turbo": 1})
 
+    def test_earlier_config_layout_rejected(self):
+        # the 40-key tuning config of the earlier layout: the fixed values it
+        # spells out are not config keys any more
+        with pytest.raises(ValueError, match="unknown config keys") as info:
+            RunConfig.from_dict(json.loads(EARLIER_TUNE_LC3))
+        for name in ("rotor_period_s", "forgetting", "meas_noise_value", "load_noise_std"):
+            assert repr(name) in str(info.value)
+
+    def test_shipped_configs_are_the_reference_protocol(self):
+        # no tuning hides in a config file: each differs from the defaults
+        # only in what a run's protocol sets
+        defaults = RunConfig().to_dict()
+        protocol = {"mode", "seed", "duration_s", "fault_time_s", "bank_path"}
+        shipped = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+        assert len(shipped) >= 2
+        for path in shipped:
+            data = json.loads(path.read_text())
+            assert data.keys() == defaults.keys(), path.name
+            assert RunConfig.from_dict(data).to_dict() == data, path.name
+            assert {k for k in data if data[k] != defaults[k]} <= protocol, path.name
+
     def test_json_roundtrip(self, tmp_path):
         cfg = short_cfg(seed=9, step_gain=0.25)
         path = tmp_path / "cfg.json"
@@ -236,7 +315,7 @@ class TestConfig:
 
     def test_noise_interpretation_flag(self):
         assert RunConfig().meas_noise_std == pytest.approx(np.sqrt(1.5))
-        assert RunConfig(meas_noise_is_std=True).meas_noise_std == 1.5
+        assert RunConfig(meas_noise_var=4.0).meas_noise_std == 2.0
 
     def test_dynamics_ignore_protocol_fields(self):
         a = RunConfig()
@@ -339,7 +418,7 @@ class TestFaultyRun:
         result = run_simulation(cfg, bank=lc3_bank)
         rep, history, P = result.report, result.coeff_history, cfg.period_samples
         assert rep.d_fd == 3 and rep.switch_applied
-        assert rep.switch_sample < cfg.start_period * P  # before any adaptation
+        assert rep.switch_sample < START_PERIOD * P  # before any adaptation
         # the warm start lands in the next period and the stuck blade never moves
         j = rep.switch_sample // P + 1
         np.testing.assert_array_equal(history[j], lc3_bank.get(3).coeffs_array())
@@ -475,6 +554,15 @@ class TestCsvArtifacts:
         for key in a:
             assert json.dumps(b[key]) == json.dumps(a[key]), key
 
+    def test_tuning_report_is_strict_json(self, tune_run):
+        # the fault is active from the first sample, so the healthy window is
+        # empty: its variances are null, which JSON can spell, not NaN
+        _, result = tune_run
+        report = result.report
+        assert report.variance_healthy is None
+        text = json.dumps(report.to_dict(), allow_nan=False)
+        assert RunReport(**json.loads(text)) == report
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -535,20 +623,20 @@ class TestReportFromSeries:
         # crosses, so isolation waits one more sample; k_d stays the start of
         # blade 3's run, not the decision sample minus n_confirm - 1
         cfg = short_cfg(mode="baseline", duration_s=10.0)
-        n, start = cfg.n_samples, 500
+        n, start, n_confirm = cfg.n_samples, 500, DecisionFuser().n_confirm
         series = {name: np.zeros((n, 3)) for name in ("y", "sprc", "u_act", "r")}
         series["u_act"][:] = 19.0
         series["rbar"] = np.ones((n, 3))
-        series["r"][start : start + cfg.n_confirm + 5, 2] = 2.0
-        series["r"][start + cfg.n_confirm - 1, 0] = 2.0
-        fuser = FuserOracle(cfg.n_confirm)
+        series["r"][start : start + n_confirm + 5, 2] = 2.0
+        series["r"][start + n_confirm - 1, 0] = 2.0
+        fuser = FuserOracle(n_confirm)
         for k in range(n):
             fuser.update(series["r"][k], series["rbar"][k], k)
         series["dfd"] = np.zeros(n, dtype=int)
         series["dfd"][fuser.confirmed_at :] = fuser.d_fd
 
         rep = report_from_series(cfg, series)
-        assert fuser.confirmed_at == start + cfg.n_confirm
+        assert fuser.confirmed_at == start + n_confirm
         assert (rep.d_fd, rep.decision_sample) == (3, fuser.confirmed_at)
         assert rep.k_d == fuser.k_d == start
         assert rep.ambiguous and fuser.ambiguous
@@ -559,10 +647,10 @@ class TestReportFromSeries:
         # on seed 1 a second blade holds the confirmation back
         cfg = short_cfg(
             mode="baseline", seed=seed, duration_s=400.0, fault_blade=3, fault_time_s=300.0,
-            meas_noise_value=6.0, noise_multiplier=1.2,
+            meas_noise_var=6.0, noise_multiplier=1.2,
         )
         result = run_simulation(cfg)
-        fuser = FuserOracle(cfg.n_confirm)
+        fuser = FuserOracle(DecisionFuser().n_confirm)
         for k, (r, rbar) in enumerate(zip(result.series["r"], result.series["rbar"])):
             if fuser.update(r, rbar, k).d_fd:
                 break

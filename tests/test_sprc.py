@@ -307,18 +307,11 @@ class TestUpdateGain:
 
 class TestRepetitiveLaw:
     def test_zero_gain_holds_coefficients(self):
-        law = RepetitiveLaw(build_basis(16), hold_gain=1.0, step_gain=0.3)
+        law = RepetitiveLaw(build_basis(16), step_gain=0.3)
         law.set_coeffs(np.ones((3, 2)))
         # gains start at zero and the zero markov rows keep them there
         law.period_update(np.random.default_rng(0).normal(size=(3, 2)), np.zeros((3, 8)))
         np.testing.assert_array_equal(law.coeffs, np.ones((3, 2)))
-
-    def test_pure_decay_without_feedback(self):
-        law = RepetitiveLaw(build_basis(16), hold_gain=0.5, step_gain=0.0)
-        law.set_coeffs(np.full((3, 2), 8.0))
-        for _ in range(4):
-            law.period_update(np.zeros((3, 2)), np.zeros((3, 8)))
-        np.testing.assert_allclose(law.coeffs, 8.0 * 0.5**4, atol=1e-12)
 
     def test_output_quarter_period(self):
         law = RepetitiveLaw(build_basis(4))

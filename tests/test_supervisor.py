@@ -47,6 +47,13 @@ class TestBank:
         path.write_text(json.dumps({"schema": "other", "entries": {}}))
         with pytest.raises(ValueError, match="schema"):
             PretunedBank.load(path)
+        # earlier layouts store configs with keys that are fixed values now
+        for schema in ("pitchftc-bank-v1", "pitchftc-bank-v2"):
+            PretunedBank({3: make_entry()}).save(path)
+            payload = json.loads(path.read_text())
+            path.write_text(json.dumps({**payload, "schema": schema}))
+            with pytest.raises(ValueError, match="schema"):
+                PretunedBank.load(path)
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -230,8 +237,8 @@ class TestOfflineTune:
         result = harness.run_simulation(cfg, bank=bank)
         assert result.report.switch_applied
         history = result.coeff_history
-        start = cfg.start_period + 1
-        eps, floor = cfg.convergence_eps, cfg.convergence_floor
+        start = harness.START_PERIOD + 1
+        eps, floor = harness.CONVERGENCE_EPS, harness.CONVERGENCE_FLOOR
         for j in range(start, history.shape[0]):
             inc = np.linalg.norm(history[j] - history[j - 1], axis=1).max()
             scale = max(np.linalg.norm(history[j], axis=1).max(), floor)
