@@ -45,14 +45,8 @@ class FaultDescriptor:
 class ActuatorBank:
     """Three identical pitch actuators plus at most one stuck fault."""
 
-    def __init__(
-        self,
-        Ts: float,
-        fault: FaultDescriptor | None = None,
-        omega: float = ACTUATOR_OMEGA,
-        damping: float = ACTUATOR_DAMPING,
-    ):
-        self.model: StateSpaceModel = discretize_second_order(omega, damping, Ts)
+    def __init__(self, Ts: float, fault: FaultDescriptor | None = None):
+        self.model: StateSpaceModel = discretize_second_order(ACTUATOR_OMEGA, ACTUATOR_DAMPING, Ts)
         num, den = signal.ss2tf(self.model.A, self.model.B, self.model.C, self.model.D)
         self._num = num[0]
         self._den = den

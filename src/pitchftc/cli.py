@@ -77,10 +77,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_psd(args) -> int:
     series = harness.read_csv(args.csv)
-    name, blade = args.column[:-1], int(args.column[-1]) - 1
-    if name not in series or blade not in (0, 1, 2):
+    name, blade = args.column[:-1], args.column[-1:]
+    if name not in series or series[name].ndim != 2 or blade not in ("1", "2", "3"):
         raise SystemExit(f"unknown column {args.column!r}")
-    freqs, power = psd_estimate(series[name][:, blade], fs=args.fs, segment=args.segment)
+    freqs, power = psd_estimate(series[name][:, int(blade) - 1], fs=args.fs, segment=args.segment)
     out = args.out or f"{args.column}_psd.csv"
     np.savetxt(out, np.column_stack([freqs, power]), delimiter=",", header="freq_hz,power", comments="")
     print(f"PSD of {args.column} written to {out}")

@@ -17,12 +17,12 @@ from scipy import signal
 __all__ = [
     "LoadCase",
     "LOAD_CASES",
-    "load_case_params",
     "Plant",
 ]
 
 PITCH_MIN_DEG = -5.0
 PITCH_MAX_DEG = 90.0
+LOAD_TAU = 0.5          # s, time constant of the pitch-to-load lag
 
 
 @dataclass(frozen=True)
@@ -48,35 +48,21 @@ LOAD_CASES: dict[str, LoadCase] = {
 }
 
 
-def load_case_params(case_id: str) -> LoadCase:
-    try:
-        return LOAD_CASES[case_id]
-    except KeyError:
-        raise KeyError(f"unknown load case {case_id!r}, expected one of {sorted(LOAD_CASES)}")
-
-
 class Plant:
     """Stateful blade-load surrogate stepped at a fixed rate.
 
     The pitch-to-load path is a discrete first-order lag (zero-order hold of
-    gain/(tau s + 1)) applied to the deviation of each blade's pitch from the
+    gain/(LOAD_TAU s + 1)) applied to the deviation of each blade's pitch from the
     collective setpoint.  Pitch outside the physical range is saturated.
     Noise is injected by the caller so that runs stay reproducible.
     """
 
-    def __init__(
-        self,
-        lc: LoadCase,
-        Ts: float,
-        period_samples: int,
-        load_gain: float = -30.0,
-        load_tau: float = 0.5,
-    ):
+    def __init__(self, lc: LoadCase, Ts: float, period_samples: int, load_gain: float = -30.0):
         if Ts <= 0 or period_samples < 4:
             raise ValueError("need Ts > 0 and at least 4 samples per period")
         self.lc = lc
         self.period_samples = int(period_samples)
-        pole = float(np.exp(-Ts / load_tau))
+        pole = float(np.exp(-Ts / LOAD_TAU))
         self._num = np.array([0.0, load_gain * (1.0 - pole)])
         self._den = np.array([1.0, -pole])
         # exactly periodic disturbance table, one rotor revolution

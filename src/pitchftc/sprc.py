@@ -24,6 +24,10 @@ from scipy import signal
 
 from .numerics import DareError, RlsEstimator, solve_dare
 
+PRBS_AMPLITUDE = 3.0    # deg, excitation level
+PRBS_HOLD = 10          # samples each random level is held
+PRBS_TAU = 0.08         # s, time constant of the shaping low-pass
+
 __all__ = [
     "build_basis",
     "project",
@@ -278,27 +282,16 @@ class RepetitiveLaw:
         self._load_proj_prev = load_proj
 
 
-def generate_prbs(
-    n: int,
-    rng: np.random.Generator,
-    amplitude: float = 3.0,
-    hold_samples: int = 10,
-    filter_tau: float = 0.08,
-    Ts: float = 0.01,
-) -> np.ndarray:
+def generate_prbs(n: int, rng: np.random.Generator, Ts: float = 0.01) -> np.ndarray:
     """Filtered binary excitation, one independent channel per blade (n, 3).
 
-    A random two-level sequence held for hold_samples is passed through a
-    unit-DC first-order low-pass; the output magnitude therefore never
-    exceeds the amplitude.  Zero amplitude yields an exact zero signal.
+    A random two-level sequence held for PRBS_HOLD samples is passed through
+    a unit-DC first-order low-pass with time constant PRBS_TAU; the output
+    magnitude therefore never exceeds PRBS_AMPLITUDE.
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
-    if amplitude == 0.0:
-        return np.zeros((n, 3))
-    n_holds = -(-n // hold_samples)
+    n_holds = -(-n // PRBS_HOLD)
     levels = rng.integers(0, 2, size=(n_holds, 3)) * 2.0 - 1.0
-    binary = np.repeat(levels, hold_samples, axis=0)[:n]
-    pole = float(np.exp(-Ts / filter_tau))
+    binary = np.repeat(levels, PRBS_HOLD, axis=0)[:n]
+    pole = float(np.exp(-Ts / PRBS_TAU))
     out = signal.lfilter([1.0 - pole], [1.0, -pole], binary, axis=0)
-    return amplitude * out
+    return PRBS_AMPLITUDE * out

@@ -1,0 +1,155 @@
+"""Print one sha256 per artifact of the reference run chain, to compare trees bit for bit.
+
+    PYTHONPATH=src python tests/digest_runs.py [--acceptance] [--out FILE] [--against FILE]
+
+For each of LC1-LC3 it runs the offline tune of blade 3 (seed 100, 600 s,
+fault from the first sample) and then ``compare_modes`` on the default
+1400 s protocol (baseline, sprc_only and proposed with the tuned bank).
+``--acceptance`` adds the runs of the acceptance suite: A1 (20 healthy
+runs), A2 (60 fault runs), A5, A6, A7 (20 warm and 20 cold) and A9.
+
+Each output line is ``<artifact> <sha256>``: one per series, coefficient
+history, tuning snapshot, report, reduction table and bank entry.  BLAS runs
+on one thread, because the bits depend on the thread count.  With
+``--against FILE`` the lines are compared with an earlier output and the
+exit status is 1 on any difference.  pytest does not collect this file.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads its BLAS
+
+import argparse
+import hashlib
+import json
+import sys
+from dataclasses import asdict, replace
+
+import numpy as np
+
+from pitchftc import harness, supervisor
+
+LOAD_CASES = ("LC1", "LC2", "LC3")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _array(a) -> str:
+    a = np.ascontiguousarray(a)
+    return _sha(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+
+
+def _json(obj) -> str:
+    return _sha(json.dumps(obj, sort_keys=True).encode())
+
+
+def digest_result(tag: str, result) -> list[str]:
+    lines = [f"{tag}/series/{name} {_array(v)}" for name, v in sorted(result.series.items())]
+    lines.append(f"{tag}/coeff_history {_array(result.coeff_history)}")
+    for name in ("snapshot_coeffs", "snapshot_markov"):
+        value = getattr(result, name)
+        if value is not None:
+            lines.append(f"{tag}/{name} {_array(value)}")
+    lines.append(f"{tag}/report {_json(result.report.to_dict())}")
+    return lines
+
+
+def tune(lc: str, out: list[str]) -> supervisor.PretunedBank:
+    cfg = harness.RunConfig(
+        mode="offline_tune", load_case=lc, seed=100, duration_s=600.0,
+        fault_blade=3, fault_time_s=0.0,
+    )
+    entry, report = supervisor.offline_tune(cfg)
+    out.append(f"tune/{lc}/entry {_json(asdict(entry))}")
+    out.append(f"tune/{lc}/report {_json(report.to_dict())}")
+    return supervisor.PretunedBank({3: entry})
+
+
+def compare(tag: str, cfg, bank, modes, out: list[str]) -> None:
+    outcome = harness.compare_modes(cfg, bank=bank, modes=modes)
+    for mode, result in outcome["results"].items():
+        out.extend(digest_result(f"{tag}/{mode}", result))
+    out.append(f"{tag}/reduction {_json(outcome['reduction'])}")
+
+
+def run(tag: str, cfg, out: list[str], bank=None) -> None:
+    out.extend(digest_result(tag, harness.run_simulation(cfg, bank=bank)))
+
+
+def chain(banks: dict, out: list[str]) -> None:
+    for lc in LOAD_CASES:
+        compare(f"chain/{lc}", harness.RunConfig(load_case=lc), banks[lc],
+                ("baseline", "sprc_only", "proposed"), out)
+
+
+def acceptance(banks: dict, out: list[str]) -> None:
+    for i in range(20):
+        cfg = harness.RunConfig(
+            mode="proposed", load_case=LOAD_CASES[i % 3], seed=1000 + i,
+            duration_s=900.0, fault_blade=0, fault_time_s=0.0,
+        )
+        run(f"A1/{i}", cfg, out)
+    for lc in LOAD_CASES:
+        for seed in range(20):
+            cfg = harness.RunConfig(
+                mode="proposed", load_case=lc, seed=seed, duration_s=400.0,
+                fault_blade=3, fault_time_s=300.0,
+            )
+            run(f"A2/{lc}/{seed}", cfg, out, bank=banks[lc])
+    cfg = harness.RunConfig(
+        mode="sprc_only", load_case="LC3", seed=21, duration_s=150.0,
+        fault_blade=0, fault_time_s=0.0,
+    )
+    run("A5", cfg, out)
+    for lc in LOAD_CASES:
+        compare(f"A6/{lc}", harness.RunConfig(mode="proposed", load_case=lc, seed=7),
+                banks[lc], ("baseline", "proposed"), out)
+    for lc, n_seeds in (("LC1", 7), ("LC2", 7), ("LC3", 6)):
+        for seed in range(n_seeds):
+            cfg = harness.RunConfig(
+                mode="proposed", load_case=lc, seed=seed, duration_s=550.0,
+                fault_blade=3, fault_time_s=300.0,
+            )
+            run(f"A7/{lc}/{seed}/warm", cfg, out, bank=banks[lc])
+            run(f"A7/{lc}/{seed}/cold", replace(cfg, mode="sprc_only"), out)
+    cfg = harness.RunConfig(
+        mode="proposed", load_case="LC3", seed=17, duration_s=420.0,
+        fault_blade=3, fault_time_s=300.0,
+    )
+    run("A9", cfg, out, bank=banks["LC3"])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--acceptance", action="store_true", help="also digest the acceptance runs")
+    parser.add_argument("--out", help="write the digest lines here as well")
+    parser.add_argument("--against", help="digest file to compare with; exit 1 on any difference")
+    args = parser.parse_args(argv)
+
+    out: list[str] = []
+    banks = {lc: tune(lc, out) for lc in LOAD_CASES}
+    chain(banks, out)
+    if args.acceptance:
+        acceptance(banks, out)
+    text = "\n".join(out) + "\n"
+    print(text, end="")
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    if args.against is None:
+        return 0
+    with open(args.against) as handle:
+        expected = dict(line.split() for line in handle if line.strip())
+    got = dict(line.split() for line in out)
+    names = expected.keys() | got.keys()
+    differ = sorted(k for k in names if expected.get(k) != got.get(k))
+    for name in differ:
+        print(f"DIFFERS {name}: {expected.get(name)} -> {got.get(name)}", file=sys.stderr)
+    print(f"{len(names) - len(differ)} of {len(names)} digests equal", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pitchftc import cli
-from pitchftc.harness import RunConfig
+from pitchftc.harness import RunConfig, run_simulation, write_csv
 
 
 @pytest.fixture()
@@ -20,6 +20,15 @@ def config_path(tmp_path):
     path = tmp_path / "cfg.json"
     cfg.to_json_file(path)
     return path
+
+
+@pytest.mark.parametrize("column", ["y", "dfd", "k", "dfd1", "y0", "y4", "load1"])
+def test_psd_rejects_unknown_column(tmp_path, column):
+    cfg = RunConfig(mode="baseline", duration_s=10.0, fault_blade=0)
+    csv_path = tmp_path / "run.csv"
+    write_csv(csv_path, run_simulation(cfg).series, cfg.Ts)
+    with pytest.raises(SystemExit, match="unknown column"):
+        cli.main(["psd", "--csv", str(csv_path), "--column", column])
 
 
 def test_config_verb_writes_defaults(tmp_path, capsys):

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import FdieOracle, FuserOracle
 from pitchftc.actuator import ActuatorBank
+from pitchftc import fdi
 from pitchftc.fdi import (
+    DELTA_MARGIN,
     DecisionFuser,
     Fdie,
     FdiBounds,
@@ -45,17 +47,27 @@ class TestDesign:
             place_observer_gain(model, [0.1, 0.2])
 
 
+def observer_transient(fdie):
+    """The (alpha, delta) the library threshold uses for this observer."""
+    alpha, delta = compute_alpha_delta(fdie.A0, fdie.model.C)
+    return max(alpha, 1.0), delta
+
+
 class TestAlphaDelta:
     def test_scalar_exact(self):
-        alpha, delta = compute_alpha_delta([[0.9]], [[1.0]], margin=0.0)
-        assert (alpha, delta) == (pytest.approx(1.0), pytest.approx(0.9))
+        alpha, delta = compute_alpha_delta([[0.9]], [[1.0]])
+        assert (alpha, delta) == (pytest.approx(1.0), pytest.approx(0.9 + DELTA_MARGIN))
 
     def test_nilpotent_finite_scan(self):
         A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
         C = np.array([[1.0, 0.0]])
-        alpha, delta = compute_alpha_delta(A0, C, margin=0.05)
-        assert delta == pytest.approx(0.05)
-        assert alpha == pytest.approx(max(1.0, 1.0 / 0.05))
+        alpha, delta = compute_alpha_delta(A0, C)
+        assert delta == pytest.approx(DELTA_MARGIN)
+        assert alpha == pytest.approx(max(1.0, 1.0 / DELTA_MARGIN))
+
+    def test_margin_halves_the_gap_near_the_unit_circle(self):
+        _, delta = compute_alpha_delta([[0.99]], [[1.0]])
+        assert delta == pytest.approx(0.995)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bound_holds_everywhere(self, seed):
@@ -73,10 +85,6 @@ class TestAlphaDelta:
         with pytest.raises(ValueError, match="stable"):
             compute_alpha_delta([[1.01]], [[1.0]])
 
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError, match="margin"):
-            compute_alpha_delta([[0.98]], [[1.0]], margin=-0.5)
-
 
 class TestFdieStep:
     def test_zero_residual_with_exact_model_and_matched_start(self, actuator_model):
@@ -88,30 +96,30 @@ class TestFdieStep:
         u_ref = 8.0 + rng.normal(0, 2, size=(300, 3))
         u = plant.run_chunk(u_ref, 0)
         for k in range(300):
-            r, _ = fdie.run_chunk(u_ref[k : k + 1], u[k : k + 1])
+            r = fdie.run_chunk(u_ref[k : k + 1], u[k : k + 1])
             assert np.abs(r).max() < 1e-9
 
     def test_chunk_equals_step(self, actuator_model):
         bounds = FdiBounds(state_noise=0.1, meas_noise=1.0, init_error=0.5)
-        fdie = design_fdie(actuator_model, 0.9, bounds=bounds)
+        fdie = design_fdie(actuator_model, 0.9)
         fdie.init_steady(np.full(3, 5.0))
         rng = np.random.default_rng(1)
         u_ref = 5.0 + rng.normal(0, 1, size=(200, 3))
         u_meas = 5.0 + rng.normal(0, 1, size=(200, 3))
-        r_chunk, rbar_chunk = fdie.run_chunk(u_ref, u_meas)
+        r_chunk = fdie.run_chunk(u_ref, u_meas)
+        rbar = fdie.threshold(bounds, 200)
         for blade in range(3):
-            oracle = FdieOracle(fdie.model, fdie.gain, fdie.alpha, fdie.delta, bounds)
+            oracle = FdieOracle(fdie.model, fdie.gain, *observer_transient(fdie), bounds)
             oracle.init_steady(5.0)
             r_step = [oracle.step(u_ref[k, blade], u_meas[k, blade]) for k in range(200)]
             rbar_step = [oracle.threshold_step() for _ in range(200)]
             np.testing.assert_allclose(r_chunk[:, blade], r_step, atol=1e-9)
-            np.testing.assert_allclose(rbar_chunk[:, blade], rbar_step, atol=1e-12)
+            np.testing.assert_allclose(rbar, rbar_step, atol=1e-12)
 
     def test_healthy_noise_stays_under_threshold(self, actuator_model):
         sigma = np.sqrt(1.5)
-        probe = design_fdie(actuator_model, 0.98)
-        eta_y = 6.5 * residual_noise_std(actuator_model, probe.gain, sigma)
-        fdie = design_fdie(actuator_model, 0.98, bounds=FdiBounds(meas_noise=eta_y))
+        fdie = design_fdie(actuator_model, 0.98)
+        eta_y = 6.5 * residual_noise_std(actuator_model, fdie.gain, sigma)
         fdie.init_steady([10.0])
         plant = ActuatorBank(TS)
         plant.init_steady(10.0)
@@ -119,18 +127,19 @@ class TestFdieStep:
         u_ref = 10.0 + rng.normal(0, 2, size=(20_000, 3))
         u = plant.run_chunk(u_ref, 0)
         u_meas = u[:, 0] + rng.normal(0, sigma, size=20_000)
-        r, rbar = fdie.run_chunk(u_ref[:, :1], u_meas[:, None])
+        r = fdie.run_chunk(u_ref[:, :1], u_meas[:, None])
+        rbar = fdie.threshold(FdiBounds(meas_noise=eta_y), 20_000)[:, None]
         assert np.all(np.abs(r) < rbar)
 
     def test_stuck_output_crosses_threshold(self, actuator_model):
         sigma = np.sqrt(1.5)
-        probe = design_fdie(actuator_model, 0.98)
-        eta_y = 6.5 * residual_noise_std(actuator_model, probe.gain, sigma)
-        fdie = design_fdie(actuator_model, 0.98, bounds=FdiBounds(meas_noise=eta_y))
+        fdie = design_fdie(actuator_model, 0.98)
+        eta_y = 6.5 * residual_noise_std(actuator_model, fdie.gain, sigma)
         fdie.init_steady([19.0])
         u_ref = np.full((500, 1), 19.0)
         u_meas = np.full((500, 1), 5.0)  # stuck far from the command
-        r, rbar = fdie.run_chunk(u_ref, u_meas)
+        r = fdie.run_chunk(u_ref, u_meas)
+        rbar = fdie.threshold(FdiBounds(meas_noise=eta_y), 500)[:, None]
         assert np.abs(r[0]) > rbar[0]
         assert np.all(np.abs(r[-100:]) > rbar[-100:])
         # residual settles toward the command/stuck gap
@@ -138,32 +147,34 @@ class TestFdieStep:
 
 
 class TestThreshold:
-    def make(self, alpha, delta, bounds):
-        model = StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]], TS)
-        return Fdie(model, [0.1], alpha, delta, bounds)
-
-    def thresholds(self, fdie, n):
-        return fdie.run_chunk(np.zeros((n, 1)), np.zeros((n, 1)))[1][:, 0]
+    # scalar observer A0 = 0.5 - 0.1 * 2 = 0.3: delta = 0.3 + DELTA_MARGIN, alpha = ||C|| = 2
+    fdie = Fdie(StateSpaceModel([[0.5]], [[1.0]], [[2.0]], [[0.0]], TS), [0.1])
 
     def test_all_zero_bounds_give_zero(self):
-        fdie = self.make(1.0, 0.5, FdiBounds())
-        assert np.all(self.thresholds(fdie, 50) == 0.0)
+        assert np.all(self.fdie.threshold(FdiBounds(), 50) == 0.0)
 
-    def test_measurement_bound_only_is_constant(self):
-        fdie = self.make(1.0, 0.5, FdiBounds(meas_noise=3.3))
-        assert np.all(self.thresholds(fdie, 50) == 3.3)
+    def test_measurement_bound_only_is_constant(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("transient scan with zero transient bounds")
+
+        monkeypatch.setattr(fdi, "compute_alpha_delta", no_scan)
+        assert np.all(self.fdie.threshold(FdiBounds(meas_noise=3.3), 50) == 3.3)
 
     def test_geometric_limit(self):
-        fdie = self.make(1.0, 0.5, FdiBounds(state_noise=1.0))
-        rbar = self.thresholds(fdie, 200)
+        rbar = self.fdie.threshold(FdiBounds(state_noise=1.0), 200)
         assert rbar[0] == 0.0
-        assert rbar[-1] == pytest.approx(2.0, abs=1e-9)
+        assert rbar[-1] == pytest.approx(2.0 / (1.0 - 0.32), abs=1e-9)
 
     def test_initial_error_term_decays(self):
-        fdie = self.make(2.0, 0.5, FdiBounds(init_error=1.0))
-        rbar = self.thresholds(fdie, 60)
-        expected = [2.0 * 0.5**k for k in range(60)]
+        rbar = self.fdie.threshold(FdiBounds(init_error=1.0), 60)
+        expected = [2.0 * 0.32**k for k in range(60)]
         np.testing.assert_allclose(rbar, expected, atol=1e-12)
+
+    def test_threshold_matches_oracle_recursion(self):
+        bounds = FdiBounds(state_noise=0.3, meas_noise=1.1, init_error=0.7, model_mismatch=0.2)
+        oracle = FdieOracle(self.fdie.model, self.fdie.gain, *observer_transient(self.fdie), bounds)
+        rbar_step = [oracle.threshold_step() for _ in range(300)]
+        np.testing.assert_allclose(self.fdie.threshold(bounds, 300), rbar_step, rtol=0, atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -205,7 +216,7 @@ class TestThreshold:
             model_mismatch=0.05,
         )
         for seed in range(5):
-            fdie = Fdie(model, [L], *compute_alpha_delta([[a - L]], [[1.0]]), bounds)
+            fdie = Fdie(model, [L])
             rng = np.random.default_rng(seed)
             x = 0.0
             u = np.empty((3000, 1))
@@ -215,7 +226,8 @@ class TestThreshold:
                 noise = float(rng.uniform(-noise_bound, noise_bound))
                 y_meas[k] = x + noise
                 x = a * x + u[k, 0] + nl(x)
-            r, rbar = fdie.run_chunk(u, y_meas)
+            r = fdie.run_chunk(u, y_meas)
+            rbar = fdie.threshold(bounds, 3000)[:, None]
             assert np.all(np.abs(r) <= rbar + 1e-12)
 
 

@@ -9,8 +9,9 @@ from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import FuserOracle
-from pitchftc import supervisor
-from pitchftc.fdi import DecisionFuser
+from pitchftc import fdi, supervisor
+from pitchftc.actuator import ActuatorBank
+from pitchftc.fdi import DecisionFuser, design_fdie, residual_noise_std
 from pitchftc.harness import (
     CSV_SCHEMA,
     START_PERIOD,
@@ -423,6 +424,22 @@ class TestFaultyRun:
         j = rep.switch_sample // P + 1
         np.testing.assert_array_equal(history[j], lc3_bank.get(3).coeffs_array())
         assert (history[j:, 2] == history[j, 2]).all()
+
+    def test_live_threshold_is_the_noise_bound(self, lc3_bank, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a live run scanned for the transient bound")
+
+        monkeypatch.setattr(fdi, "compute_alpha_delta", no_scan)
+        cfg = RunConfig(
+            mode="proposed", load_case="LC3", seed=5, duration_s=100.0, fault_blade=3,
+            fault_time_s=50.0,
+        )
+        result = run_simulation(cfg, bank=lc3_bank)
+        assert result.report.d_fd == 3 and result.report.switch_applied
+        model = ActuatorBank(cfg.Ts).model
+        gain = design_fdie(model, cfg.pole_radius).gain
+        bound = cfg.noise_multiplier * residual_noise_std(model, gain, cfg.meas_noise_std)
+        np.testing.assert_array_equal(result.series["rbar"], bound)
 
     def test_fault_in_last_period(self, last_period_fault_run):
         cfg, result = last_period_fault_run

@@ -7,6 +7,8 @@ from conftest import PipelineSystem, scalar_markov_row
 from oracles import DeltaBuffers, lifted_transition_maps
 from pitchftc.numerics import psd_estimate
 from pitchftc.sprc import (
+    PRBS_AMPLITUDE,
+    PRBS_TAU,
     GainResult,
     MarkovIdentifier,
     RepetitiveLaw,
@@ -352,12 +354,8 @@ class TestRepetitiveLaw:
 class TestPrbs:
     def test_amplitude_bound_holds_over_long_stream(self):
         rng = np.random.default_rng(10)
-        out = generate_prbs(1_000_000, rng, amplitude=3.0)
-        assert np.abs(out).max() <= 3.0
-
-    def test_zero_amplitude_is_exactly_zero(self):
-        rng = np.random.default_rng(11)
-        np.testing.assert_array_equal(generate_prbs(1000, rng, amplitude=0.0), 0.0)
+        out = generate_prbs(1_000_000, rng)
+        assert np.abs(out).max() <= PRBS_AMPLITUDE
 
     def test_channels_are_distinct(self):
         rng = np.random.default_rng(12)
@@ -366,8 +364,8 @@ class TestPrbs:
 
     def test_spectrum_flat_up_to_shaping_cutoff(self):
         rng = np.random.default_rng(13)
-        Ts, tau = 0.01, 0.08
-        out = generate_prbs(400_000, rng, amplitude=3.0, filter_tau=tau, Ts=Ts)
+        Ts, tau = 0.01, PRBS_TAU
+        out = generate_prbs(400_000, rng, Ts=Ts)
         freqs, power = psd_estimate(out[:, 0], 1.0 / Ts, segment=8192)
         cutoff = 1.0 / (2 * np.pi * tau)
         band = (freqs > 0.05) & (freqs <= cutoff)

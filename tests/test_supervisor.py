@@ -7,8 +7,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from pitchftc import harness, supervisor
-from pitchftc.plant import load_case_params
-from pitchftc.sprc import MarkovIdentifier, RepetitiveLaw, build_basis
+from pitchftc.plant import LOAD_CASES
+from pitchftc.sprc import PRBS_AMPLITUDE, MarkovIdentifier, RepetitiveLaw, build_basis, generate_prbs
 from pitchftc.supervisor import (
     BankEntry,
     PretunedBank,
@@ -131,24 +131,22 @@ def _containers(node, path="payload"):
 
 class TestCompose:
     def test_zero_contributions_give_setpoint(self):
-        lc = load_case_params("LC3")
+        lc = LOAD_CASES["LC3"]
         u = compose_pitch_command(lc, np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(u, lc.collective_setpoint)
 
     def test_additive_composition(self):
-        lc = load_case_params("LC3")  # setpoint 19
+        lc = LOAD_CASES["LC3"]  # setpoint 19
         u = compose_pitch_command(lc, np.array([1.0, -1.0, 0.0]), np.zeros(3))
         np.testing.assert_allclose(u, [20.0, 18.0, 19.0])
 
     def test_amplitude_bound(self):
-        lc = load_case_params("LC2")
+        lc = LOAD_CASES["LC2"]
         law = RepetitiveLaw(build_basis(625))
         rng = np.random.default_rng(1)
         law.set_coeffs(rng.normal(0, 5, size=(3, 2)))
-        bound = np.linalg.norm(law.coeffs, axis=1) + 3.0
-        from pitchftc.sprc import generate_prbs
-
-        prbs = generate_prbs(625, rng, amplitude=3.0)
+        bound = np.linalg.norm(law.coeffs, axis=1) + PRBS_AMPLITUDE
+        prbs = generate_prbs(625, rng)
         for k in range(0, 625, 50):
             u = compose_pitch_command(lc, law.output_slice(k, 1)[0], prbs[k])
             assert np.all(np.abs(u - lc.collective_setpoint) <= bound + 1e-9)
@@ -212,7 +210,7 @@ class TestOfflineTune:
         assert entry.fault_blade == 3
         assert entry.config.load_case == "LC1"
         # the stuck angle it was tuned at, resolved from the load case
-        assert entry.config.fault_angle == load_case_params("LC1").stuck_angle
+        assert entry.config.fault_angle == LOAD_CASES["LC1"].stuck_angle
         assert report.converged_period == entry.converged_period
         assert entry.converged_period is not None
         # stuck blade has no authority: its waveform stays off
