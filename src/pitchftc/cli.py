@@ -48,6 +48,7 @@ def _cmd_run(args) -> int:
         Path(args.report).write_text(json.dumps(report, indent=1))
         print(f"report written to {args.report}")
     print(json.dumps(report, indent=1))
+    print(f"telemetry: {json.dumps(result.telemetry)}")
     return 0
 
 

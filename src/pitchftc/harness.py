@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .actuator import ActuatorBank, FaultDescriptor
 from .fdi import DecisionFuser, FdiBounds, decision_record, design_fdie, residual_noise_std
-from .numerics import run_lengths
+from .numerics import run_lengths, single_blas_thread
 from .plant import LOAD_CASES, PITCH_MAX_DEG, PITCH_MIN_DEG, LoadCase, Plant
 from .sprc import (
     MarkovIdentifier,
@@ -279,17 +279,26 @@ class RunResult:
     coeff_history: np.ndarray
     snapshot_coeffs: np.ndarray | None = None
     snapshot_markov: np.ndarray | None = None
+    #: the environment the run computed in (BLAS pin); never part of the report
+    telemetry: dict = field(default_factory=dict)
 
 
 def run_simulation(cfg: RunConfig, bank: "_supervisor.PretunedBank | None" = None) -> RunResult:
-    """Execute one closed-loop run; deterministic in (config, seed)."""
+    """Execute one closed-loop run; deterministic in (config, seed).
+
+    BLAS runs on one thread for the length of the run, so the bits do not
+    depend on the thread count the process was started with.
+    """
     cfg.validate()
     if bank is None and cfg.bank_path is not None:
         bank = _supervisor.PretunedBank.load(cfg.bank_path)
     if cfg.mode == "proposed" and cfg.fault_blade != 0 and bank is None:
         raise ValueError("proposed mode with a configured fault needs a pre-tuned bank")
 
-    return _simulate(cfg, bank)
+    with single_blas_thread() as telemetry:
+        result = _simulate(cfg, bank)
+    result.telemetry = telemetry
+    return result
 
 
 def _simulate(cfg: RunConfig, bank) -> RunResult:

@@ -2,20 +2,31 @@
 
 Everything here is plain linear algebra with no knowledge of turbines:
 
-- square-root recursive least squares (QR form, exponential forgetting),
+- square-root recursive least squares with exponential forgetting, each
+  block absorbed by one triangular-pentagonal QR (LAPACK ``dtpqrt``),
 - a stabilizing discrete Riccati solve (scipy) with a closed-loop check,
 - zero-order-hold discretization of a second-order lag with a lead zero,
 - averaged-periodogram power spectral density estimation,
-- lengths of unbroken runs in a boolean stream, carried across chunks.
+- lengths of unbroken runs in a boolean stream, carried across chunks,
+- one BLAS thread for the length of a run, so its bits do not depend on
+  the thread count the process started with.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
 from scipy import signal
+from scipy.linalg import lapack
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "StateSpaceModel",
@@ -25,6 +36,7 @@ __all__ = [
     "discretize_second_order",
     "psd_estimate",
     "run_lengths",
+    "single_blas_thread",
 ]
 
 
@@ -60,15 +72,24 @@ class StateSpaceModel:
         return self.A.shape[0]
 
 
+#: column block size of the triangular-pentagonal QR, capped at the column
+#: count (d + 1) because LAPACK requires it; 16 was the fastest of 8-201 at
+#: the reference shape (201 columns, 625 rows, one thread)
+TPQRT_BLOCK = 16
+
+
 class RlsEstimator:
     """Recursive least squares kept in square-root (QR) form.
 
     The normal-equation information matrix is never formed.  The state is an
     upper-triangular factor ``R`` and transformed right-hand side ``z`` such
-    that the current estimate ``w`` solves ``R w = z``.  Absorbing data scales
-    the prior by sqrt(forgetting) per sample and re-triangularizes the stacked
-    system with one orthogonal factorization, which is numerically equivalent
-    to the classic Givens-rotation update sequence.
+    that the current estimate ``w`` solves ``R w = z``.  Absorbing a block
+    scales the prior by sqrt(forgetting) per sample and takes one
+    triangular-pentagonal QR (LAPACK ``dtpqrt``) of the prior triangle
+    ``[R z]`` over the weighted new rows ``[phi y]``: the orthogonal
+    transform touches only the triangle and the new rows, never the zeros
+    below the diagonal, and is numerically equivalent to the classic
+    Givens-rotation update sequence.
 
     The factor is initialized to ``init_scale * I`` so the first solves are
     well posed without meaningfully biasing long-run estimates.
@@ -112,22 +133,29 @@ class RlsEstimator:
         if b == 0:
             return
 
-        lam = self.forgetting
-        stacked = np.empty((self.dim + b, self.dim + 1))
+        d, lam = self.dim, self.forgetting
+        # dtpqrt reads and writes only the upper triangle, so the zeros
+        # below the diagonal stay zero
+        prior = np.zeros((d + 1, d + 1), order="F")
         prior_scale = lam ** (0.5 * b)
-        stacked[: self.dim, : self.dim] = prior_scale * self.factor
-        stacked[: self.dim, self.dim] = prior_scale * self.rhs
+        prior[:d, :d] = prior_scale * self.factor
+        prior[:d, d] = prior_scale * self.rhs
+        rows = np.empty((b, d + 1), order="F")
         w = lam ** (0.5 * (b - 1 - np.arange(b)))
-        stacked[self.dim :, : self.dim] = w[:, None] * phi
-        stacked[self.dim :, self.dim] = w * y
+        np.multiply(w[:, None], phi, out=rows[:, :d])
+        np.multiply(w, y, out=rows[:, d])
 
-        r = sla.qr(stacked, mode="r", check_finite=False)[0]
+        r, _, _, info = lapack.dtpqrt(
+            0, min(TPQRT_BLOCK, d + 1), prior, rows, overwrite_a=1, overwrite_b=1
+        )
+        if info != 0:
+            raise RuntimeError(f"dtpqrt rejected argument {-info}")
         # One triangular factor per information matrix; fix signs so the
         # diagonal is positive and the factor is unique.
-        diag = np.diagonal(r)[: self.dim]
+        diag = np.diagonal(r)[:d]
         flip = np.where(diag < 0.0, -1.0, 1.0)
-        self.factor = flip[:, None] * r[: self.dim, : self.dim]
-        self.rhs = flip * r[: self.dim, self.dim]
+        self.factor = flip[:, None] * r[:d, :d]
+        self.rhs = flip * r[:d, d]
 
         adiag = np.abs(np.diagonal(self.factor))
         if adiag.min() < self.DEGENERATE_RTOL * adiag.max():
@@ -258,3 +286,88 @@ def run_lengths(mask: np.ndarray, carry=0) -> np.ndarray:
     count = np.arange(1, mask.shape[0] + 1).reshape((-1,) + (1,) * (mask.ndim - 1))
     last_quiet = np.maximum.accumulate(np.where(mask, 0, count), axis=0)
     return count - last_quiet + np.where(last_quiet == 0, carry, 0)
+
+
+class _Openblas(NamedTuple):
+    """Thread controls of one bundled OpenBLAS library."""
+
+    package: str
+    library: str
+    corename: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+#: symbol spellings of the scipy-openblas wheels; numpy's ILP64 build adds ``64_``
+_OPENBLAS_SYMBOLS = ("scipy_openblas{}64_", "scipy_openblas{}")
+
+
+@functools.cache
+def _openblas_libraries() -> tuple[tuple[_Openblas, ...], tuple[str, ...]]:
+    """numpy's and scipy's OpenBLAS from their ``<package>.libs``; the packages not found."""
+    import ctypes
+    from pathlib import Path
+
+    import scipy
+
+    found, missing = [], []
+    for package in (np, scipy):
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        paths = sorted(libs.glob("lib*openblas*.so*")) if libs.is_dir() else []
+        calls = {}
+        if paths:
+            lib = ctypes.CDLL(str(paths[0]))
+            for stem, restype, argtypes in (
+                ("_get_num_threads", ctypes.c_int, []),
+                ("_set_num_threads", None, [ctypes.c_int]),
+                ("_get_corename", ctypes.c_char_p, []),
+            ):
+                for pattern in _OPENBLAS_SYMBOLS:
+                    fn = getattr(lib, pattern.format(stem), None)
+                    if fn is not None:
+                        fn.restype, fn.argtypes = restype, argtypes
+                        calls[stem] = fn
+                        break
+        if len(calls) < 3:
+            log.warning("no OpenBLAS thread control found for %s", package.__name__)
+            missing.append(package.__name__)
+            continue
+        found.append(
+            _Openblas(
+                package=package.__name__,
+                library=paths[0].name,
+                corename=calls["_get_corename"]().decode(),
+                get_threads=calls["_get_num_threads"],
+                set_threads=calls["_set_num_threads"],
+            )
+        )
+    return tuple(found), tuple(missing)
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the body with one thread in each bundled OpenBLAS, then restore the counts.
+
+    The counts in effect on entry come back on exit, also when the body
+    raises.  They are process-wide: bodies running in concurrent threads
+    share them.  The libraries are looked up on first use, not at import.
+    Yields the telemetry of the pin: the thread count, each library's file
+    name and CPU kernel (``corename``, which can still change bits across
+    machines), and the packages whose library was not found.
+    """
+    libraries, missing = _openblas_libraries()
+    before = [lib.get_threads() for lib in libraries]
+    for lib in libraries:
+        lib.set_threads(1)
+    try:
+        yield {
+            "blas_threads": 1,
+            "blas_libraries": {
+                lib.package: {"library": lib.library, "corename": lib.corename}
+                for lib in libraries
+            },
+            "blas_missing": list(missing),
+        }
+    finally:
+        for lib, count in zip(libraries, before):
+            lib.set_threads(count)

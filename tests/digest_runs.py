@@ -9,15 +9,10 @@ fault from the first sample) and then ``compare_modes`` on the default
 runs), A2 (60 fault runs), A5, A6, A7 (20 warm and 20 cold) and A9.
 
 Each output line is ``<artifact> <sha256>``: one per series, coefficient
-history, tuning snapshot, report, reduction table and bank entry.  BLAS runs
-on one thread, because the bits depend on the thread count.  With
+history, tuning snapshot, report, reduction table and bank entry.  With
 ``--against FILE`` the lines are compared with an earlier output and the
 exit status is 1 on any difference.  pytest does not collect this file.
 """
-
-import os
-
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads its BLAS
 
 import argparse
 import hashlib

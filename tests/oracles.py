@@ -2,10 +2,13 @@
 
 The library advances every block over whole chunks of samples.  These
 references follow the defining recursions one sample at a time, so tests
-can pin the chunked code to them at arbitrary chunk boundaries.
+can pin the chunked code to them at arbitrary chunk boundaries.  The RLS
+block update has a dense reference here too: one QR of the whole stacked
+system, which the library's structured QR must reproduce.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 
 class DeltaBuffers:
@@ -41,6 +44,28 @@ class DeltaBuffers:
         dy = y_seq[self.P :] - y_seq[: self.p + 1]
         regressors = np.concatenate([du[:-1], dy[:-1]], axis=0).T.copy()
         return regressors, dy[-1].copy()
+
+
+def stacked_qr_update(factor, rhs, regressors, observations, forgetting):
+    """Square-root RLS block update by one dense QR of the stacked system.
+
+    Stacks the forgotten prior ``[R z]`` over the weighted new rows
+    ``[phi y]`` (row i of a block of B weighted by forgetting**((B-1-i)/2)),
+    takes the R factor of the whole stack and flips row signs so the
+    diagonal is positive.  Returns the new (factor, rhs).
+    """
+    d = factor.shape[0]
+    b = regressors.shape[0]
+    stacked = np.empty((d + b, d + 1))
+    prior_scale = forgetting ** (0.5 * b)
+    stacked[:d, :d] = prior_scale * factor
+    stacked[:d, d] = prior_scale * rhs
+    w = forgetting ** (0.5 * (b - 1 - np.arange(b)))
+    stacked[d:, :d] = w[:, None] * regressors
+    stacked[d:, d] = w * observations
+    r = sla.qr(stacked, mode="r")[0]
+    flip = np.where(np.diagonal(r)[:d] < 0.0, -1.0, 1.0)
+    return flip[:, None] * r[:d, :d], flip * r[:d, d]
 
 
 def apply_pas_fault(u, fault, k):

@@ -75,6 +75,11 @@ def test_tune_run_compare_psd_flow(tmp_path, config_path, capsys):
     )
     report = json.loads(report_path.read_text())
     assert report["d_fd"] == 3
+    telemetry = [
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("telemetry: ")
+    ]
+    assert len(telemetry) == 1
+    assert json.loads(telemetry[0].removeprefix("telemetry: "))["blas_threads"] == 1
 
     out_dir = tmp_path / "cmp"
     assert (

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_stabilizing_riccati
+from oracles import stacked_qr_update
 from pitchftc.numerics import (
     DareError,
     RlsEstimator,
@@ -86,6 +87,30 @@ class TestRlsEstimator:
         est = RlsEstimator(dim=2)
         with pytest.raises(ValueError):
             est.update_block(np.array([[1.0, 2.0, 3.0]]), np.array([0.0]))
+
+
+@given(
+    d=st.integers(1, 40),
+    data=st.data(),
+    forgetting=st.sampled_from((1.0, 0.999, 0.99999)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_update_matches_stacked_qr_oracle(d, data, forgetting, seed):
+    # d + 1 crosses the QR block size (16) inside this range
+    b = data.draw(st.integers(1, 3 * (d + 1)), label="block rows")
+    rng = np.random.default_rng(seed)
+    prior = np.triu(rng.normal(size=(d, d)))
+    prior[np.diag_indices(d)] = 1.0 + np.abs(prior.diagonal())
+    est = RlsEstimator(dim=d, forgetting=forgetting)
+    est.factor, est.rhs = prior, rng.normal(size=d)
+    phi, y = rng.normal(size=(b, d)), rng.normal(size=b)
+
+    factor, rhs = stacked_qr_update(est.factor, est.rhs, phi, y, forgetting)
+    est.update_block(phi, y)
+    assert (np.diagonal(est.factor) > 0.0).all()
+    assert np.abs(est.factor - factor).max() <= 1e-12 * np.abs(factor).max()
+    assert np.abs(est.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 class TestSolveDare:
