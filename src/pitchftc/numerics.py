@@ -3,8 +3,12 @@
 Everything here is plain linear algebra with no knowledge of turbines:
 
 - square-root recursive least squares with exponential forgetting, each
-  block absorbed by one triangular-pentagonal QR (LAPACK ``dtpqrt``),
-- a stabilizing discrete Riccati solve (scipy) with a closed-loop check,
+  block absorbed in place by one triangular-pentagonal QR (LAPACK
+  ``dtpqrt``) of a persistent column-major triangle,
+- a stabilizing discrete Riccati solve with a closed-loop check: the
+  generalized-Schur algorithm of ``scipy.linalg.solve_discrete_are`` on
+  direct LAPACK calls, which gives its bits without its per-call wrapper
+  overhead (scipy's solver stays the reference in the tests),
 - zero-order-hold discretization of a second-order lag with a lead zero,
 - averaged-periodogram power spectral density estimation,
 - lengths of unbroken runs in a boolean stream, carried across chunks,
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -91,6 +96,10 @@ class RlsEstimator:
     below the diagonal, and is numerically equivalent to the classic
     Givens-rotation update sequence.
 
+    ``[R z]`` lives in one persistent column-major (dim+1) x (dim+1) array
+    that ``dtpqrt`` overwrites in place; ``factor`` and ``rhs`` read copies
+    of its blocks and assign into them.
+
     The factor is initialized to ``init_scale * I`` so the first solves are
     well posed without meaningfully biasing long-run estimates.
     """
@@ -107,21 +116,46 @@ class RlsEstimator:
             raise ValueError("init_scale must be positive")
         self.dim = int(dim)
         self.forgetting = float(forgetting)
-        self.factor = init_scale * np.eye(self.dim)
-        self.rhs = np.zeros(self.dim)
+        # [R z] over a last row that holds only the residual norm in its corner
+        self._tri = np.zeros((self.dim + 1, self.dim + 1), order="F")
+        np.fill_diagonal(self._tri[: self.dim, : self.dim], init_scale)
         self.degenerate = False
+
+    @property
+    def factor(self) -> np.ndarray:
+        """Copy of the triangular factor R (dim x dim)."""
+        return self._tri[: self.dim, : self.dim].copy(order="F")
+
+    @factor.setter
+    def factor(self, value: np.ndarray) -> None:
+        self._tri[: self.dim, : self.dim] = value
+
+    @property
+    def rhs(self) -> np.ndarray:
+        """Copy of the transformed right-hand side z (dim,)."""
+        return self._tri[: self.dim, self.dim].copy()
+
+    @rhs.setter
+    def rhs(self, value: np.ndarray) -> None:
+        self._tri[: self.dim, self.dim] = value
 
     @property
     def estimate(self) -> np.ndarray:
         """Current least-squares solution (row vector of length dim)."""
-        return sla.solve_triangular(self.factor, self.rhs, check_finite=False)
+        d = self.dim
+        # the first d columns are column-major with leading dimension d + 1,
+        # so LAPACK solves on the stored triangle without a copy
+        w, info = lapack.dtrtrs(self._tri[:, :d], self._tri[:d, d])
+        if info > 0:
+            raise sla.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        return w
 
     def update_block(self, regressors: np.ndarray, observations: np.ndarray) -> None:
         """Absorb a block of rows in chronological order.
 
         Equivalent to absorbing the rows one at a time: sample i of a block
         of length B carries weight forgetting**(B-1-i) and the prior is
-        scaled by forgetting**B.
+        scaled by forgetting**B.  Column-major regressors are copied fastest.
         """
         phi = np.asarray(regressors, dtype=float)
         y = np.asarray(observations, dtype=float).reshape(-1)
@@ -133,31 +167,28 @@ class RlsEstimator:
         if b == 0:
             return
 
-        d, lam = self.dim, self.forgetting
+        d, lam, tri = self.dim, self.forgetting, self._tri
         # dtpqrt reads and writes only the upper triangle, so the zeros
-        # below the diagonal stay zero
-        prior = np.zeros((d + 1, d + 1), order="F")
-        prior_scale = lam ** (0.5 * b)
-        prior[:d, :d] = prior_scale * self.factor
-        prior[:d, d] = prior_scale * self.rhs
+        # below the diagonal stay zero.  The corner tri[d, d] carries the
+        # forgotten residual norm: a column's reflector touches only its own
+        # row of the triangle, so the corner never reaches R or z.
+        tri *= lam ** (0.5 * b)
         rows = np.empty((b, d + 1), order="F")
         w = lam ** (0.5 * (b - 1 - np.arange(b)))
         np.multiply(w[:, None], phi, out=rows[:, :d])
         np.multiply(w, y, out=rows[:, d])
 
-        r, _, _, info = lapack.dtpqrt(
-            0, min(TPQRT_BLOCK, d + 1), prior, rows, overwrite_a=1, overwrite_b=1
+        _, _, _, info = lapack.dtpqrt(
+            0, min(TPQRT_BLOCK, d + 1), tri, rows, overwrite_a=1, overwrite_b=1
         )
         if info != 0:
             raise RuntimeError(f"dtpqrt rejected argument {-info}")
         # One triangular factor per information matrix; fix signs so the
         # diagonal is positive and the factor is unique.
-        diag = np.diagonal(r)[:d]
-        flip = np.where(diag < 0.0, -1.0, 1.0)
-        self.factor = flip[:, None] * r[:d, :d]
-        self.rhs = flip * r[:d, d]
+        diag = np.diagonal(tri)[:d]
+        tri[np.flatnonzero(diag < 0.0)] *= -1.0
 
-        adiag = np.abs(np.diagonal(self.factor))
+        adiag = np.abs(diag)
         if adiag.min() < self.DEGENERATE_RTOL * adiag.max():
             self.degenerate = True
 
@@ -166,8 +197,9 @@ class RlsEstimator:
         w = np.asarray(estimate, dtype=float).reshape(-1)
         if w.shape[0] != self.dim:
             raise ValueError(f"estimate must have length {self.dim}")
-        self.factor = confidence * np.eye(self.dim)
-        self.rhs = confidence * w
+        self._tri[:] = 0.0
+        np.fill_diagonal(self._tri[: self.dim, : self.dim], confidence)
+        self._tri[: self.dim, self.dim] = confidence * w
         self.degenerate = False
 
 
@@ -184,37 +216,166 @@ def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray
     return 0.5 * (M + M.T)
 
 
+def _lapack_call(name: str, routine, *args, **kwargs) -> tuple:
+    """One LAPACK call through its scipy wrapper, with a workspace query first.
+
+    The query sizes the workspace as scipy's own wrappers do, so the
+    blocked and unblocked code paths, and with them the bits, are theirs.
+    """
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    result = routine(*args, lwork=int(work[0]), **kwargs)
+    if result[-1] < 0:
+        raise ValueError(f"illegal value in argument {-result[-1]} of {name}")
+    return result
+
+
+def _iuc(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Generalized eigenvalues alpha/beta strictly inside the unit circle."""
+    inside = np.zeros(alpha.shape, dtype=bool)
+    finite = beta != 0
+    inside[finite] = abs(alpha[finite] / beta[finite]) < 1.0
+    return inside
+
+
+def _stabilizing_solution(
+    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray
+) -> np.ndarray:
+    """Stabilizing Riccati solution by the generalized-Schur method.
+
+    The algorithm of ``scipy.linalg.solve_discrete_are``, step for step on
+    its LAPACK routines: the extended symplectic pencil with Benner's
+    symmetric balancing (``dgebal``), deflation of the input columns
+    (``dgeqrf``/``dorgqr``), the QZ decomposition (``dgges``) reordered to
+    put the eigenvalues inside the unit circle first (``dtgsen``), and the
+    LU solve of the stable basis (``dgetrf``, ``dtrtrs``).  Its conditioning
+    and symmetry checks raise ``DareError`` where scipy raises.
+    """
+    n, m = B.shape
+    H = np.zeros((2 * n + m, 2 * n + m))
+    H[:n, :n] = A
+    H[:n, 2 * n :] = B
+    H[n : 2 * n, :n] = -Q
+    H[n : 2 * n, n : 2 * n] = np.eye(n)
+    H[2 * n :, 2 * n :] = R
+    J = np.zeros_like(H)
+    J[:n, :n] = np.eye(n)
+    J[n : 2 * n, n : 2 * n] = A.T
+    J[2 * n :, n : 2 * n] = -B.T
+
+    # balance |H| + |J| without its diagonal, then impose diag(D, D^-1) on
+    # the state blocks so the pencil stays symplectic; the scalings are
+    # powers of two, so "not all one" is scipy's allclose test
+    M = np.abs(H) + np.abs(J)
+    np.fill_diagonal(M, 0.0)
+    _, lo, hi, pivscale, info = lapack.dgebal(M, scale=1, permute=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgebal")
+    sca = np.ones(2 * n + m)
+    sca[lo : hi + 1] = pivscale[lo : hi + 1]
+    rescaled = bool(np.any(sca != 1.0))
+    if rescaled:
+        sca = np.log2(sca)
+        s = np.round((sca[n : 2 * n] - sca[:n]) / 2)
+        sca = 2 ** np.r_[s, -s, sca[2 * n :]]
+        elwisescale = sca[:, None] * np.reciprocal(sca)
+        H *= elwisescale
+        J *= elwisescale
+
+    # deflate the pencil by the R columns
+    qr, tau, _, _ = _lapack_call("dgeqrf", lapack.dgeqrf, H[:, -m:])
+    full = np.empty((2 * n + m, 2 * n + m), order="F")
+    full[:, :m] = qr
+    q_of_qr, _, _ = _lapack_call("dorgqr", lapack.dorgqr, full, tau, overwrite_a=1)
+    H = q_of_qr[:, m:].T.dot(H[:, : 2 * n])
+    J = q_of_qr[:, m:].T.dot(J[:, : 2 * n])
+
+    def no_sort(alphar, alphai, beta):
+        return None
+
+    AA, BB, _, alphar, alphai, beta, Q_, Z_, _, info = _lapack_call(
+        "dgges", lapack.dgges, no_sort, H, J, overwrite_a=1, overwrite_b=1, sort_t=0
+    )
+    if 0 < info <= 2 * n:
+        warnings.warn(
+            "The QZ iteration failed. (a,b) are not in Schur form, but ALPHAR(j), "
+            f"ALPHAI(j), and BETA(j) should be correct for J={info - 1},...,N",
+            sla.LinAlgWarning,
+            stacklevel=3,
+        )
+    elif info > 2 * n:
+        raise DareError("no stabilizing solution: QZ iteration failed")
+    select = _iuc(alphar + alphai * 1.0j, beta)
+    *_, u, _, _, _, _, info = lapack.dtgsen(
+        select, AA, BB, Q_, Z_, ijob=0, lwork=8 * n + 16, liwork=1
+    )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtgsen")
+    if info == 1:
+        raise DareError("no stabilizing solution: the eigenvalue reordering failed")
+
+    if not np.isfinite(u[:, :n]).all():
+        raise DareError("no stabilizing solution: the stable basis is not finite")
+    u00 = u[:n, :n]
+    u10 = u[n:, :n]
+    lu, piv, _ = lapack.dgetrf(u00)
+    if 1 / np.linalg.cond(np.triu(lu)) < np.spacing(1.0):
+        raise DareError("no stabilizing solution: failed to find a finite solution")
+    # x = u10 u00^-1 through the transposed factors: U^T and L^T (unit diagonal)
+    lu_t = lu.T.copy(order="F")
+    y, info = lapack.dtrtrs(lu_t, u10.T, lower=1)
+    if info == 0:
+        y, info = lapack.dtrtrs(lu_t, y, unitdiag=1)
+    if info > 0:
+        raise DareError(f"no stabilizing solution: singular basis at diagonal {info - 1}")
+    order = np.arange(n)
+    for i, j in enumerate(piv):
+        order[i], order[j] = order[j], order[i]
+    # the row permutation as a matrix product, as scipy applies it: the
+    # product, unlike indexing, turns a -0.0 entry into +0.0
+    perm = np.zeros((n, n))
+    perm[order, np.arange(n)] = 1.0
+    x = y.T.dot(perm.T)
+    if rescaled:
+        x *= sca[:n, None] * sca[:n]
+
+    # the Lagrangian basis of a stabilizing solution is symmetric: u00' u10 = u10' u00
+    u_sym = u00.T.dot(u10)
+    sym_threshold = max(np.spacing(1000.0), 0.1 * np.abs(u_sym).sum(axis=0).max())
+    if np.abs(u_sym - u_sym.T).sum(axis=0).max() > sym_threshold:
+        raise DareError(
+            "no stabilizing solution: the symplectic pencil has eigenvalues "
+            "too close to the unit circle"
+        )
+    return (x + x.T) / 2
+
+
 def solve_dare(
     A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
-    Returns (P, K) with K = (R + B'PB)^-1 B'PA, where P is scipy's
-    stabilizing solution and A - BK is checked to have spectral radius below
+    Returns (P, K) with K = (R + B'PB)^-1 B'PA, where P is the stabilizing
+    solution of ``scipy.linalg.solve_discrete_are``'s algorithm (run here on
+    direct LAPACK calls) and A - BK is checked to have spectral radius below
     one.  A pair with no stabilizing solution raises ``DareError``.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = _check_symmetric(Q, "Q")
     R = _check_symmetric(R, "R")
-    n = A.shape[0]
-    if A.shape != (n, n) or B.shape[0] != n:
-        raise ValueError("A must be n x n and B must have n rows")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("A and B must be finite")
-    if np.any(sla.eigvalsh(Q) < -1e-10 * max(1.0, np.max(np.abs(Q)))):
+    n, m = B.shape
+    if A.shape != (n, n) or Q.shape != (n, n) or R.shape != (m, m):
+        raise ValueError("A and Q must be n x n, B n x m and R m x m")
+    if not all(np.isfinite(M).all() for M in (A, B, Q, R)):
+        raise ValueError("A, B, Q and R must be finite")
+    if np.any(np.linalg.eigvalsh(Q) < -1e-10 * max(1.0, np.max(np.abs(Q)))):
         raise ValueError("Q must be positive semidefinite")
     try:
-        sla.cholesky(R, lower=True)
-    except sla.LinAlgError as exc:
+        np.linalg.cholesky(R)
+    except np.linalg.LinAlgError as exc:
         raise ValueError("R must be positive definite") from exc
 
-    try:
-        P = sla.solve_discrete_are(A, B, Q, R)
-    except (sla.LinAlgError, ValueError) as exc:
-        # ordqz reports an ill-conditioned reordering as ValueError
-        raise DareError(f"no stabilizing solution: {exc}") from exc
-
+    P = _stabilizing_solution(A, B, Q, R)
     BtP = B.T @ P
     K = np.linalg.solve(R + BtP @ B, BtP @ A)
     closed = A - B @ K

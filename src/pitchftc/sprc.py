@@ -78,20 +78,26 @@ def build_regressor_block(
     [du(k-p) ... du(k-1), dy(k-p) ... dy(k-1)] and the target is dy(k),
     where d is the difference across one rotor period.  Returns
     (regressors (n, 2p, 3), targets (n, 3)); requires
-    lo >= period_samples + past_window.
+    lo >= period_samples + past_window.  The regressors are stored blade by
+    blade in column-major order, so ``regressors[:, :, b]`` is a
+    Fortran-contiguous (n, 2p) block whose column j is one shifted slice of
+    blade b's differenced series.
     """
     P, p = period_samples, past_window
     if lo < P + p:
         raise ValueError("window start precedes buffer warm-up")
     if hi <= lo:
         return np.zeros((0, 2 * p, 3)), np.zeros((0, 3))
-    du = u_series[lo - p : hi - 1] - u_series[lo - p - P : hi - 1 - P]
-    dy = y_series[lo - p : hi - 1] - y_series[lo - p - P : hi - 1 - P]
-    win_u = np.lib.stride_tricks.sliding_window_view(du, p, axis=0)
-    win_y = np.lib.stride_tricks.sliding_window_view(dy, p, axis=0)
-    regressors = np.concatenate([win_u, win_y], axis=2).transpose(0, 2, 1)
+    n = hi - lo
+    blocks = np.empty((3, 2 * p, n))
+    for half, series in enumerate((u_series, y_series)):
+        # (3, n + p - 1): each blade's differenced series, contiguous in time
+        diff = np.ascontiguousarray((series[lo - p : hi - 1] - series[lo - p - P : hi - 1 - P]).T)
+        blocks[:, half * p : (half + 1) * p, :] = np.lib.stride_tricks.sliding_window_view(
+            diff, n, axis=1
+        )
     targets = y_series[lo:hi] - y_series[lo - P : hi - P]
-    return regressors, targets
+    return blocks.transpose(2, 1, 0), targets
 
 
 class MarkovIdentifier:
@@ -169,16 +175,13 @@ def build_lifted(
     conv[0, :] = 0.0
     s_h = project(basis, conv)
 
-    eye2 = np.eye(2)
-    zero2 = np.zeros((2, 2))
-    a_lift = np.block(
-        [
-            [eye2, s_u, s_y],
-            [zero2, zero2, zero2],
-            [zero2, s_u, s_y],
-        ]
-    )
-    b_lift = np.vstack([s_h, eye2, s_h])
+    a_lift = np.zeros((6, 6))
+    a_lift[0, 0] = a_lift[1, 1] = 1.0
+    a_lift[0:2, 2:4] = a_lift[4:6, 2:4] = s_u
+    a_lift[0:2, 4:6] = a_lift[4:6, 4:6] = s_y
+    b_lift = np.empty((6, 2))
+    b_lift[0:2] = b_lift[4:6] = s_h
+    b_lift[2:4] = np.eye(2)
     return a_lift, b_lift
 
 

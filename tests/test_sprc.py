@@ -111,24 +111,33 @@ class TestDeltaBuffers:
                 regressors, _ = out
                 np.testing.assert_array_equal(regressors[2, :p], 0.0)
 
-    def test_matches_block_builder(self):
-        P, p = 30, 7
-        rng = np.random.default_rng(2)
-        n = 150
+    @given(
+        P=st.integers(4, 40),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_block_builder(self, P, data, seed):
+        # the block builder copies shifted slices of the differenced series,
+        # so it must reproduce the per-sample regressors bit for bit
+        p = data.draw(st.integers(1, P - 1), label="past window")
+        n = P + p + data.draw(st.integers(0, 3 * P), label="samples after warm-up")
+        lo = data.draw(st.integers(P + p, n), label="lo")
+        hi = data.draw(st.integers(lo, n), label="hi")
+        rng = np.random.default_rng(seed)
         u = rng.normal(size=(n, 3))
         y = rng.normal(size=(n, 3))
         buf = DeltaBuffers(P, p)
-        stepwise = []
-        for k in range(n):
-            out = buf.update(u[k], y[k])
-            if out is not None:
-                stepwise.append(out)
-        lo = P + p
-        regressors, targets = build_regressor_block(u, y, lo, n, P, p)
-        assert len(stepwise) == n - lo
-        for i, (reg, tgt) in enumerate(stepwise):
-            np.testing.assert_allclose(regressors[i].T, reg, atol=1e-12)
-            np.testing.assert_allclose(targets[i], tgt, atol=1e-12)
+        stepwise = [buf.update(u[k], y[k]) for k in range(hi)]
+
+        regressors, targets = build_regressor_block(u, y, lo, hi, P, p)
+        assert regressors.shape == (hi - lo, 2 * p, 3)
+        assert targets.shape == (hi - lo, 3)
+        for blade in range(3):
+            assert regressors[:, :, blade].flags.f_contiguous
+        for i, (reg, tgt) in enumerate(stepwise[lo:hi]):
+            np.testing.assert_array_equal(regressors[i].T, reg)
+            np.testing.assert_array_equal(targets[i], tgt)
 
 
 class TestIdentification:
