@@ -81,7 +81,11 @@ def _cmd_psd(args) -> int:
     name, blade = args.column[:-1], args.column[-1:]
     if name not in series or series[name].ndim != 2 or blade not in ("1", "2", "3"):
         raise SystemExit(f"unknown column {args.column!r}")
-    freqs, power = psd_estimate(series[name][:, int(blade) - 1], fs=args.fs, segment=args.segment)
+    t = series["t"]  # read_csv checks that t is k times the sample time
+    if t.size < 2:
+        raise SystemExit("a PSD needs at least two samples")
+    column = series[name][:, int(blade) - 1]
+    freqs, power = psd_estimate(column, fs=1.0 / t[1], segment=args.segment)
     out = args.out or f"{args.column}_psd.csv"
     np.savetxt(out, np.column_stack([freqs, power]), delimiter=",", header="freq_hz,power", comments="")
     print(f"PSD of {args.column} written to {out}")
@@ -120,7 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("psd", help="power spectral density of a CSV column")
     p.add_argument("--csv", required=True)
     p.add_argument("--column", required=True, help="for example y1 or sprc2")
-    p.add_argument("--fs", type=float, default=100.0)
     p.add_argument("--segment", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_psd)

@@ -11,10 +11,11 @@ crossing blade to be the only one above its threshold, and the resulting
 decision latches for the rest of the run.
 
 The threshold depends only on the bounds and the sample index, so a run
-computes it once.  The surrogate's observer model is the actuator model and
-starts settled, so a live run declares only the measurement bound
-``noise_multiplier * residual_noise_std``; the transient term is then
-exactly zero and is not computed.  The transient bounds serve the
+computes it once, as one (n,) series: the blades share model and gain, so
+one threshold per sample serves all three.  The surrogate's observer model
+is the actuator model and starts settled, so a live run declares only the
+measurement bound ``noise_multiplier * residual_noise_std``; the transient
+term is then exactly zero and is not computed.  The transient bounds serve the
 threshold's tests, which pin it to the per-sample recursion of
 ``tests/oracles.FdieOracle`` that acceptance check A3 verifies.
 """
@@ -240,13 +241,19 @@ class DecisionFuser:
         self._runs = np.zeros(3, dtype=int)  # crossing runs carried into the next chunk
 
     def scan_chunk(self, residuals: np.ndarray, thresholds: np.ndarray, k_start: int) -> int:
-        """Process aligned (n, 3) residual/threshold blocks; stops once latched.
+        """Process an (n, 3) residual block against its (n,) thresholds; stops once latched.
 
-        Returns the decision d_fd.
+        The threshold of a sample is shared by the three blades.  Any other
+        shape raises ValueError: a per-blade (3,) or (n, 3) threshold would
+        otherwise broadcast silently against a 3-row chunk.  Returns the
+        decision d_fd.
         """
+        rows = residuals.shape[:1]
+        if residuals.shape != rows + (3,) or thresholds.shape != rows:
+            raise ValueError("scan_chunk takes (n, 3) residuals and (n,) thresholds")
         if self.d_fd != 0:
             return self.d_fd
-        crossing = np.abs(residuals) > thresholds
+        crossing = np.abs(residuals) > thresholds[:, None]
         if not crossing.any() and not self._runs.any():
             return self.d_fd
         runs = run_lengths(crossing, self._runs)

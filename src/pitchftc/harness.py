@@ -60,9 +60,10 @@ __all__ = [
 
 MODES = ("baseline", "sprc_only", "proposed", "offline_tune")
 
-CSV_SCHEMA = "pitchftc-timeseries-v1"
-_SERIES = ("u_ref", "u_act", "u_meas", "y", "sprc", "prbs", "r", "rbar", "ident_res")
-_CSV_COLUMNS = ["k", "t", *(f"{name}{b}" for name in _SERIES for b in (1, 2, 3)), "dfd"]
+CSV_SCHEMA = "pitchftc-timeseries-v2"
+#: the (N, 3) series, one column per blade; the threshold rbar is one (N,) series
+_BLADE_SERIES = ("u_ref", "u_act", "u_meas", "y", "sprc", "prbs", "r", "ident_res")
+_CSV_COLUMNS = ["k", "t", *(f"{n}{b}" for n in _BLADE_SERIES for b in (1, 2, 3)), "rbar", "dfd"]
 _CSV_ROW = ",".join(["%d"] + ["%.17g"] * (len(_CSV_COLUMNS) - 2) + ["%d"]) + "\n"
 _CSV_CHUNK_ROWS = 4096
 
@@ -335,11 +336,11 @@ def _simulate(cfg: RunConfig, bank) -> RunResult:
     meas_noise = rng_meas.normal(0.0, sigma, size=(N, 3))
     prbs = generate_prbs(N, rng_prbs, Ts=cfg.Ts) if sprc_active else np.zeros((N, 3))
 
-    series = {name: prbs if name == "prbs" else np.zeros((N, 3)) for name in _SERIES}
+    series = {name: prbs if name == "prbs" else np.zeros((N, 3)) for name in _BLADE_SERIES}
     # the observer model is exact and starts settled, so the threshold is the
     # measurement bound alone: the residual noise, which depends on the gain, scaled
     meas_bound = cfg.noise_multiplier * residual_noise_std(actuator.model, fdie.gain, sigma)
-    series["rbar"][:] = fdie.threshold(FdiBounds(meas_noise=meas_bound), N)[:, None]
+    series["rbar"] = fdie.threshold(FdiBounds(meas_noise=meas_bound), N)
     n_periods = N // P
     coeff_history = np.zeros((n_periods, 3, 2))
 
@@ -534,18 +535,23 @@ def report_from_series(
     the residual crossings, saturation from the actuated pitch.  Only the
     controller tallies (gain failures, factor degeneracy, the switch record
     and the offline-tuning convergence period) are not in the series; they
-    are supplied by the caller and default to "nothing happened".
+    are supplied by the caller and default to "nothing happened".  The
+    threshold ``rbar`` is one (N,) series shared by the blades; anything
+    but a positive value per sample raises ValueError.
     """
     P = cfg.period_samples
     end = series["y"].shape[0]
     k0 = cfg.fault_sample
     settle = cfg.settle_periods * P
+    rbar = series["rbar"]
+    if rbar.shape != (end,) or not (rbar > 0).all():
+        raise ValueError("rbar must hold one positive threshold per sample")
 
     n_periods = end // P
     periods = series["sprc"][: n_periods * P].reshape(n_periods, P, 3)
     coeff_history = project(build_basis(P), periods).transpose(0, 2, 1)
 
-    crossing = np.abs(series["r"]) > series["rbar"]
+    crossing = np.abs(series["r"]) > rbar[:, None]
     d_fd, k_d, decision_sample, ambiguous = decision_record(crossing, series["dfd"])
 
     u_act = series["u_act"]
@@ -568,9 +574,8 @@ def report_from_series(
     if end - comp_lo >= 6 * P:
         psd_peaks = [_psd_peak_1p(series["y"][comp_lo:end, b], cfg) for b in range(3)]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(series["r"][:healthy_hi]) / series["rbar"][:healthy_hi]
-    max_ratio = float(np.nanmax(ratio)) if ratio.size else 0.0
+    ratio = np.abs(series["r"][:healthy_hi]) / rbar[:healthy_hi, None]
+    max_ratio = float(ratio.max(initial=0.0))
 
     def quiet_from(history, start):
         return convergence_time(
@@ -690,12 +695,15 @@ def compare_modes(
 def write_csv(path: str | Path, series: dict, Ts: float) -> None:
     """Emit the per-sample time series with the fixed, versioned column set.
 
-    Every row has one format: k and dfd as integers, the other columns as
-    ``%.17g``, which reads back to the same float64 bit for bit.
+    The columns are ``k, t``, one triple per blade series, the threshold
+    ``rbar`` (one per sample, shared by the blades) and ``dfd``.  Every row
+    has one format: k and dfd as integers, the other columns as ``%.17g``,
+    which reads back to the same float64 bit for bit.
     """
     n = series["y"].shape[0]
     k = np.arange(n)
-    block = np.column_stack([k, k * Ts, *(series[name] for name in _SERIES), series["dfd"]])
+    blades = (series[name] for name in _BLADE_SERIES)
+    block = np.column_stack([k, k * Ts, *blades, series["rbar"], series["dfd"]])
     with open(path, "w", newline="\n") as handle:
         handle.write(f"# {CSV_SCHEMA}\n" + ",".join(_CSV_COLUMNS) + "\n")
         # formatted slice by slice, so only one slice at a time is Python floats
@@ -705,12 +713,15 @@ def write_csv(path: str | Path, series: dict, Ts: float) -> None:
 
 
 def read_csv(path: str | Path) -> dict:
-    """Read a time-series CSV back into the in-memory series layout.
+    """Read a time-series CSV back into the in-memory series layout, plus ``t``.
 
+    The blade series come back as (n, 3) arrays, the threshold ``rbar``
+    (shared by the blades), ``dfd`` and the sample times ``t`` as (n,).
     Raises ValueError unless the file holds the schema line, the fixed
-    header and at least one row, every row a number in each column, ``k``
-    counting the rows from 0 and ``dfd`` a blade number 0-3.  Files with
-    CRLF line ends or shortest-repr floats read back exactly too.
+    header and at least one row, every cell a finite number, ``k`` counting
+    the rows from 0, ``t`` equal to ``k * t[1]`` with ``t[1] > 0`` (``t[0]
+    == 0`` for one row) and ``dfd`` a blade number 0-3.  Files with CRLF
+    line ends or shortest-repr floats read back exactly too.
     """
     with open(path) as handle:
         schema = handle.readline().rstrip("\n").lstrip("# ")
@@ -722,10 +733,18 @@ def read_csv(path: str | Path) -> dict:
     n = data.shape[0]
     if n == 0 or data.shape[1] != len(_CSV_COLUMNS):
         raise ValueError(f"CSV body must hold rows of {len(_CSV_COLUMNS)} numbers")
+    if not np.isfinite(data).all():
+        raise ValueError("CSV cells must be finite numbers")
     if not np.array_equal(data[:, 0], np.arange(n)):
         raise ValueError("CSV column k must count the rows 0..n-1")
+    t = data[:, 1]
+    step = t[1] if n > 1 else 1.0
+    if not step > 0 or not np.array_equal(t, np.arange(n) * step):
+        raise ValueError("CSV column t must be k times a positive sample time")
     if not np.isin(data[:, -1], (0, 1, 2, 3)).all():
         raise ValueError("CSV column dfd must hold blade numbers 0-3")
-    series = {name: data[:, 2 + 3 * i : 5 + 3 * i].copy() for i, name in enumerate(_SERIES)}
+    series = {name: data[:, 2 + 3 * i : 5 + 3 * i].copy() for i, name in enumerate(_BLADE_SERIES)}
+    series["rbar"] = data[:, -2].copy()
     series["dfd"] = data[:, -1].astype(int)
+    series["t"] = t.copy()
     return series

@@ -90,7 +90,7 @@ def test_chunked_fuser_matches_per_sample_oracle(blocks, cuts, n_confirm):
     bits = [[(mask >> blade) & 1 for blade in range(3)] for mask, _ in blocks]
     crossing = np.repeat(np.array(bits, dtype=bool), [length for _, length in blocks], axis=0)
     n = crossing.shape[0]
-    residuals, thresholds = 2.0 * crossing, np.ones((n, 3))
+    residuals, thresholds = 2.0 * crossing, np.ones(n)
 
     fuser = DecisionFuser(n_confirm)
     edges = [0, *sorted(c for c in cuts if c < n), n]

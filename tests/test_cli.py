@@ -22,13 +22,28 @@ def config_path(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("column", ["y", "dfd", "k", "dfd1", "y0", "y4", "load1"])
+@pytest.mark.parametrize(
+    "column", ["y", "dfd", "k", "dfd1", "y0", "y4", "load1", "rbar1", "t"]
+)
 def test_psd_rejects_unknown_column(tmp_path, column):
     cfg = RunConfig(mode="baseline", duration_s=10.0, fault_blade=0)
     csv_path = tmp_path / "run.csv"
     write_csv(csv_path, run_simulation(cfg).series, cfg.Ts)
     with pytest.raises(SystemExit, match="unknown column"):
         cli.main(["psd", "--csv", str(csv_path), "--column", column])
+
+
+def test_psd_takes_the_sample_rate_from_the_csv(tmp_path):
+    # at Ts = 0.005 a fixed 100 Hz would put the 1P peak at 0.08 Hz
+    cfg = RunConfig(mode="baseline", Ts=0.005, duration_s=200.0, fault_blade=0)
+    csv_path, psd_out = tmp_path / "run.csv", tmp_path / "psd.csv"
+    write_csv(csv_path, run_simulation(cfg).series, cfg.Ts)
+    argv = ["psd", "--csv", str(csv_path), "--column", "y1", "--segment", "5000"]
+    assert cli.main(argv + ["--out", str(psd_out)]) == 0
+    data = np.loadtxt(psd_out, delimiter=",", skiprows=1)
+    assert data[np.argmax(data[:, 1]), 0] == pytest.approx(0.16, abs=0.02)
+    with pytest.raises(SystemExit):
+        cli.main(argv + ["--fs", "200"])
 
 
 def test_config_verb_writes_defaults(tmp_path, capsys):

@@ -246,7 +246,7 @@ class Scan:
     def scan_chunk(self, residuals, thresholds, k_start):
         if self.k_first is None:
             self.k_first = k_start
-        self.crossing = np.vstack([self.crossing, np.abs(residuals) > thresholds])
+        self.crossing = np.vstack([self.crossing, np.abs(residuals) > thresholds[:, None]])
         return self.fuser.scan_chunk(residuals, thresholds, k_start)
 
     @property
@@ -273,9 +273,9 @@ class Scan:
         return self._record()[3]
 
 
-def feed(fuser, residuals, thresholds, k):
-    """One sample through the chunked fuser."""
-    fuser.scan_chunk(np.atleast_2d(residuals), np.atleast_2d(thresholds), k)
+def feed(fuser, residuals, threshold, k):
+    """One sample through the chunked fuser; the threshold is shared by the blades."""
+    fuser.scan_chunk(np.atleast_2d(residuals), np.full(1, threshold), k)
     return fuser
 
 
@@ -283,17 +283,17 @@ class TestDecisionFuser:
     def test_all_below_stays_healthy(self):
         fuser = Scan(n_confirm=3)
         for k in range(50):
-            dec = feed(fuser, [0.1, -0.2, 0.05], [1.0, 1.0, 1.0], k)
+            dec = feed(fuser, [0.1, -0.2, 0.05], 1.0, k)
         assert dec.d_fd == 0 and dec.k_d is None and not dec.ambiguous
 
     def test_single_persistent_crossing_isolated_at_run_start(self):
         fuser = Scan(n_confirm=10)
         k = 89_990
         for _ in range(10):
-            feed(fuser, [0.1, 0.2, 0.1], [1.0, 1.0, 1.0], k)
+            feed(fuser, [0.1, 0.2, 0.1], 1.0, k)
             k += 1
         for _ in range(10):
-            dec = feed(fuser, [0.1, 0.2, 5.0], [1.0, 1.0, 1.0], k)
+            dec = feed(fuser, [0.1, 0.2, 5.0], 1.0, k)
             k += 1
         assert dec.d_fd == 3
         assert dec.k_d == 90_000
@@ -301,38 +301,38 @@ class TestDecisionFuser:
 
     def test_simultaneous_crossings_are_ambiguous(self):
         fuser = Scan(n_confirm=1)
-        dec = feed(fuser, [5.0, 5.0, 0.0], [1.0, 1.0, 1.0], 7)
+        dec = feed(fuser, [5.0, 5.0, 0.0], 1.0, 7)
         assert dec.ambiguous and dec.d_fd == 0
 
     def test_ambiguity_does_not_block_later_isolation(self):
         fuser = Scan(n_confirm=2)
-        feed(fuser, [5.0, 5.0, 0.0], [1.0, 1.0, 1.0], 0)
-        feed(fuser, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1)
-        feed(fuser, [0.0, 5.0, 0.0], [1.0, 1.0, 1.0], 2)
-        dec = feed(fuser, [0.0, 5.0, 0.0], [1.0, 1.0, 1.0], 3)
+        feed(fuser, [5.0, 5.0, 0.0], 1.0, 0)
+        feed(fuser, [0.0, 0.0, 0.0], 1.0, 1)
+        feed(fuser, [0.0, 5.0, 0.0], 1.0, 2)
+        dec = feed(fuser, [0.0, 5.0, 0.0], 1.0, 3)
         assert dec.d_fd == 2 and dec.k_d == 2 and dec.ambiguous
 
     def test_decision_latches(self):
         fuser = Scan(n_confirm=1)
-        feed(fuser, [5.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0)
-        dec = feed(fuser, [0.0, 9.0, 0.0], [1.0, 1.0, 1.0], 1)
+        feed(fuser, [5.0, 0.0, 0.0], 1.0, 0)
+        dec = feed(fuser, [0.0, 9.0, 0.0], 1.0, 1)
         assert dec.d_fd == 1 and dec.k_d == 0
 
     def test_interrupted_run_restarts(self):
         fuser = Scan(n_confirm=3)
-        feed(fuser, [0, 0, 5.0], [1, 1, 1], 0)
-        feed(fuser, [0, 0, 5.0], [1, 1, 1], 1)
-        feed(fuser, [0, 0, 0.0], [1, 1, 1], 2)  # dip resets the counter
-        feed(fuser, [0, 0, 5.0], [1, 1, 1], 3)
-        feed(fuser, [0, 0, 5.0], [1, 1, 1], 4)
-        dec = feed(fuser, [0, 0, 5.0], [1, 1, 1], 5)
+        feed(fuser, [0, 0, 5.0], 1, 0)
+        feed(fuser, [0, 0, 5.0], 1, 1)
+        feed(fuser, [0, 0, 0.0], 1, 2)  # dip resets the counter
+        feed(fuser, [0, 0, 5.0], 1, 3)
+        feed(fuser, [0, 0, 5.0], 1, 4)
+        dec = feed(fuser, [0, 0, 5.0], 1, 5)
         assert dec.d_fd == 3 and dec.k_d == 3
 
     def test_scan_chunk_matches_per_sample(self):
         rng = np.random.default_rng(12)
         r = rng.normal(0, 1, size=(400, 3))
         r[200:, 2] += 6.0
-        th = np.full((400, 3), 3.0)
+        th = np.full(400, 3.0)
         a = Scan(n_confirm=5)
         a.scan_chunk(r[:250], th[:250], 0)
         a.scan_chunk(r[250:], th[250:], 250)
@@ -347,5 +347,17 @@ class TestDecisionFuser:
         fuser = Scan(n_confirm=4)
         r = np.zeros((20, 3))
         r[6:, 1] = 5.0
-        assert fuser.scan_chunk(r, np.ones((20, 3)), 0) == 2
+        assert fuser.scan_chunk(r, np.ones(20), 0) == 2
         assert fuser.k_d == 6 and fuser.confirmed_at == 9
+
+    @pytest.mark.parametrize(
+        "residuals, thresholds",
+        [(np.zeros((3, 3)), np.ones((3, 3))), (np.zeros((3, 3)), np.ones(2)),
+         (np.zeros((3, 3)), np.ones(())), (np.zeros((3, 3)), np.ones((3, 1))),
+         (np.zeros(3), np.ones(3)), (np.zeros((3, 2)), np.ones(3))],
+        ids=["per_blade", "short", "scalar", "column", "one_dim_residuals", "two_blades"],
+    )
+    def test_threshold_shape_is_checked(self, residuals, thresholds):
+        # a (3, 3) threshold block against a 3-row chunk would broadcast silently
+        with pytest.raises(ValueError, match="thresholds"):
+            DecisionFuser().scan_chunk(residuals, thresholds, 0)

@@ -439,6 +439,7 @@ class TestFaultyRun:
         model = ActuatorBank(cfg.Ts).model
         gain = design_fdie(model, cfg.pole_radius).gain
         bound = cfg.noise_multiplier * residual_noise_std(model, gain, cfg.meas_noise_std)
+        assert result.series["rbar"].shape == (cfg.n_samples,)
         np.testing.assert_array_equal(result.series["rbar"], bound)
 
     def test_fault_in_last_period(self, last_period_fault_run):
@@ -509,15 +510,18 @@ class TestMetrics:
         assert result.report.frozen_updates
 
 
-SERIES = ("u_ref", "u_act", "u_meas", "y", "sprc", "prbs", "r", "rbar", "ident_res")
+BLADE_SERIES = ("u_ref", "u_act", "u_meas", "y", "sprc", "prbs", "r", "ident_res")
+SERIES = (*BLADE_SERIES, "rbar")
+COLUMNS = ["k", "t", *(f"{name}{b}" for name in BLADE_SERIES for b in (1, 2, 3)), "rbar", "dfd"]
 # signed zeros, the smallest and largest subnormals, and the edge of the range
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 1e308, -1e308]
 FLOATS = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
 
 
 def _synthetic_series(values):
-    """Series dict from an (n, 27) block, nine three-blade columns in CSV order."""
-    series = {name: values[:, 3 * i : 3 * i + 3] for i, name in enumerate(SERIES)}
+    """Series dict from an (n, 25) block in CSV order: eight three-blade series, then rbar."""
+    series = {name: values[:, 3 * i : 3 * i + 3] for i, name in enumerate(BLADE_SERIES)}
+    series["rbar"] = values[:, 24]
     series["dfd"] = np.arange(values.shape[0]) % 4
     return series
 
@@ -528,16 +532,20 @@ def _set_cell(rows, row, col, value):
     return rows[: row + 2] + [",".join(cells) + "\n"] + rows[row + 3 :]
 
 
-def _write_earlier_format(path, series, Ts):
-    """The earlier writer: csv module rows of repr floats, CRLF line ends."""
-    columns = ["k", "t", *(f"{name}{b}" for name in SERIES for b in (1, 2, 3)), "dfd"]
+def _set_column(rows, col, values):
+    for row, value in enumerate(values):
+        rows = _set_cell(rows, row, col, value)
+    return rows
+
+
+def _write_repr_csv(path, schema, columns, block, dfd, Ts):
+    """The csv-module writer of earlier versions: repr floats, CRLF line ends."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([f"# {CSV_SCHEMA}"])
+        writer.writerow([f"# {schema}"])
         writer.writerow(columns)
-        for k, dfd in enumerate(series["dfd"]):
-            cells = [repr(float(series[name][k, b])) for name in SERIES for b in range(3)]
-            writer.writerow([k, repr(k * Ts), *cells, int(dfd)])
+        for k, row in enumerate(block):
+            writer.writerow([k, repr(k * Ts), *(repr(float(v)) for v in row), int(dfd[k])])
 
 
 class TestCsvArtifacts:
@@ -545,9 +553,12 @@ class TestCsvArtifacts:
         cfg, result = faulty_run
         path = tmp_path / "run.csv"
         write_csv(path, result.series, cfg.Ts)
+        assert path.read_text().splitlines()[:2] == [f"# {CSV_SCHEMA}", ",".join(COLUMNS)]
+        assert len(COLUMNS) == 28
         series = read_csv(path)
         for name in result.series:
             np.testing.assert_array_equal(series[name], result.series[name])
+        np.testing.assert_array_equal(series["t"], np.arange(cfg.n_samples) * cfg.Ts)
 
     @pytest.mark.parametrize(
         "run", ["healthy_run", "faulty_run", "tune_run", "last_period_fault_run"]
@@ -594,23 +605,32 @@ class TestCsvArtifacts:
             lambda rows: _set_cell(rows, 1, -1, "2.5"),
             lambda rows: ["# pitchftc-timeseries-v0\n"] + rows[1:],
             lambda rows: rows[:1] + [rows[1].replace("y1", "load1")] + rows[2:],
+            lambda rows: _set_cell(rows, 1, COLUMNS.index("y1"), "nan"),
+            lambda rows: _set_cell(rows, 3, COLUMNS.index("rbar"), "inf"),
+            lambda rows: _set_cell(rows, 3, 1, "0.035"),
+            lambda rows: _set_cell(rows, 0, 1, "0.01"),
+            lambda rows: _set_column(rows, 1, ["0"] * 5),
+            lambda rows: _set_column(rows, 1, ["0", "-0.01", "-0.02", "-0.03", "-0.04"]),
+            lambda rows: _set_cell(rows[:3], 0, 1, "0.5"),
         ],
         ids=["empty_body", "truncated_last_row", "ragged_last_row", "empty_last_cell",
              "non_numeric_cell", "k_gap", "k_not_from_zero", "dfd_out_of_range",
-             "dfd_fractional", "unknown_schema", "renamed_column"],
+             "dfd_fractional", "unknown_schema", "renamed_column", "nan_cell", "inf_cell",
+             "t_off_the_grid", "t_not_from_zero", "t_zero_step", "t_negative_step",
+             "one_row_t_not_zero"],
     )
     @pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns on an empty body first
     def test_malformed_file_rejected(self, tmp_path, edit):
         path = tmp_path / "run.csv"
-        write_csv(path, _synthetic_series(np.ones((5, 27))), 0.01)
+        write_csv(path, _synthetic_series(np.ones((5, 25))), 0.01)
         read_csv(path)  # the unedited file is valid
         rows = path.read_text().splitlines(keepends=True)
         path.write_text("".join(edit(rows)))
         with pytest.raises(ValueError):
             read_csv(path)
 
-    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(27)), elements=FLOATS))
-    @example(np.resize(EXTREMES, (2, 27)))
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(25)), elements=FLOATS))
+    @example(np.resize(EXTREMES, (2, 25)))
     @settings(max_examples=60, deadline=None)
     def test_floats_roundtrip_bit_exactly(self, tmp_path_factory, values):
         path = tmp_path_factory.mktemp("csv") / "run.csv"
@@ -620,18 +640,32 @@ class TestCsvArtifacts:
         for name in SERIES:
             np.testing.assert_array_equal(series[name].view(np.int64), written[name].view(np.int64))
         np.testing.assert_array_equal(series["dfd"], written["dfd"])
+        np.testing.assert_array_equal(series["t"], np.arange(values.shape[0]) * 0.01)
 
     def test_reads_files_in_the_earlier_format(self, tmp_path):
         rng = np.random.default_rng(7)
-        values = rng.normal(size=(6, 27)) * 10.0 ** rng.integers(-300, 300, size=(6, 27))
-        written = _synthetic_series(np.vstack([values, np.resize(EXTREMES, (1, 27))]))
+        values = rng.normal(size=(6, 25)) * 10.0 ** rng.integers(-300, 300, size=(6, 25))
+        values = np.vstack([values, np.resize(EXTREMES, (1, 25))])
+        written = _synthetic_series(values)
         path = tmp_path / "old.csv"
-        _write_earlier_format(path, written, 0.01)
+        _write_repr_csv(path, CSV_SCHEMA, COLUMNS, values, written["dfd"], 0.01)
         assert b"\r\n" in path.read_bytes()
         series = read_csv(path)
         for name in SERIES:
             np.testing.assert_array_equal(series[name].view(np.int64), written[name].view(np.int64))
         np.testing.assert_array_equal(series["dfd"], written["dfd"])
+
+    def test_v1_file_refused(self, tmp_path):
+        # v1 wrote the threshold three times, as rbar1..3 between r and ident_res
+        values = np.ones((4, 25))
+        v1_names = ("u_ref", "u_act", "u_meas", "y", "sprc", "prbs", "r", "rbar", "ident_res")
+        columns = ["k", "t", *(f"{name}{b}" for name in v1_names for b in (1, 2, 3)), "dfd"]
+        rbar = np.repeat(values[:, 24:], 3, axis=1)
+        block = np.column_stack([values[:, :21], rbar, values[:, 21:24]])
+        path = tmp_path / "v1.csv"
+        _write_repr_csv(path, "pitchftc-timeseries-v1", columns, block, np.zeros(4), 0.01)
+        with pytest.raises(ValueError, match="pitchftc-timeseries-v1"):
+            read_csv(path)
 
 
 class TestReportFromSeries:
@@ -643,7 +677,7 @@ class TestReportFromSeries:
         n, start, n_confirm = cfg.n_samples, 500, DecisionFuser().n_confirm
         series = {name: np.zeros((n, 3)) for name in ("y", "sprc", "u_act", "r")}
         series["u_act"][:] = 19.0
-        series["rbar"] = np.ones((n, 3))
+        series["rbar"] = np.ones(n)
         series["r"][start : start + n_confirm + 5, 2] = 2.0
         series["r"][start + n_confirm - 1, 0] = 2.0
         fuser = FuserOracle(n_confirm)
@@ -675,6 +709,22 @@ class TestReportFromSeries:
         assert rep.d_fd == fuser.d_fd == 3
         assert (rep.k_d, rep.decision_sample) == (fuser.k_d, fuser.confirmed_at)
         assert rep.ambiguous == fuser.ambiguous
+
+    @pytest.mark.parametrize(
+        "rbar",
+        [np.ones((1000, 3)), np.ones(999), np.zeros(1000), np.r_[np.ones(999), -1.0],
+         np.r_[np.nan, np.ones(999)]],
+        ids=["per_blade", "short", "zero", "negative", "nan"],
+    )
+    def test_threshold_must_be_one_positive_value_per_sample(self, rbar):
+        cfg = short_cfg(mode="baseline", duration_s=10.0)
+        series = {name: np.ones((cfg.n_samples, 3)) for name in ("y", "sprc", "u_act", "r")}
+        series["dfd"] = np.zeros(cfg.n_samples, dtype=int)
+        series["rbar"] = np.full(cfg.n_samples, 2.0)
+        report_from_series(cfg, series)  # the valid series builds
+        series["rbar"] = rbar
+        with pytest.raises(ValueError, match="rbar"):
+            report_from_series(cfg, series)
 
     def test_saturation_counted_from_actuated_pitch(self):
         # blade 3 sticks below the physical pitch range for the second half
