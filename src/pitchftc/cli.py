@@ -85,7 +85,10 @@ def _cmd_psd(args) -> int:
     if t.size < 2:
         raise SystemExit("a PSD needs at least two samples")
     column = series[name][:, int(blade) - 1]
-    freqs, power = psd_estimate(column, fs=1.0 / t[1], segment=args.segment)
+    try:
+        freqs, power = psd_estimate(column, fs=1.0 / t[1], segment=args.segment)
+    except ValueError as exc:  # a record shorter than 1.5 segments, or a bad --segment
+        raise SystemExit(f"no PSD of {args.column} from {t.size} samples: {exc}") from exc
     out = args.out or f"{args.column}_psd.csv"
     np.savetxt(out, np.column_stack([freqs, power]), delimiter=",", header="freq_hz,power", comments="")
     print(f"PSD of {args.column} written to {out}")

@@ -11,7 +11,9 @@ The loop is executed in rotor-period chunks: inside a chunk nothing feeds
 back across samples except through linear filters, so each block advances
 with vectorized filtering, equivalent to per-sample stepping.  The only
 mid-chunk event, the controller switch, is handled by replaying the chunk
-prefix from a state snapshot.
+prefix from a state snapshot.  A comparison of sprc_only and proposed runs
+them as one run up to the chunk in which the diagnosis decides, and forks
+there.
 
 Controller modes:
 
@@ -24,6 +26,7 @@ Controller modes:
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -284,6 +287,21 @@ class RunResult:
     telemetry: dict = field(default_factory=dict)
 
 
+def _run_bank(cfg: RunConfig, bank):
+    """The bank a run of cfg switches with; only proposed mode uses one.
+
+    That is the given bank, else the one at ``cfg.bank_path``.  A proposed
+    run with a configured fault and no bank raises ValueError.
+    """
+    if cfg.mode != "proposed":
+        return None
+    if bank is None and cfg.bank_path is not None:
+        bank = _supervisor.PretunedBank.load(cfg.bank_path)
+    if cfg.fault_blade != 0 and bank is None:
+        raise ValueError("proposed mode with a configured fault needs a pre-tuned bank")
+    return bank
+
+
 def run_simulation(cfg: RunConfig, bank: "_supervisor.PretunedBank | None" = None) -> RunResult:
     """Execute one closed-loop run; deterministic in (config, seed).
 
@@ -291,189 +309,224 @@ def run_simulation(cfg: RunConfig, bank: "_supervisor.PretunedBank | None" = Non
     depend on the thread count the process was started with.
     """
     cfg.validate()
-    if bank is None and cfg.bank_path is not None:
-        bank = _supervisor.PretunedBank.load(cfg.bank_path)
-    if cfg.mode == "proposed" and cfg.fault_blade != 0 and bank is None:
-        raise ValueError("proposed mode with a configured fault needs a pre-tuned bank")
-
+    bank = _run_bank(cfg, bank)
     with single_blas_thread() as telemetry:
-        result = _simulate(cfg, bank)
+        run = _Stepper(cfg, bank)
+        run.advance(cfg.n_samples)
+        result = run.result()
     result.telemetry = telemetry
     return result
 
 
-def _simulate(cfg: RunConfig, bank) -> RunResult:
-    P = cfg.period_samples
-    p = cfg.past_window
-    N = cfg.n_samples
-    k0 = cfg.fault_sample
-    lc = cfg.effective_load_case()
-    sprc_active = cfg.mode != "baseline"
-    switching = cfg.mode == "proposed"
+class _Stepper:
+    """One closed-loop run, advanced over rotor-period chunks.
 
-    fault = None
-    if cfg.fault_blade:
-        fault = FaultDescriptor(cfg.fault_blade, lc.stuck_angle, k0)
+    It owns the blocks (actuators, plant, observer, fuser, law and
+    identifier), the series it writes, the applied-coefficient history and
+    the controller tallies.  :meth:`fork` copies that state, so the two
+    adaptive arms of a comparison compute their common prefix once.
+    """
 
-    basis = build_basis(P)
-    law = RepetitiveLaw(basis, step_gain=cfg.step_gain, lqr_r=cfg.lqr_r)
-    identifier = MarkovIdentifier(p)
-    actuator = ActuatorBank(cfg.Ts, fault=fault)
-    plant = Plant(lc, cfg.Ts, P, load_gain=cfg.load_gain)
+    def __init__(self, cfg: RunConfig, bank) -> None:
+        self.cfg, self.bank = cfg, bank
+        P, N = cfg.period_samples, cfg.n_samples
+        lc = self.lc = cfg.effective_load_case()
+        fault = None
+        if cfg.fault_blade:
+            fault = FaultDescriptor(cfg.fault_blade, lc.stuck_angle, cfg.fault_sample)
 
-    sigma = cfg.meas_noise_std
-    # one observer for the three blades: they share model and gain
-    fdie = design_fdie(actuator.model, cfg.pole_radius)
-    fuser = DecisionFuser()
+        self.law = RepetitiveLaw(build_basis(P), step_gain=cfg.step_gain, lqr_r=cfg.lqr_r)
+        self.identifier = MarkovIdentifier(cfg.past_window)
+        self.actuator = ActuatorBank(cfg.Ts, fault=fault)
+        self.plant = Plant(lc, cfg.Ts, P, load_gain=cfg.load_gain)
+        # one observer for the three blades: they share model and gain
+        self.fdie = design_fdie(self.actuator.model, cfg.pole_radius)
+        self.fuser = DecisionFuser()
 
-    start = np.full(3, lc.collective_setpoint)
-    actuator.init_steady(start)
-    fdie.init_steady(start)
+        start = np.full(3, lc.collective_setpoint)
+        self.actuator.init_steady(start)
+        self.fdie.init_steady(start)
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(3)
-    rng_plant, rng_meas, rng_prbs = (np.random.default_rng(c) for c in seeds)
-    load_noise = rng_plant.normal(0.0, lc.noise_std, size=(N, 3))
-    meas_noise = rng_meas.normal(0.0, sigma, size=(N, 3))
-    prbs = generate_prbs(N, rng_prbs, Ts=cfg.Ts) if sprc_active else np.zeros((N, 3))
+        sigma = cfg.meas_noise_std
+        seeds = np.random.SeedSequence(cfg.seed).spawn(3)
+        rng_plant, rng_meas, rng_prbs = (np.random.default_rng(c) for c in seeds)
+        self.load_noise = rng_plant.normal(0.0, lc.noise_std, size=(N, 3))
+        self.meas_noise = rng_meas.normal(0.0, sigma, size=(N, 3))
+        adaptive = cfg.mode != "baseline"
+        self.prbs = generate_prbs(N, rng_prbs, Ts=cfg.Ts) if adaptive else np.zeros((N, 3))
+        # a fork shares these inputs with its parent, so neither may write them
+        for inputs in (self.load_noise, self.meas_noise, self.prbs):
+            inputs.setflags(write=False)
 
-    series = {name: prbs if name == "prbs" else np.zeros((N, 3)) for name in _BLADE_SERIES}
-    # the observer model is exact and starts settled, so the threshold is the
-    # measurement bound alone: the residual noise, which depends on the gain, scaled
-    meas_bound = cfg.noise_multiplier * residual_noise_std(actuator.model, fdie.gain, sigma)
-    series["rbar"] = fdie.threshold(FdiBounds(meas_noise=meas_bound), N)
-    n_periods = N // P
-    coeff_history = np.zeros((n_periods, 3, 2))
+        series = {name: self.prbs if name == "prbs" else np.zeros((N, 3)) for name in _BLADE_SERIES}
+        # the observer model is exact and starts settled, so the threshold is the
+        # measurement bound alone: the residual noise, which depends on the gain, scaled
+        meas_bound = cfg.noise_multiplier * residual_noise_std(self.actuator.model, self.fdie.gain, sigma)
+        series["rbar"] = self.fdie.threshold(FdiBounds(meas_noise=meas_bound), N)
+        self.series = series
+        self.coeff_history = np.zeros((N // P, 3, 2))
 
-    def snapshot():
-        return actuator.get_state(), plant.get_state(), fdie.get_state()
+        self.k = 0
+        self.end = N  # an offline tuning ends at the period it converges in
+        self.switch_sample = None
+        self.switch_applied = False
+        self.converged_period = None
+        self.snapshot_coeffs = self.snapshot_markov = None
 
-    def restore(state):
-        actuator.set_state(state[0])
-        plant.set_state(state[1])
-        fdie.set_state(state[2])
+    def advance(self, to_sample: int, until_decision: bool = False) -> bool:
+        """Run chunks until sample to_sample, or the end of an offline tuning.
 
-    def simulate_span(a: int, b: int) -> None:
-        n = b - a
-        sprc_out = law.output_slice(a, n) if sprc_active else np.zeros((n, 3))
-        u_ref = _supervisor.compose_pitch_command(lc, sprc_out, prbs[a:b])
-        u_act = actuator.run_chunk(u_ref, a)
-        y = plant.run_chunk(u_act, a, load_noise[a:b])
-        u_meas = u_act + meas_noise[a:b]
+        With ``until_decision`` the run stops at the start of the chunk in
+        which the fuser latches, with that chunk undone, and returns True:
+        up to there sprc_only and proposed run the same code.
+        """
+        while self.k < min(to_sample, self.end):
+            if not self._chunk(until_decision):
+                return True
+        return False
+
+    def fork(self, mode: str, bank=None) -> "_Stepper":
+        """A copy of this undecided adaptive run that carries on in adaptive ``mode``.
+
+        The filters, fuser, law, identifier, series and tallies are copied;
+        the read-only noise and excitation arrays are shared.  From here the
+        copy runs exactly the code an independent run of ``mode`` runs.
+        """
+        adaptive = ("sprc_only", "proposed")
+        if self.cfg.mode not in adaptive or mode not in adaptive or self.fuser.d_fd != 0:
+            raise ValueError("only an undecided sprc_only or proposed run forks, into one of those")
+        shared = (self.load_noise, self.meas_noise, self.prbs, self.bank)
+        twin = copy.deepcopy(self, {id(x): x for x in shared})
+        twin.cfg = replace(self.cfg, mode=mode)
+        twin.bank = _run_bank(twin.cfg, bank)
+        return twin
+
+    def result(self) -> RunResult:
+        """The finished run: its series and history up to the end, the report and the tallies."""
+        end, fuser = self.end, self.fuser
+        series = {name: values[:end] for name, values in self.series.items()}
+        series["dfd"] = np.zeros(end, dtype=int)
+        if fuser.d_fd != 0:
+            series["dfd"][fuser.confirmed_at :] = fuser.d_fd
+        report = report_from_series(
+            self.cfg,
+            series,
+            gain_failures=self.law.gain_failures,
+            rls_degenerate=self.identifier.degenerate,
+            switch_sample=self.switch_sample,
+            switch_applied=self.switch_applied,
+            converged_period=self.converged_period,
+        )
+        return RunResult(
+            config=self.cfg,
+            series=series,
+            report=report,
+            coeff_history=self.coeff_history[: end // self.cfg.period_samples],
+            snapshot_coeffs=self.snapshot_coeffs,
+            snapshot_markov=self.snapshot_markov,
+        )
+
+    def _chunk(self, until_decision: bool) -> bool:
+        """One chunk up to the next period boundary; False when undone before a decision."""
+        cfg, fuser, series = self.cfg, self.fuser, self.series
+        P, k = cfg.period_samples, self.k
+        b = min((k // P + 1) * P, cfg.n_samples)
+        pre_state = self._filter_state()
+        self._simulate_span(k, b)
+
+        # the fuser latches once, so a switch happens at most once per run
+        switch_now = False
+        if fuser.d_fd == 0:
+            pre_scan = fuser.get_state()
+            d_fd = fuser.scan_chunk(series["r"][k:b], series["rbar"][k:b], k)
+            if d_fd != 0 and until_decision:
+                self._set_filter_state(pre_state)
+                fuser.set_state(pre_scan)
+                return False
+            switch_now = cfg.mode == "proposed" and d_fd != 0
+            if switch_now and fuser.confirmed_at + 1 < b:
+                # the switch acts on the sample after confirmation: replay up to it
+                self._set_filter_state(pre_state)
+                b = fuser.confirmed_at + 1
+                self._simulate_span(k, b)
+
+        self._flush_identification(k, b)
+        if switch_now:
+            self.switch_sample = b
+            self.switch_applied = _supervisor.on_detection(
+                fuser.d_fd, self.bank, self.identifier, self.law, config=cfg
+            )
+        self.k = b
+        if b % P == 0:
+            self._boundary_update(b)
+        return True
+
+    def _filter_state(self):
+        return self.actuator.get_state(), self.plant.get_state(), self.fdie.get_state()
+
+    def _set_filter_state(self, state) -> None:
+        self.actuator.set_state(state[0])
+        self.plant.set_state(state[1])
+        self.fdie.set_state(state[2])
+
+    def _simulate_span(self, a: int, b: int) -> None:
+        n, series = b - a, self.series
+        adaptive = self.cfg.mode != "baseline"
+        sprc_out = self.law.output_slice(a, n) if adaptive else np.zeros((n, 3))
+        u_ref = _supervisor.compose_pitch_command(self.lc, sprc_out, self.prbs[a:b])
+        u_act = self.actuator.run_chunk(u_ref, a)
+        y = self.plant.run_chunk(u_act, a, self.load_noise[a:b])
+        u_meas = u_act + self.meas_noise[a:b]
         series["sprc"][a:b] = sprc_out
         series["u_ref"][a:b] = u_ref
         series["u_act"][a:b] = u_act
         series["u_meas"][a:b] = u_meas
         series["y"][a:b] = y
-        series["r"][a:b] = fdie.run_chunk(u_ref, u_meas)
+        series["r"][a:b] = self.fdie.run_chunk(u_ref, u_meas)
 
-    def flush_identification(a: int, b: int) -> None:
-        if not sprc_active:
+    def _flush_identification(self, a: int, b: int) -> None:
+        cfg, series = self.cfg, self.series
+        if cfg.mode == "baseline":
             return
-        lo = max(a, P + p)
+        P = cfg.period_samples
+        lo = max(a, P + cfg.past_window)
         if lo >= b:
             return
         regressors, targets = build_regressor_block(
-            series["u_act"], series["y"], lo, b, P, p
+            series["u_act"], series["y"], lo, b, P, cfg.past_window
         )
-        rows = identifier.rows()
+        rows = self.identifier.rows()
         for blade in range(3):
             series["ident_res"][lo:b, blade] = (
                 targets[:, blade] - regressors[:, :, blade] @ rows[blade]
             )
-        identifier.update_block(regressors, targets)
+        self.identifier.update_block(regressors, targets)
 
-    switch_applied = False
-    switch_sample = None
-    converged_period = None
-    snapshot_coeffs = snapshot_markov = None
-    c = CONVERGENCE_CONSECUTIVE
-    end = N
+    def _boundary_update(self, k: int) -> None:
+        """Per-period controller refresh after sample k-1.
 
-    k = 0
-    while k < N:
-        b = min((k // P + 1) * P, N)
-        pre_state = snapshot()
-        simulate_span(k, b)
-
-        # the fuser latches once, so a switch happens at most once per run
-        switch_now = False
-        if fuser.d_fd == 0:
-            d_fd = fuser.scan_chunk(series["r"][k:b], series["rbar"][k:b], k)
-            switch_now = switching and d_fd != 0
-            if switch_now and fuser.confirmed_at + 1 < b:
-                # the switch acts on the sample after confirmation: replay up to it
-                restore(pre_state)
-                b = fuser.confirmed_at + 1
-                simulate_span(k, b)
-
-        flush_identification(k, b)
-        if switch_now:
-            switch_sample = b
-            switch_applied = _supervisor.on_detection(
-                fuser.d_fd,
-                bank,
-                identifier,
-                law,
-                config=cfg,
+        The refreshed coefficients take effect on the upcoming period, so
+        they land at slot k // P of the applied-coefficient history.  An
+        offline tuning ends here once the last c increments, all of them
+        after START_PERIOD, are quiet.
+        """
+        cfg, law, history = self.cfg, self.law, self.coeff_history
+        P = cfg.period_samples
+        j = k // P  # period the refreshed coefficients apply to
+        if cfg.mode != "baseline" and j > START_PERIOD:
+            law.period_update(law.project(self.series["y"][k - P : k]), self.identifier.rows())
+        if j < history.shape[0]:
+            history[j] = law.coeffs
+        c = CONVERGENCE_CONSECUTIVE
+        if cfg.mode == "offline_tune" and START_PERIOD + c <= j < history.shape[0]:
+            quiet = convergence_time(
+                history[j - c : j + 1], 1, CONVERGENCE_EPS, CONVERGENCE_FLOOR, c
             )
-        k = b
-        if k % P == 0:
-            _boundary_update(cfg, law, identifier, series, k, coeff_history)
-            jj = k // P  # period the freshly updated coefficients apply to
-            # offline tuning stops once the last c increments, all of them
-            # after START_PERIOD, are quiet
-            if cfg.mode == "offline_tune" and START_PERIOD + c <= jj < coeff_history.shape[0]:
-                quiet = convergence_time(
-                    coeff_history[jj - c : jj + 1], 1, CONVERGENCE_EPS, CONVERGENCE_FLOOR, c
-                )
-                if quiet is not None:
-                    converged_period = jj - c + 1
-                    snapshot_coeffs = law.coeffs.copy()
-                    snapshot_markov = identifier.rows()
-                    end = k
-                    break
-
-    if end < N:
-        for name in series:
-            series[name] = series[name][:end]
-        coeff_history = coeff_history[: end // P]
-
-    series["dfd"] = np.zeros(end, dtype=int)
-    if fuser.d_fd != 0:
-        series["dfd"][fuser.confirmed_at :] = fuser.d_fd
-
-    report = report_from_series(
-        cfg,
-        series,
-        gain_failures=law.gain_failures,
-        rls_degenerate=identifier.degenerate,
-        switch_sample=switch_sample,
-        switch_applied=switch_applied,
-        converged_period=converged_period,
-    )
-    return RunResult(
-        config=cfg,
-        series=series,
-        report=report,
-        coeff_history=coeff_history,
-        snapshot_coeffs=snapshot_coeffs,
-        snapshot_markov=snapshot_markov,
-    )
-
-
-def _boundary_update(cfg, law, identifier, series, k, coeff_history) -> None:
-    """Per-period controller refresh after sample k-1.
-
-    The refreshed coefficients take effect on the upcoming period, so they
-    land at slot k // P of the applied-coefficient history.
-    """
-    P = cfg.period_samples
-    j = k // P - 1  # just-completed period
-    if cfg.mode != "baseline" and j >= START_PERIOD:
-        load_proj = law.project(series["y"][k - P : k])
-        law.period_update(load_proj, identifier.rows())
-    if j + 1 < coeff_history.shape[0]:
-        coeff_history[j + 1] = law.coeffs
+            if quiet is not None:
+                self.converged_period = j - c + 1
+                self.snapshot_coeffs = law.coeffs.copy()
+                self.snapshot_markov = self.identifier.rows()
+                self.end = k
 
 
 def _coeff_increment(now: np.ndarray, before: np.ndarray) -> np.ndarray:
@@ -674,11 +727,16 @@ def compare_modes(
 
     Returns {"results": {mode: RunResult}, "reduction": {mode: metrics}} with
     reductions measured against the baseline run over its comparison window.
+    Asked for both sprc_only and proposed, it computes their common prefix
+    once: see :func:`_adaptive_pair`.
     """
     results = {}
+    if {"sprc_only", "proposed"} <= set(modes):
+        results = _adaptive_pair(cfg, bank)
     for mode in modes:
-        mode_bank = bank if mode == "proposed" else None
-        results[mode] = run_simulation(replace(cfg, mode=mode), bank=mode_bank)
+        if mode not in results:
+            results[mode] = run_simulation(replace(cfg, mode=mode), bank=bank)
+    results = {mode: results[mode] for mode in modes}
     reduction = {}
     if "baseline" in results:
         base = results["baseline"]
@@ -690,6 +748,32 @@ def compare_modes(
                 res.series["y"], base.series["y"], (lo, hi), cfg.fault_blade
             )
     return {"results": results, "reduction": reduction}
+
+
+def _adaptive_pair(cfg: RunConfig, bank) -> dict:
+    """The sprc_only and proposed runs of cfg, forked where they part.
+
+    The two modes run the same code until the fuser latches.  One trunk runs
+    as sprc_only up to the start of the chunk in which it latches, and
+    proposed forks off it there; each then runs to the end.  The forked run
+    is bit-identical to an independent one.  Without a decision the arms
+    never part, and proposed runs on its own from the first sample.
+    """
+    arm_cfg = replace(cfg, mode="proposed")
+    bank = _run_bank(arm_cfg, bank)
+    N = cfg.n_samples
+    with single_blas_thread() as telemetry:
+        trunk = _Stepper(replace(cfg, mode="sprc_only"), None)
+        if trunk.advance(N, until_decision=True):
+            arm = trunk.fork("proposed", bank)
+        else:
+            arm = _Stepper(arm_cfg, bank)
+        results = {}
+        for mode, run in (("sprc_only", trunk), ("proposed", arm)):
+            run.advance(N)
+            results[mode] = run.result()
+            results[mode].telemetry = telemetry
+    return results
 
 
 def write_csv(path: str | Path, series: dict, Ts: float) -> None:
@@ -720,7 +804,8 @@ def read_csv(path: str | Path) -> dict:
     Raises ValueError unless the file holds the schema line, the fixed
     header and at least one row, every cell a finite number, ``k`` counting
     the rows from 0, ``t`` equal to ``k * t[1]`` with ``t[1] > 0`` (``t[0]
-    == 0`` for one row) and ``dfd`` a blade number 0-3.  Files with CRLF
+    == 0`` for one row) and ``dfd`` latched: 0 up to some sample, then one
+    blade 1-3 to the end, as the fuser writes it.  Files with CRLF
     line ends or shortest-repr floats read back exactly too.
     """
     with open(path) as handle:
@@ -741,10 +826,18 @@ def read_csv(path: str | Path) -> dict:
     step = t[1] if n > 1 else 1.0
     if not step > 0 or not np.array_equal(t, np.arange(n) * step):
         raise ValueError("CSV column t must be k times a positive sample time")
-    if not np.isin(data[:, -1], (0, 1, 2, 3)).all():
+    dfd = data[:, -1]
+    if not np.isin(dfd, (0, 1, 2, 3)).all():
         raise ValueError("CSV column dfd must hold blade numbers 0-3")
+    # latched: 0 up to some sample, then one blade, so the column never falls
+    # and, bisected as the sorted column it then is, its first nonzero value
+    # is its last.  One boolean mask is the only temporary: larger ones grew
+    # the heap of a process that reads 1400 s files repeatedly
+    first = np.searchsorted(dfd, 0.0, side="right")
+    if (dfd[1:] < dfd[:-1]).any() or (first < n and dfd[first] != dfd[-1]):
+        raise ValueError("CSV column dfd must latch: 0, then one blade to the end")
     series = {name: data[:, 2 + 3 * i : 5 + 3 * i].copy() for i, name in enumerate(_BLADE_SERIES)}
     series["rbar"] = data[:, -2].copy()
-    series["dfd"] = data[:, -1].astype(int)
+    series["dfd"] = dfd.astype(int)
     series["t"] = t.copy()
     return series

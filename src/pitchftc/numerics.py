@@ -349,6 +349,26 @@ def _stabilizing_solution(
     return (x + x.T) / 2
 
 
+def _check_weights(Q: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checks ``solve_dare`` makes on its weights; returns them symmetrized.
+
+    Q must be finite, symmetric and positive semidefinite, R finite,
+    symmetric and positive definite.  A caller with constant weights checks
+    them once here and then calls ``_solve_dare`` on every solve.
+    """
+    Q = _check_symmetric(Q, "Q")
+    R = _check_symmetric(R, "R")
+    if not (np.isfinite(Q).all() and np.isfinite(R).all()):
+        raise ValueError("A, B, Q and R must be finite")
+    if np.any(np.linalg.eigvalsh(Q) < -1e-10 * max(1.0, np.max(np.abs(Q)))):
+        raise ValueError("Q must be positive semidefinite")
+    try:
+        np.linalg.cholesky(R)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("R must be positive definite") from exc
+    return Q, R
+
+
 def solve_dare(
     A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -357,23 +377,23 @@ def solve_dare(
     Returns (P, K) with K = (R + B'PB)^-1 B'PA, where P is the stabilizing
     solution of ``scipy.linalg.solve_discrete_are``'s algorithm (run here on
     direct LAPACK calls) and A - BK is checked to have spectral radius below
-    one.  A pair with no stabilizing solution raises ``DareError``.
+    one.  Invalid weights raise ValueError; a pair with no stabilizing
+    solution raises ``DareError``.
     """
+    return _solve_dare(A, B, *_check_weights(Q, R))
+
+
+def _solve_dare(
+    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_dare`` for weights that ``_check_weights`` returned: checks A and B only."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = _check_symmetric(Q, "Q")
-    R = _check_symmetric(R, "R")
     n, m = B.shape
     if A.shape != (n, n) or Q.shape != (n, n) or R.shape != (m, m):
         raise ValueError("A and Q must be n x n, B n x m and R m x m")
-    if not all(np.isfinite(M).all() for M in (A, B, Q, R)):
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("A, B, Q and R must be finite")
-    if np.any(np.linalg.eigvalsh(Q) < -1e-10 * max(1.0, np.max(np.abs(Q)))):
-        raise ValueError("Q must be positive semidefinite")
-    try:
-        np.linalg.cholesky(R)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("R must be positive definite") from exc
 
     P = _stabilizing_solution(A, B, Q, R)
     BtP = B.T @ P

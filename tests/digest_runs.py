@@ -7,6 +7,9 @@ fault from the first sample) and then ``compare_modes`` on the default
 1400 s protocol (baseline, sprc_only and proposed with the tuned bank).
 ``--acceptance`` adds the runs of the acceptance suite: A1 (20 healthy
 runs), A2 (60 fault runs), A5, A6, A7 (20 warm and 20 cold) and A9.
+The chain's ``compare_modes`` forks its proposed run off sprc_only where
+the two part, while the A7 pairs here run independently, as the acceptance
+suite's comparison would without the fork.
 
 Each output line is ``<artifact> <sha256>``: one per series, coefficient
 history, tuning snapshot, report, reduction table and bank entry.  With

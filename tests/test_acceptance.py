@@ -17,8 +17,6 @@ Criteria:
 - A9  bit-exact replay of runs, including the tune/switch/replay chain
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -83,7 +81,12 @@ def detection_runs(banks):
 
 @pytest.fixture(scope="session")
 def matched_pairs(banks):
-    """Twenty matched-seed (full architecture, adaptive-only) run pairs."""
+    """Twenty matched-seed (full architecture, adaptive-only) run pairs.
+
+    Each pair is one comparison, which computes the 300 s before the fault
+    once; ``tests/digest_runs.py --acceptance`` checks the same pairs as
+    independent runs.
+    """
     layout = [("LC1", 7), ("LC2", 7), ("LC3", 6)]
     pairs = []
     for lc, n_seeds in layout:
@@ -96,8 +99,8 @@ def matched_pairs(banks):
                 fault_blade=3,
                 fault_time_s=FAULT_TIME_S,
             )
-            warm = harness.run_simulation(cfg, bank=banks[lc])
-            cold = harness.run_simulation(replace(cfg, mode="sprc_only"))
+            runs = harness.compare_modes(cfg, bank=banks[lc], modes=("sprc_only", "proposed"))
+            warm, cold = runs["results"]["proposed"], runs["results"]["sprc_only"]
             pairs.append((lc, seed, cfg, warm, cold))
     return pairs
 

@@ -46,6 +46,14 @@ def test_psd_takes_the_sample_rate_from_the_csv(tmp_path):
         cli.main(argv + ["--fs", "200"])
 
 
+def test_psd_of_a_csv_shorter_than_one_and_a_half_segments_exits(tmp_path):
+    cfg = RunConfig(mode="baseline", duration_s=0.1, fault_blade=0)
+    csv_path = tmp_path / "run.csv"
+    write_csv(csv_path, run_simulation(cfg).series, cfg.Ts)
+    with pytest.raises(SystemExit, match="from 10 samples"):
+        cli.main(["psd", "--csv", str(csv_path), "--column", "y1"])
+
+
 def test_config_verb_writes_defaults(tmp_path, capsys):
     out = tmp_path / "default.json"
     assert cli.main(["config", str(out)]) == 0

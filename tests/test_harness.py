@@ -2,6 +2,7 @@ import csv
 import json
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import FuserOracle
-from pitchftc import fdi, supervisor
+from pitchftc import fdi, harness, supervisor
 from pitchftc.actuator import ActuatorBank
 from pitchftc.fdi import DecisionFuser, design_fdie, residual_noise_std
 from pitchftc.harness import (
@@ -338,6 +339,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="bank"):
             run_simulation(cfg)
 
+    @pytest.mark.parametrize("mode", ["sprc_only", "baseline"])
+    def test_bank_loaded_only_by_proposed_mode(self, tmp_path, mode):
+        # a config written for the full architecture names a bank not tuned yet
+        cfg = short_cfg(mode=mode, duration_s=10.0, bank_path=str(tmp_path / "untuned.json"))
+        assert run_simulation(cfg).report.mode == mode
+        with pytest.raises(FileNotFoundError):
+            run_simulation(replace(cfg, mode="proposed"))
+
 
 class TestBaselineMode:
     def test_baseline_is_passthrough(self):
@@ -519,10 +528,14 @@ FLOATS = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_i
 
 
 def _synthetic_series(values):
-    """Series dict from an (n, 25) block in CSV order: eight three-blade series, then rbar."""
+    """Series dict from an (n, 25) block in CSV order: eight three-blade series, then rbar.
+
+    dfd latches as the fuser writes it: 0 for the first half, then one blade.
+    """
+    n = values.shape[0]
     series = {name: values[:, 3 * i : 3 * i + 3] for i, name in enumerate(BLADE_SERIES)}
     series["rbar"] = values[:, 24]
-    series["dfd"] = np.arange(values.shape[0]) % 4
+    series["dfd"] = np.where(np.arange(n) < n // 2, 0, 1 + n % 3)
     return series
 
 
@@ -612,12 +625,14 @@ class TestCsvArtifacts:
             lambda rows: _set_column(rows, 1, ["0"] * 5),
             lambda rows: _set_column(rows, 1, ["0", "-0.01", "-0.02", "-0.03", "-0.04"]),
             lambda rows: _set_cell(rows[:3], 0, 1, "0.5"),
+            lambda rows: _set_cell(rows, 4, -1, "1"),
+            lambda rows: _set_cell(rows, 3, -1, "0"),
         ],
         ids=["empty_body", "truncated_last_row", "ragged_last_row", "empty_last_cell",
              "non_numeric_cell", "k_gap", "k_not_from_zero", "dfd_out_of_range",
              "dfd_fractional", "unknown_schema", "renamed_column", "nan_cell", "inf_cell",
              "t_off_the_grid", "t_not_from_zero", "t_zero_step", "t_negative_step",
-             "one_row_t_not_zero"],
+             "one_row_t_not_zero", "dfd_changes_blade", "dfd_clears_mid_run"],
     )
     @pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns on an empty body first
     def test_malformed_file_rejected(self, tmp_path, edit):
@@ -776,3 +791,70 @@ class TestCompareModes:
             np.testing.assert_array_equal(
                 prop.series[name][:k0], only.series[name][:k0]
             )
+
+
+def _assert_same_run(got, want):
+    assert got.config == want.config
+    assert got.series.keys() == want.series.keys()
+    for name in want.series:
+        assert got.series[name].dtype == want.series[name].dtype, name
+        np.testing.assert_array_equal(got.series[name], want.series[name], err_msg=name)
+    np.testing.assert_array_equal(got.coeff_history, want.coeff_history)
+    assert got.snapshot_coeffs is want.snapshot_coeffs is None
+    assert json.dumps(got.report.to_dict()) == json.dumps(want.report.to_dict())
+
+
+class TestFork:
+    @given(
+        fault_blade=st.integers(1, 3),
+        fault_time_s=st.floats(0.0, 75.0),
+        seed=st.integers(0, 2**16),
+        tuned=st.booleans(),
+    )
+    # the decision falls on the last sample of a chunk: the switch lands on the boundary
+    @example(fault_blade=3, fault_time_s=31.14, seed=0, tuned=True)
+    # no decision: the arms never part and nothing forks
+    @example(fault_blade=0, fault_time_s=0.0, seed=1, tuned=True)
+    @settings(max_examples=12, deadline=None)
+    def test_forked_arms_equal_independent_runs(
+        self, lc3_bank, fault_blade, fault_time_s, seed, tuned
+    ):
+        # the blade 3 snapshot stands in for every blade; an empty bank has no
+        # entry: the stuck blade freezes, but nothing is switched
+        bank = supervisor.PretunedBank()
+        if tuned and fault_blade:
+            entry = lc3_bank.get(3)
+            bank.add(replace(entry, config=replace(entry.config, fault_blade=fault_blade)))
+        cfg = RunConfig(
+            mode="proposed", load_case="LC3", seed=seed, duration_s=80.0,
+            fault_blade=fault_blade, fault_time_s=fault_time_s,
+        )
+        with mock.patch.object(harness._Stepper, "fork", autospec=True,
+                               side_effect=harness._Stepper.fork) as fork:
+            forked = compare_modes(cfg, bank=bank, modes=("sprc_only", "proposed"))["results"]
+        alone = {
+            mode: run_simulation(replace(cfg, mode=mode), bank=bank)
+            for mode in ("sprc_only", "proposed")
+        }
+        decision = alone["sprc_only"].report.decision_sample
+        assert fork.call_count == (decision is not None)
+        for mode, result in alone.items():
+            _assert_same_run(forked[mode], result)
+        switch = alone["proposed"].report.switch_sample
+        event(f"decision {'none' if decision is None else 'on a chunk end' if switch % 625 == 0 else 'mid-chunk'}")
+        event(f"switch applied {alone['proposed'].report.switch_applied}")
+
+    def test_only_an_undecided_adaptive_run_forks(self, lc3_bank):
+        cfg = short_cfg(duration_s=20.0, fault_blade=3, fault_time_s=5.0)
+        run = harness._Stepper(replace(cfg, mode="baseline"), None)
+        with pytest.raises(ValueError, match="forks"):
+            run.fork("proposed", lc3_bank)
+        run = harness._Stepper(cfg, None)
+        with pytest.raises(ValueError, match="forks"):
+            run.fork("baseline")
+        run.advance(cfg.n_samples)
+        assert run.fuser.d_fd == 3
+        with pytest.raises(ValueError, match="forks"):
+            run.fork("proposed", lc3_bank)
+        with pytest.raises(ValueError, match="bank"):
+            harness._Stepper(cfg, None).fork("proposed")

@@ -7,6 +7,8 @@ from conftest import assert_stabilizing_riccati
 from oracles import stacked_qr_update
 from pitchftc.numerics import (
     DareError,
+    _check_weights,
+    _solve_dare,
     _stabilizing_solution,
     RlsEstimator,
     StateSpaceModel,
@@ -244,6 +246,37 @@ class TestSolveDare:
             P_, K_ = solve_dare(A, B, Q, R)
             np.testing.assert_array_equal(P_, expected)
             np.testing.assert_array_equal(K_, K)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from((0.5, 1.0, 1.5)),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_checked_once_path_is_solve_dare(self, n, m, spread, rank_deficient_q, seed):
+        # the repetitive law checks its weights once and reuses them on every
+        # solve: over several models, that path gives solve_dare's bits
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(n, n))
+        if rank_deficient_q:
+            G[:, 0] = 0.0
+        Q = G @ G.T
+        H = rng.normal(size=(m, m))
+        R = H @ H.T + 0.1 * np.eye(m)
+        weights = _check_weights(Q, R)
+        for _ in range(3):
+            A = spread * rng.normal(size=(n, n))
+            B = rng.normal(size=(n, m))
+            try:
+                expected = solve_dare(A, B, Q, R)
+            except DareError:
+                with pytest.raises(DareError):
+                    _solve_dare(A, B, *weights)
+                continue
+            for got, want in zip(_solve_dare(A, B, *weights), expected):
+                np.testing.assert_array_equal(got, want)
 
     def test_zero_row_has_no_stabilizing_solution(self):
         # no pitch authority identified: the load integrator is uncontrollable

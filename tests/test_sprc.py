@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import PipelineSystem, scalar_markov_row
 from oracles import DeltaBuffers, lifted_transition_maps
+from pitchftc import numerics
 from pitchftc.numerics import psd_estimate
 from pitchftc.sprc import (
     PRBS_AMPLITUDE,
@@ -358,6 +359,28 @@ class TestRepetitiveLaw:
             law.period_update(rng.normal(size=(3, 2)), rows)
         np.testing.assert_array_equal(law.coeffs[2], before)
         assert not np.array_equal(law.coeffs[0], before)
+
+    def test_weights_are_checked_once_at_construction(self, monkeypatch):
+        checked = []
+        original = numerics._check_symmetric
+
+        def counting(M, name, *args):
+            checked.append(name)
+            return original(M, name, *args)
+
+        monkeypatch.setattr(numerics, "_check_symmetric", counting)
+        P, p = 48, 15
+        law = RepetitiveLaw(build_basis(P), lqr_r=0.1)
+        assert checked == ["Q", "R"]
+        checked.clear()
+        rows = np.tile(scalar_markov_row(0.6, 0.9, 1.1, 0.0, p), (3, 1))
+        law.period_update(np.ones((3, 2)), rows)
+        # three blades solved their Riccati equation without checking the weights again
+        assert law.gain_failures == 0 and checked == []
+
+    def test_invalid_input_weight_refused_at_construction(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            RepetitiveLaw(build_basis(16), lqr_r=-0.1)
 
 
 class TestPrbs:
