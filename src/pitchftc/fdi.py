@@ -240,13 +240,6 @@ class DecisionFuser:
         self.confirmed_at: int | None = None
         self._runs = np.zeros(3, dtype=int)  # crossing runs carried into the next chunk
 
-    def get_state(self) -> tuple:
-        return self.d_fd, self.confirmed_at, self._runs.copy()
-
-    def set_state(self, state) -> None:
-        self.d_fd, self.confirmed_at, runs = state
-        self._runs = runs.copy()
-
     def scan_chunk(self, residuals: np.ndarray, thresholds: np.ndarray, k_start: int) -> int:
         """Process an (n, 3) residual block against its (n,) thresholds; stops once latched.
 

@@ -12,8 +12,8 @@ back across samples except through linear filters, so each block advances
 with vectorized filtering, equivalent to per-sample stepping.  The only
 mid-chunk event, the controller switch, is handled by replaying the chunk
 prefix from a state snapshot.  A comparison of sprc_only and proposed runs
-them as one run up to the chunk in which the diagnosis decides, and forks
-there.
+them as one run until the diagnosis latches, and forks there, inside the
+deciding chunk; without a decision it forks at the end.
 
 Controller modes:
 
@@ -146,12 +146,14 @@ class RunConfig:
         ratio = ROTOR_PERIOD_S / self.Ts  # overflows for a subnormal Ts
         if ratio > sys.float_info.max or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 4:
             raise ValueError("Ts must divide the rotor period into an integer (>= 4) of samples")
+        if self.n_samples < 1:
+            raise ValueError("duration_s must hold at least one sample")
         if self.fault_blade not in (0, 1, 2, 3):
             raise ValueError("fault_blade must be 0 (none) or 1..3")
-        if self.fault_blade and not 0.0 <= self.fault_time_s < self.duration_s:
-            raise ValueError("fault_time_s must lie inside the run")
-        if self.mode == "offline_tune" and self.fault_blade == 0:
-            raise ValueError("offline_tune requires a configured fault")
+        if self.fault_blade and not (0.0 <= self.fault_time_s and self.fault_sample < self.n_samples):
+            raise ValueError("fault_time_s must lie inside the run, on a sample before its last")
+        if self.mode == "offline_tune" and (self.fault_blade == 0 or self.fault_time_s != 0.0):
+            raise ValueError("offline_tune requires a configured fault from the first sample")
         if self.past_window < 1 or self.past_window >= self.period_samples:
             raise ValueError("past_window must be in [1, period_samples)")
         if not 0.0 <= self.pole_radius < 1.0:
@@ -368,33 +370,41 @@ class _Stepper:
 
         self.k = 0
         self.end = N  # an offline tuning ends at the period it converges in
+        #: (filter state at k, chunk end, latched) of a chunk simulated but not finished
+        self._open = None
         self.switch_sample = None
         self.switch_applied = False
         self.converged_period = None
         self.snapshot_coeffs = self.snapshot_markov = None
 
-    def advance(self, to_sample: int, until_decision: bool = False) -> bool:
+    def advance(self, to_sample: int, until_decision: bool = False) -> None:
         """Run chunks until sample to_sample, or the end of an offline tuning.
 
-        With ``until_decision`` the run stops at the start of the chunk in
-        which the fuser latches, with that chunk undone, and returns True:
-        up to there sprc_only and proposed run the same code.
+        With ``until_decision`` the run stops right after the scan in which
+        the fuser latches, its chunk simulated but not finished: up to there
+        sprc_only and proposed run the same code.  The next advance finishes
+        that chunk as the run's mode does.
         """
+        if self._open is not None:
+            self._finish()
         while self.k < min(to_sample, self.end):
-            if not self._chunk(until_decision):
-                return True
-        return False
+            if self._simulate_chunk() and until_decision:
+                return
+            self._finish()
 
     def fork(self, mode: str, bank=None) -> "_Stepper":
-        """A copy of this undecided adaptive run that carries on in adaptive ``mode``.
+        """A copy of this adaptive run that carries on in adaptive ``mode``.
 
-        The filters, fuser, law, identifier, series and tallies are copied;
-        the read-only noise and excitation arrays are shared.  From here the
-        copy runs exactly the code an independent run of ``mode`` runs.
+        It forks before its decision acts: at the latch, with the deciding
+        chunk open, or anywhere without a decision.  The filters, fuser,
+        law, identifier, series and tallies are copied; the read-only noise
+        and excitation arrays are shared.  From here the copy runs exactly
+        the code an independent run of ``mode`` runs.
         """
         adaptive = ("sprc_only", "proposed")
-        if self.cfg.mode not in adaptive or mode not in adaptive or self.fuser.d_fd != 0:
-            raise ValueError("only an undecided sprc_only or proposed run forks, into one of those")
+        acted = self.fuser.d_fd != 0 and self._open is None
+        if self.cfg.mode not in adaptive or mode not in adaptive or acted:
+            raise ValueError("only an sprc_only or proposed run forks, before its decision acts")
         shared = (self.load_noise, self.meas_noise, self.prbs, self.bank)
         twin = copy.deepcopy(self, {id(x): x for x in shared})
         twin.cfg = replace(self.cfg, mode=mode)
@@ -426,29 +436,28 @@ class _Stepper:
             snapshot_markov=self.snapshot_markov,
         )
 
-    def _chunk(self, until_decision: bool) -> bool:
-        """One chunk up to the next period boundary; False when undone before a decision."""
-        cfg, fuser, series = self.cfg, self.fuser, self.series
-        P, k = cfg.period_samples, self.k
-        b = min((k // P + 1) * P, cfg.n_samples)
-        pre_state = self._filter_state()
+    def _simulate_chunk(self) -> bool:
+        """Simulate and scan the chunk up to the next period boundary; True when the fuser latches."""
+        series, fuser, P, k = self.series, self.fuser, self.cfg.period_samples, self.k
+        b = min((k // P + 1) * P, self.cfg.n_samples)
+        pre_state = [block.get_state() for block in (self.actuator, self.plant, self.fdie)]
         self._simulate_span(k, b)
-
         # the fuser latches once, so a switch happens at most once per run
-        switch_now = False
-        if fuser.d_fd == 0:
-            pre_scan = fuser.get_state()
-            d_fd = fuser.scan_chunk(series["r"][k:b], series["rbar"][k:b], k)
-            if d_fd != 0 and until_decision:
-                self._set_filter_state(pre_state)
-                fuser.set_state(pre_scan)
-                return False
-            switch_now = cfg.mode == "proposed" and d_fd != 0
-            if switch_now and fuser.confirmed_at + 1 < b:
-                # the switch acts on the sample after confirmation: replay up to it
-                self._set_filter_state(pre_state)
-                b = fuser.confirmed_at + 1
-                self._simulate_span(k, b)
+        latched = fuser.d_fd == 0 and fuser.scan_chunk(series["r"][k:b], series["rbar"][k:b], k) != 0
+        self._open = pre_state, b, latched
+        return latched
+
+    def _finish(self) -> None:
+        """Finish the open chunk: the proposed switch, the identification flush, the boundary."""
+        (pre_state, b, latched), self._open = self._open, None
+        cfg, fuser, k = self.cfg, self.fuser, self.k
+        switch_now = latched and cfg.mode == "proposed"
+        if switch_now and fuser.confirmed_at + 1 < b:
+            # the switch acts on the sample after confirmation: replay up to it
+            for block, state in zip((self.actuator, self.plant, self.fdie), pre_state):
+                block.set_state(state)
+            b = fuser.confirmed_at + 1
+            self._simulate_span(k, b)
 
         self._flush_identification(k, b)
         if switch_now:
@@ -457,17 +466,8 @@ class _Stepper:
                 fuser.d_fd, self.bank, self.identifier, self.law, config=cfg
             )
         self.k = b
-        if b % P == 0:
+        if b % cfg.period_samples == 0:
             self._boundary_update(b)
-        return True
-
-    def _filter_state(self):
-        return self.actuator.get_state(), self.plant.get_state(), self.fdie.get_state()
-
-    def _set_filter_state(self, state) -> None:
-        self.actuator.set_state(state[0])
-        self.plant.set_state(state[1])
-        self.fdie.set_state(state[2])
 
     def _simulate_span(self, a: int, b: int) -> None:
         n, series = b - a, self.series
@@ -500,7 +500,7 @@ class _Stepper:
             series["ident_res"][lo:b, blade] = (
                 targets[:, blade] - regressors[:, :, blade] @ rows[blade]
             )
-        self.identifier.update_block(regressors, targets)
+        self.identifier.update_block(regressors, targets, self.law.frozen)
 
     def _boundary_update(self, k: int) -> None:
         """Per-period controller refresh after sample k-1.
@@ -728,7 +728,8 @@ def compare_modes(
     Returns {"results": {mode: RunResult}, "reduction": {mode: metrics}} with
     reductions measured against the baseline run over its comparison window.
     Asked for both sprc_only and proposed, it computes their common prefix
-    once: see :func:`_adaptive_pair`.
+    once and forks proposed at the latch, or at the end without a decision:
+    see :func:`_adaptive_pair`.
     """
     results = {}
     if {"sprc_only", "proposed"} <= set(modes):
@@ -753,21 +754,18 @@ def compare_modes(
 def _adaptive_pair(cfg: RunConfig, bank) -> dict:
     """The sprc_only and proposed runs of cfg, forked where they part.
 
-    The two modes run the same code until the fuser latches.  One trunk runs
-    as sprc_only up to the start of the chunk in which it latches, and
-    proposed forks off it there; each then runs to the end.  The forked run
-    is bit-identical to an independent one.  Without a decision the arms
-    never part, and proposed runs on its own from the first sample.
+    The two modes run the same code until the fuser latches.  One sprc_only
+    trunk runs until the scan that latches, and proposed forks off it there,
+    each arm then finishing the deciding chunk in its own mode; without a
+    decision the trunk reaches the end and proposed forks off the finished
+    run.  Either way the forked run is bit-identical to an independent one.
     """
-    arm_cfg = replace(cfg, mode="proposed")
-    bank = _run_bank(arm_cfg, bank)
+    bank = _run_bank(replace(cfg, mode="proposed"), bank)
     N = cfg.n_samples
     with single_blas_thread() as telemetry:
         trunk = _Stepper(replace(cfg, mode="sprc_only"), None)
-        if trunk.advance(N, until_decision=True):
-            arm = trunk.fork("proposed", bank)
-        else:
-            arm = _Stepper(arm_cfg, bank)
+        trunk.advance(N, until_decision=True)
+        arm = trunk.fork("proposed", bank)
         results = {}
         for mode, run in (("sprc_only", trunk), ("proposed", arm)):
             run.advance(N)

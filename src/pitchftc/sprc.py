@@ -105,20 +105,22 @@ class MarkovIdentifier:
     """Three decoupled recursive estimators of per-blade Markov rows.
 
     Each row has length 2p: pitch-channel terms first, load-channel terms
-    second, both oldest-sample-first to match the regressor layout.  A blade
-    can be frozen (after fault isolation) so the degenerate zero-information
-    stream from a stuck actuator stops touching its estimate.
+    second, both oldest-sample-first to match the regressor layout.  A run
+    passes its law's frozen mask, so after fault isolation the degenerate
+    zero-information stream from a stuck actuator stops touching its estimate.
     """
 
     def __init__(self, past_window: int, forgetting: float = 0.99999):
         dim = 2 * int(past_window)
         self.estimators = [RlsEstimator(dim, forgetting=forgetting) for _ in range(3)]
-        self.frozen = np.zeros(3, dtype=bool)
 
-    def update_block(self, regressors: np.ndarray, targets: np.ndarray) -> None:
-        """Absorb a chronological block: regressors (n, 2p, 3), targets (n, 3)."""
+    def update_block(self, regressors: np.ndarray, targets: np.ndarray, frozen=(False,) * 3) -> None:
+        """Absorb a chronological block, regressors (n, 2p, 3) and targets (n, 3).
+
+        The blades marked in the (3,) mask ``frozen`` are left untouched.
+        """
         for blade in range(3):
-            if not self.frozen[blade]:
+            if not frozen[blade]:
                 self.estimators[blade].update_block(regressors[:, :, blade], targets[:, blade])
 
     def rows(self) -> np.ndarray:

@@ -131,12 +131,12 @@ def on_detection(
     one tuned under other ``RunConfig.dynamics()`` than the live ``config``,
     leaves the controller running unswitched (degraded adaptive-only
     operation) with a logged warning, but the stuck blade is still frozen
-    since isolation itself is trusted.
+    since isolation itself is trusted.  ``law.frozen`` is the one record of
+    the frozen blade: the run's identification skips the blades it marks.
     """
     if d_fd == 0:
         return False
     law.freeze_blade(d_fd)
-    identifier.frozen[d_fd - 1] = True
     entry = bank.get(d_fd) if bank is not None else None
     if entry is None:
         log.warning("no pre-tuned entry for blade %d; continuing without warm start", d_fd)
@@ -160,7 +160,9 @@ def on_detection(
 def offline_tune(cfg):
     """Run the fault-from-start adaptation and snapshot the converged state.
 
-    Returns (entry, report).  Raises RuntimeError when the run ends without
+    cfg's fault must act from the first sample: a later one would snapshot
+    the healthy controller, and ``RunConfig`` refuses it.  Returns
+    (entry, report).  Raises RuntimeError when the run ends without
     meeting the convergence criterion; its message states the run length
     and the final coefficient increment for diagnosis.
     """

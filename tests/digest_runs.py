@@ -5,11 +5,14 @@
 For each of LC1-LC3 it runs the offline tune of blade 3 (seed 100, 600 s,
 fault from the first sample) and then ``compare_modes`` on the default
 1400 s protocol (baseline, sprc_only and proposed with the tuned bank).
+One more LC3 comparison of sprc_only and proposed has no fault, so no
+decision: there proposed forks off sprc_only at the last sample.
 ``--acceptance`` adds the runs of the acceptance suite: A1 (20 healthy
 runs), A2 (60 fault runs), A5, A6, A7 (20 warm and 20 cold) and A9.
 The chain's ``compare_modes`` forks its proposed run off sprc_only where
-the two part, while the A7 pairs here run independently, as the acceptance
-suite's comparison would without the fork.
+the fuser latches, or at the end without a decision, while the A7 pairs
+here run independently, as the acceptance suite's comparison would
+without the fork.
 
 Each output line is ``<artifact> <sha256>``: one per series, coefficient
 history, tuning snapshot, report, reduction table and bank entry.  With
@@ -80,6 +83,8 @@ def chain(banks: dict, out: list[str]) -> None:
     for lc in LOAD_CASES:
         compare(f"chain/{lc}", harness.RunConfig(load_case=lc), banks[lc],
                 ("baseline", "sprc_only", "proposed"), out)
+    compare("chain/LC3/healthy", harness.RunConfig(load_case="LC3", fault_blade=0),
+            banks["LC3"], ("sprc_only", "proposed"), out)
 
 
 def acceptance(banks: dict, out: list[str]) -> None:

@@ -205,6 +205,11 @@ class TestConfig:
             {"threshold_margin": 0.5},
             {"threshold_margin": -0.5},
             {"threshold_margin": 0},
+            # 0.4 samples round to none: the run writes a CSV that read_csv refuses
+            {"duration_s": 0.004, "fault_blade": 0},
+            # rounds to sample 6000 = N: the fault would never act
+            {"fault_time_s": 59.996},
+            {"mode": "offline_tune", "fault_time_s": 10.0},
         ],
         ids=["nan_multiplier", "negative_multiplier", "fractional_window", "inf_duration",
              "nan_lqr_r", "bool_seed", "negative_comparison_window", "list_load_case",
@@ -216,7 +221,7 @@ class TestConfig:
              "negative_lqr_q", "zero_reseed_confidence", "negative_reseed_confidence",
              "hold_gain_above_one", "negative_prbs_amplitude", "negative_load_noise_std",
              "threshold_margin_past_unit_circle", "negative_threshold_margin",
-             "zero_threshold_margin"],
+             "zero_threshold_margin", "no_sample", "fault_on_sample_n", "late_tuning_fault"],
     )
     def test_from_dict_rejects_bad_numbers(self, bad):
         # a NaN multiplier gives NaN thresholds that no residual crosses, so
@@ -813,7 +818,7 @@ class TestFork:
     )
     # the decision falls on the last sample of a chunk: the switch lands on the boundary
     @example(fault_blade=3, fault_time_s=31.14, seed=0, tuned=True)
-    # no decision: the arms never part and nothing forks
+    # no decision: the arms never part, and proposed forks off the finished run
     @example(fault_blade=0, fault_time_s=0.0, seed=1, tuned=True)
     @settings(max_examples=12, deadline=None)
     def test_forked_arms_equal_independent_runs(
@@ -837,14 +842,14 @@ class TestFork:
             for mode in ("sprc_only", "proposed")
         }
         decision = alone["sprc_only"].report.decision_sample
-        assert fork.call_count == (decision is not None)
+        assert fork.call_count == 1
         for mode, result in alone.items():
             _assert_same_run(forked[mode], result)
         switch = alone["proposed"].report.switch_sample
         event(f"decision {'none' if decision is None else 'on a chunk end' if switch % 625 == 0 else 'mid-chunk'}")
         event(f"switch applied {alone['proposed'].report.switch_applied}")
 
-    def test_only_an_undecided_adaptive_run_forks(self, lc3_bank):
+    def test_only_an_adaptive_run_forks_before_its_decision_acts(self, lc3_bank):
         cfg = short_cfg(duration_s=20.0, fault_blade=3, fault_time_s=5.0)
         run = harness._Stepper(replace(cfg, mode="baseline"), None)
         with pytest.raises(ValueError, match="forks"):
@@ -852,9 +857,59 @@ class TestFork:
         run = harness._Stepper(cfg, None)
         with pytest.raises(ValueError, match="forks"):
             run.fork("baseline")
+        # stopped at the latch, with the deciding chunk still open, it forks
+        run.advance(cfg.n_samples, until_decision=True)
+        assert run.fuser.d_fd == 3 and run.k < cfg.n_samples
+        run.fork("proposed", lc3_bank)
+        # once that chunk is finished the decision has acted
+        run.advance(run.k + 1)
+        with pytest.raises(ValueError, match="forks"):
+            run.fork("proposed", lc3_bank)
         run.advance(cfg.n_samples)
-        assert run.fuser.d_fd == 3
         with pytest.raises(ValueError, match="forks"):
             run.fork("proposed", lc3_bank)
         with pytest.raises(ValueError, match="bank"):
             harness._Stepper(cfg, None).fork("proposed")
+
+    @staticmethod
+    def _spans(cfg, bank):
+        """The pair of cfg, and the (mode, a, b) of every span it simulated."""
+        spans = []
+
+        def record(run, a, b):
+            spans.append((run.cfg.mode, a, b))
+            return simulate(run, a, b)
+
+        simulate = harness._Stepper._simulate_span
+        with mock.patch.object(harness._Stepper, "_simulate_span", autospec=True, side_effect=record):
+            results = compare_modes(cfg, bank=bank, modes=("sprc_only", "proposed"))["results"]
+        return results, spans
+
+    @staticmethod
+    def _coverage(spans, mode, n):
+        covered = np.zeros(n, dtype=int)
+        for _, a, b in (span for span in spans if span[0] == mode):
+            covered[a:b] += 1
+        return covered
+
+    def test_the_trunk_simulates_each_sample_once(self, lc3_bank):
+        cfg = RunConfig(
+            mode="proposed", load_case="LC3", seed=0, duration_s=80.0, fault_blade=3, fault_time_s=40.0
+        )
+        results, spans = self._spans(cfg, lc3_bank)
+        N, P = cfg.n_samples, cfg.period_samples
+        switch = results["proposed"].report.switch_sample
+        assert switch is not None and switch % P != 0  # the decision falls mid-chunk
+        np.testing.assert_array_equal(self._coverage(spans, "sprc_only", N), 1)
+        # the arm replays the deciding chunk up to the switch and simulates the rest once
+        arm = self._coverage(spans, "proposed", N)
+        start = switch // P * P
+        np.testing.assert_array_equal(arm[:start], 0)
+        np.testing.assert_array_equal(arm[start:], 1)
+
+    def test_a_pair_without_a_decision_simulates_one_run(self):
+        cfg = short_cfg(duration_s=80.0)
+        results, spans = self._spans(cfg, None)
+        assert results["sprc_only"].report.decision_sample is None
+        assert sum(b - a for _, a, b in spans) == cfg.n_samples
+        np.testing.assert_array_equal(self._coverage(spans, "sprc_only", cfg.n_samples), 1)

@@ -200,9 +200,10 @@ class TestIdentification:
     def test_frozen_blade_not_updated(self):
         ident = MarkovIdentifier(3)
         rng = np.random.default_rng(6)
-        ident.frozen[1] = True
+        law = RepetitiveLaw(build_basis(16))
+        law.freeze_blade(2)
         before = ident.rows()[1].copy()
-        ident.update_block(rng.normal(size=(50, 6, 3)), rng.normal(size=(50, 3)))
+        ident.update_block(rng.normal(size=(50, 6, 3)), rng.normal(size=(50, 3)), law.frozen)
         np.testing.assert_array_equal(ident.rows()[1], before)
         assert not np.array_equal(ident.rows()[0], before)
 

@@ -1,6 +1,7 @@
 import json
 import logging
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,8 +172,14 @@ class TestOnDetection:
         np.testing.assert_allclose(
             self.identifier.rows(), self.entry.markov_array(), rtol=1e-12
         )
-        assert self.law.frozen[2] and self.identifier.frozen[2]
+        assert self.law.frozen[2]
         assert not self.law.frozen[:2].any()
+        # the law's mask is the identification's too: a flush leaves blade 3 alone
+        rows = self.identifier.rows()
+        rng = np.random.default_rng(1)
+        self.identifier.update_block(rng.normal(size=(20, 8, 3)), rng.normal(size=(20, 3)), self.law.frozen)
+        np.testing.assert_array_equal(self.identifier.rows()[2], rows[2])
+        assert not np.array_equal(self.identifier.rows()[:2], rows[:2])
 
     def test_missing_entry_degrades_with_warning(self, caplog):
         before = self.law.coeffs.copy()
@@ -256,6 +263,15 @@ class TestOfflineTune:
         )
         result = harness.run_simulation(cfg, bank=PretunedBank({3: entry}))
         assert result.report.switch_applied
+
+    def test_tuning_a_late_fault_is_refused(self):
+        # what `pitchftc tune --config configs/run_lc3_proposed.json` runs: its
+        # fault starts at 900 s, so the run would converge healthy and store that
+        cfg = harness.RunConfig.from_json_file(
+            Path(__file__).resolve().parents[1] / "configs" / "run_lc3_proposed.json"
+        )
+        with pytest.raises(ValueError, match="offline_tune requires a configured fault from the first sample"):
+            supervisor.offline_tune(cfg)
 
     def test_unconverged_tuning_raises(self, tune_cfg):
         short = replace(tune_cfg, duration_s=60.0)
