@@ -73,6 +73,9 @@ def _cmd_compare(args) -> int:
         ]
         print(f"{mode:<12}" + "".join(cells) + f"{metrics['cumulative']:>14.2f}")
     print(f"artifacts in {outdir}")
+    # every mode computes under the same pin, so one line describes them all
+    telemetry = next(iter(outcome["results"].values())).telemetry
+    print(f"telemetry: {json.dumps(telemetry)}")
     return 0
 
 

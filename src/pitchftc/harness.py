@@ -39,6 +39,7 @@ from .fdi import DecisionFuser, FdiBounds, decision_record, design_fdie, residua
 from .numerics import run_lengths, single_blas_thread
 from .plant import LOAD_CASES, PITCH_MAX_DEG, PITCH_MIN_DEG, LoadCase, Plant
 from .sprc import (
+    IDENTIFIER_THREADS,
     MarkovIdentifier,
     RepetitiveLaw,
     build_basis,
@@ -285,7 +286,8 @@ class RunResult:
     coeff_history: np.ndarray
     snapshot_coeffs: np.ndarray | None = None
     snapshot_markov: np.ndarray | None = None
-    #: the environment the run computed in (BLAS pin); never part of the report
+    #: the environment the run computed in (BLAS pin, threads of the RLS
+    #: updates); never part of the report
     telemetry: dict = field(default_factory=dict)
 
 
@@ -308,15 +310,18 @@ def run_simulation(cfg: RunConfig, bank: "_supervisor.PretunedBank | None" = Non
     """Execute one closed-loop run; deterministic in (config, seed).
 
     BLAS runs on one thread for the length of the run, so the bits do not
-    depend on the thread count the process was started with.
+    depend on the thread count the process was started with.  The blades'
+    RLS updates run on this thread and one helper (``rls_threads`` in the
+    telemetry), each estimator on one of them, so the bits do not depend on
+    scheduling either.
     """
     cfg.validate()
     bank = _run_bank(cfg, bank)
-    with single_blas_thread() as telemetry:
+    with single_blas_thread() as pin:
         run = _Stepper(cfg, bank)
         run.advance(cfg.n_samples)
         result = run.result()
-    result.telemetry = telemetry
+    result.telemetry = {**pin, "rls_threads": IDENTIFIER_THREADS}
     return result
 
 
@@ -762,7 +767,8 @@ def _adaptive_pair(cfg: RunConfig, bank) -> dict:
     """
     bank = _run_bank(replace(cfg, mode="proposed"), bank)
     N = cfg.n_samples
-    with single_blas_thread() as telemetry:
+    with single_blas_thread() as pin:
+        telemetry = {**pin, "rls_threads": IDENTIFIER_THREADS}
         trunk = _Stepper(replace(cfg, mode="sprc_only"), None)
         trunk.advance(N, until_decision=True)
         arm = trunk.fork("proposed", bank)

@@ -4,7 +4,9 @@ Everything here is plain linear algebra with no knowledge of turbines:
 
 - square-root recursive least squares with exponential forgetting, each
   block absorbed in place by one triangular-pentagonal QR (LAPACK
-  ``dtpqrt``) of a persistent column-major triangle,
+  ``dtpqrt``) of a persistent column-major triangle; the QR is called
+  through the function pointer ``scipy.linalg.cython_lapack`` exports,
+  which, unlike scipy's f2py wrapper, lets other threads run during it,
 - a stabilizing discrete Riccati solve with a closed-loop check: the
   generalized-Schur algorithm of ``scipy.linalg.solve_discrete_are`` on
   direct LAPACK calls, which gives its bits without its per-call wrapper
@@ -18,6 +20,7 @@ Everything here is plain linear algebra with no knowledge of turbines:
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import logging
 import warnings
@@ -83,6 +86,71 @@ class StateSpaceModel:
 TPQRT_BLOCK = 16
 
 
+@functools.cache
+def _dtpqrt_pointer():
+    """LAPACK ``dtpqrt`` as a ctypes function on the pointer ``cython_lapack`` exports.
+
+    It is the routine scipy's ``lapack.dtpqrt`` wrapper calls, so the bits
+    are the same; a ctypes foreign call releases the GIL, which the wrapper
+    holds.  Looked up on first use, not at import.
+    """
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dtpqrt"]
+    # private prototypes, so the shared ctypes.pythonapi functions keep theirs
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    address = get_pointer(capsule, get_name(capsule))
+    ip, dp = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    # m, n, l, nb, a, lda, b, ldb, t, ldt, work, info
+    return ctypes.CFUNCTYPE(None, ip, ip, ip, ip, dp, ip, dp, ip, dp, ip, dp, ip)(address)
+
+
+def _tpqrt(nb: int, tri: np.ndarray, rows: np.ndarray) -> None:
+    """QR of the upper triangle ``tri`` (n, n) over the full rows ``rows`` (m, n), in place.
+
+    LAPACK ``dtpqrt`` with l = 0 and column block ``nb``: ``tri`` receives
+    the new triangle and ``rows`` the reflectors.  The call passes raw
+    pointers, so both arrays must be writeable, Fortran-contiguous float64
+    with matching column counts (ValueError otherwise); an argument LAPACK
+    rejects raises RuntimeError.
+    """
+    for name, arr in (("tri", tri), ("rows", rows)):
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.ndim == 2
+            and arr.dtype == np.float64
+            and arr.flags.f_contiguous
+            and arr.flags.writeable
+        ):
+            raise ValueError(f"{name} must be a writeable Fortran-contiguous 2-D float64 array")
+    m, n = rows.shape
+    if tri.shape != (n, n):
+        raise ValueError(f"tri must be ({n}, {n}) to match rows {rows.shape}, not {tri.shape}")
+    nb = int(nb)
+    t = np.empty((max(nb, 1), n), order="F")
+    work = np.empty(max(nb * n, 1))
+    dp = ctypes.POINTER(ctypes.c_double)
+    info = ctypes.c_int(0)
+    _dtpqrt_pointer()(
+        *(ctypes.byref(ctypes.c_int(v)) for v in (m, n, 0, nb)),
+        tri.ctypes.data_as(dp),
+        ctypes.byref(ctypes.c_int(max(n, 1))),
+        rows.ctypes.data_as(dp),
+        ctypes.byref(ctypes.c_int(max(m, 1))),
+        t.ctypes.data_as(dp),
+        ctypes.byref(ctypes.c_int(max(nb, 1))),
+        work.ctypes.data_as(dp),
+        ctypes.byref(info),
+    )
+    if info.value != 0:
+        raise RuntimeError(f"dtpqrt rejected argument {-info.value}")
+
+
 class RlsEstimator:
     """Recursive least squares kept in square-root (QR) form.
 
@@ -98,7 +166,9 @@ class RlsEstimator:
 
     ``[R z]`` lives in one persistent column-major (dim+1) x (dim+1) array
     that ``dtpqrt`` overwrites in place; ``factor`` and ``rhs`` read copies
-    of its blocks and assign into them.
+    of its blocks and assign into them.  The QR runs without the GIL, so
+    estimators updated from different threads compute side by side; each
+    estimator must be updated from one thread at a time.
 
     The factor is initialized to ``init_scale * I`` so the first solves are
     well posed without meaningfully biasing long-run estimates.
@@ -178,11 +248,7 @@ class RlsEstimator:
         np.multiply(w[:, None], phi, out=rows[:, :d])
         np.multiply(w, y, out=rows[:, d])
 
-        _, _, _, info = lapack.dtpqrt(
-            0, min(TPQRT_BLOCK, d + 1), tri, rows, overwrite_a=1, overwrite_b=1
-        )
-        if info != 0:
-            raise RuntimeError(f"dtpqrt rejected argument {-info}")
+        _tpqrt(min(TPQRT_BLOCK, d + 1), tri, rows)
         # One triangular factor per information matrix; fix signs so the
         # diagonal is positive and the factor is unique.
         diag = np.diagonal(tri)[:d]
@@ -486,7 +552,6 @@ _OPENBLAS_SYMBOLS = ("scipy_openblas{}64_", "scipy_openblas{}")
 @functools.cache
 def _openblas_libraries() -> tuple[tuple[_Openblas, ...], tuple[str, ...]]:
     """numpy's and scipy's OpenBLAS from their ``<package>.libs``; the packages not found."""
-    import ctypes
     from pathlib import Path
 
     import scipy

@@ -13,10 +13,17 @@ periodic load content to zero.
 
 Per-blade decoupling runs through the whole pipeline: three independent
 regressions per sample and three independent six-state designs per period.
+The blades' regressions are absorbed side by side: one helper thread takes
+every live blade but the last, the calling thread the last.  Each estimator
+is touched by one thread only and BLAS runs on one thread in both, so the
+bits do not depend on scheduling.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +108,23 @@ def build_regressor_block(
     return blocks.transpose(2, 1, 0), targets
 
 
+#: threads that absorb the blades' blocks: the calling thread plus the helper
+IDENTIFIER_THREADS = 2
+
+
+@functools.cache
+def _helper() -> ThreadPoolExecutor:
+    """The one helper thread of the identifiers, started on first use, not at import.
+
+    It lives at module level, out of anything a fork of a run deep-copies.
+    """
+    return ThreadPoolExecutor(max_workers=IDENTIFIER_THREADS - 1, thread_name_prefix="pitchftc-rls")
+
+
+# a forked child process inherits the executor but not its thread
+os.register_at_fork(after_in_child=_helper.cache_clear)
+
+
 class MarkovIdentifier:
     """Three decoupled recursive estimators of per-blade Markov rows.
 
@@ -108,6 +132,11 @@ class MarkovIdentifier:
     second, both oldest-sample-first to match the regressor layout.  A run
     passes its law's frozen mask, so after fault isolation the degenerate
     zero-information stream from a stuck actuator stops touching its estimate.
+
+    A block update runs the live blades side by side: the module's helper
+    thread absorbs every live blade but the last while the calling thread
+    absorbs the last (the QR releases the GIL).  Each estimator is updated by
+    one thread, so the result is bit-identical to updating the blades in turn.
     """
 
     def __init__(self, past_window: int, forgetting: float = 0.99999):
@@ -118,10 +147,25 @@ class MarkovIdentifier:
         """Absorb a chronological block, regressors (n, 2p, 3) and targets (n, 3).
 
         The blades marked in the (3,) mask ``frozen`` are left untouched.
+        Every blade has finished when this returns or raises; an error of
+        the calling thread's blade wins over one of a helper blade.
         """
-        for blade in range(3):
-            if not frozen[blade]:
-                self.estimators[blade].update_block(regressors[:, :, blade], targets[:, blade])
+        live = [blade for blade in range(3) if not frozen[blade]]
+        if not live:
+            return
+        *side, last = live
+        futures = [
+            _helper().submit(
+                self.estimators[blade].update_block, regressors[:, :, blade], targets[:, blade]
+            )
+            for blade in side
+        ]
+        try:
+            self.estimators[last].update_block(regressors[:, :, last], targets[:, last])
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
 
     def rows(self) -> np.ndarray:
         """Current Markov row estimates, shape (3, 2p)."""

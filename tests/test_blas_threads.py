@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -112,8 +113,35 @@ def test_run_pins_one_thread_and_restores_the_counts(monkeypatch, raises):
                 for lib in libraries
             },
             "blas_missing": [],
+            "rls_threads": 2,
         }
         assert "telemetry" not in result.report.to_dict()
+
+
+def test_helper_thread_computes_on_one_blas_thread(monkeypatch):
+    libraries, missing = numerics._openblas_libraries()
+    if missing:
+        pytest.skip(f"no OpenBLAS thread control for {missing}")
+    inside = []
+    update_block = numerics.RlsEstimator.update_block
+
+    def spy(self, *args):
+        inside.append((threading.current_thread() is threading.main_thread(), _thread_counts()))
+        return update_block(self, *args)
+
+    monkeypatch.setattr(numerics.RlsEstimator, "update_block", spy)
+    original = _thread_counts()
+    for lib in libraries:
+        lib.set_threads(2)
+    try:
+        harness.run_simulation(harness.RunConfig(mode="sprc_only", duration_s=30.0, fault_blade=0))
+    finally:
+        for lib, count in zip(libraries, original):
+            lib.set_threads(count)
+
+    helper = [counts for on_main, counts in inside if not on_main]
+    assert helper and len(helper) == 2 * (len(inside) - len(helper))
+    assert all(counts == [1] * len(libraries) for _, counts in inside)
 
 
 def test_run_without_thread_control_goes_on_and_says_so(monkeypatch):

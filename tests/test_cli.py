@@ -98,11 +98,7 @@ def test_tune_run_compare_psd_flow(tmp_path, config_path, capsys):
     )
     report = json.loads(report_path.read_text())
     assert report["d_fd"] == 3
-    telemetry = [
-        line for line in capsys.readouterr().out.splitlines() if line.startswith("telemetry: ")
-    ]
-    assert len(telemetry) == 1
-    assert json.loads(telemetry[0].removeprefix("telemetry: "))["blas_threads"] == 1
+    run_out = capsys.readouterr().out
 
     out_dir = tmp_path / "cmp"
     assert (
@@ -123,6 +119,12 @@ def test_tune_run_compare_psd_flow(tmp_path, config_path, capsys):
     assert "proposed" in reduction and "cumulative" in reduction["proposed"]
     table = capsys.readouterr().out
     assert "cumulative %" in table
+    # both commands print the environment the runs computed in
+    for out in (run_out, table):
+        lines = [line for line in out.splitlines() if line.startswith("telemetry: ")]
+        assert len(lines) == 1
+        recorded = json.loads(lines[0].removeprefix("telemetry: "))
+        assert (recorded["blas_threads"], recorded["rls_threads"]) == (1, 2)
 
     psd_out = tmp_path / "psd.csv"
     assert (

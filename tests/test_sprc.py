@@ -1,3 +1,11 @@
+import copy
+import itertools
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import PipelineSystem, scalar_markov_row
 from oracles import DeltaBuffers, lifted_transition_maps
 from pitchftc import numerics
-from pitchftc.numerics import psd_estimate
+from pitchftc.numerics import RlsEstimator, psd_estimate
 from pitchftc.sprc import (
     PRBS_AMPLITUDE,
     PRBS_TAU,
@@ -206,6 +214,119 @@ class TestIdentification:
         ident.update_block(rng.normal(size=(50, 6, 3)), rng.normal(size=(50, 3)), law.frozen)
         np.testing.assert_array_equal(ident.rows()[1], before)
         assert not np.array_equal(ident.rows()[0], before)
+
+
+def _blade_blocks(rng, n, p):
+    """Regressors (n, 2p, 3) laid out as build_regressor_block lays them, and targets (n, 3)."""
+    return rng.normal(size=(3, 2 * p, n)).transpose(2, 1, 0), rng.normal(size=(n, 3))
+
+
+class TestSideBySideBlades:
+    @pytest.mark.parametrize("n", [0, 1, 625])
+    @pytest.mark.parametrize(
+        "frozen",
+        list(itertools.product((False, True), repeat=3)),
+        ids=lambda mask: "".join("F" if f else "-" for f in mask),
+    )
+    def test_bit_identical_to_blades_in_turn(self, frozen, n):
+        rng = np.random.default_rng(11)
+        p = 100
+        ident = MarkovIdentifier(p)
+        ident.update_block(*_blade_blocks(rng, 625, p))
+        expected = copy.deepcopy(ident.estimators)
+        regressors, targets = _blade_blocks(rng, n, p)
+
+        ident.update_block(regressors, targets, frozen)
+        for blade, est in enumerate(expected):
+            if not frozen[blade]:
+                est.update_block(regressors[:, :, blade], targets[:, blade])
+        for got, want in zip(ident.estimators, expected):
+            assert got._tri.tobytes() == want._tri.tobytes()
+        assert ident.rows().tobytes() == np.vstack([est.estimate for est in expected]).tobytes()
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_blade_error_surfaces_after_the_other_blades_finish(self, monkeypatch, failing):
+        ident = MarkovIdentifier(3)
+        blade_of = {id(est): blade for blade, est in enumerate(ident.estimators)}
+        finished, threads = [], {}
+
+        def spy(self, regressors, observations):
+            blade = blade_of[id(self)]
+            threads[blade] = threading.current_thread().name
+            if blade == failing:
+                raise RuntimeError(f"blade {blade} failed")
+            time.sleep(0.05)
+            finished.append(blade)
+
+        monkeypatch.setattr(RlsEstimator, "update_block", spy)
+        with pytest.raises(RuntimeError, match=f"blade {failing} failed"):
+            ident.update_block(*_blade_blocks(np.random.default_rng(0), 10, 3))
+        assert sorted(finished) == [b for b in range(3) if b != failing]
+        # the last live blade runs on the calling thread, the others on the helper
+        assert threads[2] == threading.current_thread().name
+        assert threads[0] == threads[1] != threads[2]
+
+    def test_the_calling_thread_error_wins(self, monkeypatch):
+        ident = MarkovIdentifier(3)
+
+        def spy(self, regressors, observations):
+            raise RuntimeError(threading.current_thread().name)
+
+        monkeypatch.setattr(RlsEstimator, "update_block", spy)
+        with pytest.raises(RuntimeError, match=threading.current_thread().name):
+            ident.update_block(*_blade_blocks(np.random.default_rng(0), 10, 3))
+
+    def test_concurrent_callers_share_the_helper(self):
+        # more calling threads than cores, switching often: each identifier
+        # still ends with the bits of its blades updated in turn
+        rng = np.random.default_rng(5)
+        p, rounds = 8, 20
+        blocks = [_blade_blocks(rng, 100, p) for _ in range(4)]
+        idents = [MarkovIdentifier(p) for _ in blocks]
+        expected = copy.deepcopy(idents)
+        for ident, (regressors, targets) in zip(expected, blocks):
+            for _ in range(rounds):
+                for blade, est in enumerate(ident.estimators):
+                    est.update_block(regressors[:, :, blade], targets[:, blade])
+
+        def run(ident, block):
+            for _ in range(rounds):
+                ident.update_block(*block)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(blocks)) as callers:
+                futures = [callers.submit(run, *pair) for pair in zip(idents, blocks)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(idents, expected):
+            assert got.rows().tobytes() == want.rows().tobytes()
+
+    def test_forked_child_gets_its_own_helper(self):
+        # a child inherits the parent's executor but not its thread
+        rng = np.random.default_rng(3)
+        ident = MarkovIdentifier(4)
+        ident.update_block(*_blade_blocks(rng, 50, 4))
+        blocks = _blade_blocks(rng, 50, 4)
+        fork = multiprocessing.get_context("fork")
+        queue = fork.SimpleQueue()
+        child = fork.Process(target=_update_and_send, args=(ident, blocks, queue))
+        child.start()
+        child.join(timeout=20)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+        ident.update_block(*blocks)
+        assert queue.get().tobytes() == ident.rows().tobytes()
+
+
+def _update_and_send(ident, blocks, queue):
+    ident.update_block(*blocks)
+    queue.put(ident.rows())
 
 
 class TestBuildLifted:
