@@ -26,6 +26,7 @@ Controller modes:
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import sys
@@ -453,7 +454,16 @@ class _Stepper:
         return latched
 
     def _finish(self) -> None:
-        """Finish the open chunk: the proposed switch, the identification flush, the boundary."""
+        """Finish the open chunk: the proposed switch, the identification flush, the boundary.
+
+        The flush of a chunk that ends on a period boundary runs into that
+        boundary's update: the law steps each live blade as soon as its
+        estimator has finished (:meth:`MarkovIdentifier.absorb`), so the
+        calling thread's gain solves overlap the helper's QR.  A switching
+        chunk flushes whole before the switch acts, and its boundary reads
+        the rows the switch reseeded.  Every helper blade has finished when
+        this returns or raises.
+        """
         (pre_state, b, latched), self._open = self._open, None
         cfg, fuser, k = self.cfg, self.fuser, self.k
         switch_now = latched and cfg.mode == "proposed"
@@ -464,15 +474,20 @@ class _Stepper:
             b = fuser.confirmed_at + 1
             self._simulate_span(k, b)
 
-        self._flush_identification(k, b)
-        if switch_now:
-            self.switch_sample = b
-            self.switch_applied = _supervisor.on_detection(
-                fuser.d_fd, self.bank, self.identifier, self.law, config=cfg
-            )
-        self.k = b
-        if b % cfg.period_samples == 0:
-            self._boundary_update(b)
+        boundary = b % cfg.period_samples == 0
+        with contextlib.closing(self._flush_identification(k, b)) as absorbed:
+            if switch_now or not boundary:
+                for _ in absorbed:
+                    pass
+            if switch_now:
+                self.switch_sample = b
+                self.switch_applied = _supervisor.on_detection(
+                    fuser.d_fd, self.bank, self.identifier, self.law, config=cfg
+                )
+            self.k = b
+            if boundary:
+                rows = enumerate(self.identifier.rows()) if switch_now else absorbed
+                self._boundary_update(b, rows)
 
     def _simulate_span(self, a: int, b: int) -> None:
         n, series = b - a, self.series
@@ -489,7 +504,12 @@ class _Stepper:
         series["y"][a:b] = y
         series["r"][a:b] = self.fdie.run_chunk(u_ref, u_meas)
 
-    def _flush_identification(self, a: int, b: int) -> None:
+    def _flush_identification(self, a: int, b: int):
+        """Absorb samples a..b-1, yielding (blade, row) as each live blade finishes.
+
+        The a-priori residuals land in ``ident_res``.  A generator: nothing
+        is absorbed before the first pair is asked for.
+        """
         cfg, series = self.cfg, self.series
         if cfg.mode == "baseline":
             return
@@ -500,26 +520,28 @@ class _Stepper:
         regressors, targets = build_regressor_block(
             series["u_act"], series["y"], lo, b, P, cfg.past_window
         )
-        rows = self.identifier.rows()
-        for blade in range(3):
-            series["ident_res"][lo:b, blade] = (
-                targets[:, blade] - regressors[:, :, blade] @ rows[blade]
-            )
-        self.identifier.update_block(regressors, targets, self.law.frozen)
+        yield from self.identifier.absorb(
+            regressors, targets, self.law.frozen, series["ident_res"][lo:b]
+        )
 
-    def _boundary_update(self, k: int) -> None:
+    def _boundary_update(self, k: int, rows) -> None:
         """Per-period controller refresh after sample k-1.
 
-        The refreshed coefficients take effect on the upcoming period, so
-        they land at slot k // P of the applied-coefficient history.  An
-        offline tuning ends here once the last c increments, all of them
-        after START_PERIOD, are quiet.
+        ``rows`` yields the (blade, row) pairs the law's period update steps
+        on, and is drained when the law does not adapt yet.  The refreshed
+        coefficients take effect on the upcoming period, so they land at
+        slot k // P of the applied-coefficient history.  An offline tuning
+        ends here once the last c increments, all of them after
+        START_PERIOD, are quiet.
         """
         cfg, law, history = self.cfg, self.law, self.coeff_history
         P = cfg.period_samples
         j = k // P  # period the refreshed coefficients apply to
         if cfg.mode != "baseline" and j > START_PERIOD:
-            law.period_update(law.project(self.series["y"][k - P : k]), self.identifier.rows())
+            law.period_update(law.project(self.series["y"][k - P : k]), rows)
+        else:
+            for _ in rows:
+                pass
         if j < history.shape[0]:
             history[j] = law.coeffs
         c = CONVERGENCE_CONSECUTIVE

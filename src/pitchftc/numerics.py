@@ -105,9 +105,9 @@ def _dtpqrt_pointer():
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
     address = get_pointer(capsule, get_name(capsule))
-    ip, dp = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    # m, n, l, nb, a, lda, b, ldb, t, ldt, work, info
-    return ctypes.CFUNCTYPE(None, ip, ip, ip, ip, dp, ip, dp, ip, dp, ip, dp, ip)(address)
+    # m, n, l, nb, a, lda, b, ldb, t, ldt, work, info: every Fortran argument
+    # is a pointer, passed as a plain address so no ctypes object is built per call
+    return ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 12)(address)
 
 
 def _tpqrt(nb: int, tri: np.ndarray, rows: np.ndarray) -> None:
@@ -132,23 +132,24 @@ def _tpqrt(nb: int, tri: np.ndarray, rows: np.ndarray) -> None:
     if tri.shape != (n, n):
         raise ValueError(f"tri must be ({n}, {n}) to match rows {rows.shape}, not {tri.shape}")
     nb = int(nb)
-    t = np.empty((max(nb, 1), n), order="F")
-    work = np.empty(max(nb * n, 1))
-    dp = ctypes.POINTER(ctypes.c_double)
-    info = ctypes.c_int(0)
+    # t (max(nb, 1), n), work (nb n) and the eight integer arguments
+    # (m, n, l, nb, lda, ldb, ldt, info) share one buffer, addressed once
+    t_size = max(nb, 1) * n
+    buf = np.empty(t_size + max(nb * n, 1) + 4)
+    ints = buf[-4:].view(np.intc)
+    ints[:] = m, n, 0, nb, max(n, 1), max(m, 1), max(nb, 1), 0
+    t = buf.ctypes.data
+    i = t + 8 * (buf.shape[0] - 4)
     _dtpqrt_pointer()(
-        *(ctypes.byref(ctypes.c_int(v)) for v in (m, n, 0, nb)),
-        tri.ctypes.data_as(dp),
-        ctypes.byref(ctypes.c_int(max(n, 1))),
-        rows.ctypes.data_as(dp),
-        ctypes.byref(ctypes.c_int(max(m, 1))),
-        t.ctypes.data_as(dp),
-        ctypes.byref(ctypes.c_int(max(nb, 1))),
-        work.ctypes.data_as(dp),
-        ctypes.byref(info),
+        i, i + 4, i + 8, i + 12,
+        tri.ctypes.data, i + 16,
+        rows.ctypes.data, i + 20,
+        t, i + 24,
+        t + 8 * t_size,
+        i + 28,
     )
-    if info.value != 0:
-        raise RuntimeError(f"dtpqrt rejected argument {-info.value}")
+    if ints[7] != 0:
+        raise RuntimeError(f"dtpqrt rejected argument {-ints[7]}")
 
 
 class RlsEstimator:
@@ -220,12 +221,18 @@ class RlsEstimator:
             raise sla.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
         return w
 
-    def update_block(self, regressors: np.ndarray, observations: np.ndarray) -> None:
-        """Absorb a block of rows in chronological order.
+    def residual(self, regressors: np.ndarray, observations: np.ndarray) -> np.ndarray:
+        """Observations less their prediction by the current estimate, (n,)."""
+        return observations - regressors @ self.estimate
+
+    def update_block(self, regressors: np.ndarray, observations: np.ndarray) -> np.ndarray:
+        """Absorb a block of rows in chronological order; returns its a-priori residual.
 
         Equivalent to absorbing the rows one at a time: sample i of a block
         of length B carries weight forgetting**(B-1-i) and the prior is
         scaled by forgetting**B.  Column-major regressors are copied fastest.
+        The (B,) residual is :meth:`residual` of the block against the
+        estimate held before it.
         """
         phi = np.asarray(regressors, dtype=float)
         y = np.asarray(observations, dtype=float).reshape(-1)
@@ -235,7 +242,8 @@ class RlsEstimator:
             raise ValueError("row count mismatch between regressors and observations")
         b = phi.shape[0]
         if b == 0:
-            return
+            return np.zeros(0)
+        residual = self.residual(phi, y)
 
         d, lam, tri = self.dim, self.forgetting, self._tri
         # dtpqrt reads and writes only the upper triangle, so the zeros
@@ -257,6 +265,7 @@ class RlsEstimator:
         adiag = np.abs(diag)
         if adiag.min() < self.DEGENERATE_RTOL * adiag.max():
             self.degenerate = True
+        return residual
 
     def reseed(self, estimate: np.ndarray, confidence: float = 1e-2) -> None:
         """Reset the factor around a given estimate with a chosen weight."""

@@ -14,15 +14,19 @@ periodic load content to zero.
 Per-blade decoupling runs through the whole pipeline: three independent
 regressions per sample and three independent six-state designs per period.
 The blades' regressions are absorbed side by side: one helper thread takes
-every live blade but the last, the calling thread the last.  Each estimator
-is touched by one thread only and BLAS runs on one thread in both, so the
-bits do not depend on scheduling.
+every live blade but the last, the calling thread the last.  At a period
+boundary the calling thread designs each blade's gain as soon as that
+blade's regression has finished, while the helper may still absorb another.
+Each estimator is touched by one thread only, the law only by the calling
+thread, and BLAS runs on one thread in both, so the bits do not depend on
+scheduling.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -133,39 +137,64 @@ class MarkovIdentifier:
     passes its law's frozen mask, so after fault isolation the degenerate
     zero-information stream from a stuck actuator stops touching its estimate.
 
-    A block update runs the live blades side by side: the module's helper
-    thread absorbs every live blade but the last while the calling thread
-    absorbs the last (the QR releases the GIL).  Each estimator is updated by
-    one thread, so the result is bit-identical to updating the blades in turn.
+    A block is absorbed with the live blades side by side: the module's
+    helper thread absorbs every live blade but the last while the calling
+    thread absorbs the last (the QR releases the GIL).  :meth:`absorb` hands
+    out each blade as soon as it has finished, so the caller can work on one
+    blade while the helper is still absorbing another; :meth:`update_block`
+    absorbs the whole block at once.  Each estimator is updated by one
+    thread, so the result is bit-identical to updating the blades in turn.
     """
 
     def __init__(self, past_window: int, forgetting: float = 0.99999):
         dim = 2 * int(past_window)
         self.estimators = [RlsEstimator(dim, forgetting=forgetting) for _ in range(3)]
 
-    def update_block(self, regressors: np.ndarray, targets: np.ndarray, frozen=(False,) * 3) -> None:
-        """Absorb a chronological block, regressors (n, 2p, 3) and targets (n, 3).
+    def absorb(
+        self, regressors: np.ndarray, targets: np.ndarray, frozen, residuals: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Absorb a chronological block, yielding (blade, row) as each live blade finishes.
 
-        The blades marked in the (3,) mask ``frozen`` are left untouched.
-        Every blade has finished when this returns or raises; an error of
-        the calling thread's blade wins over one of a helper blade.
+        regressors (n, 2p, 3) and targets (n, 3) are the block; the blades
+        marked in the (3,) mask ``frozen`` are left untouched.  ``row`` is
+        the blade's new Markov row.  The calling thread's blade comes first,
+        then the helper's in submission order.  ``residuals`` (n, 3) receives
+        every blade's a-priori residual, a live blade's computed by the thread
+        that absorbs it.  Every blade has finished when the generator is
+        exhausted, closed or raises; an error of the calling thread's blade
+        wins over one of a helper blade.
         """
         live = [blade for blade in range(3) if not frozen[blade]]
-        if not live:
-            return
-        *side, last = live
-        futures = [
-            _helper().submit(
+        helper = {
+            blade: _helper().submit(
                 self.estimators[blade].update_block, regressors[:, :, blade], targets[:, blade]
             )
-            for blade in side
-        ]
+            for blade in live[:-1]
+        }
         try:
-            self.estimators[last].update_block(regressors[:, :, last], targets[:, last])
+            for blade in live[-1:]:
+                residuals[:, blade] = self.estimators[blade].update_block(
+                    regressors[:, :, blade], targets[:, blade]
+                )
+                yield blade, self.estimators[blade].estimate
+            for blade in np.flatnonzero(frozen):
+                residuals[:, blade] = self.estimators[blade].residual(
+                    regressors[:, :, blade], targets[:, blade]
+                )
+            for blade, future in helper.items():
+                residuals[:, blade] = future.result()
+                yield blade, self.estimators[blade].estimate
         finally:
-            wait(futures)
-        for future in futures:
-            future.result()
+            wait(helper.values())
+
+    def update_block(
+        self, regressors: np.ndarray, targets: np.ndarray, frozen=(False,) * 3
+    ) -> np.ndarray:
+        """Absorb a whole block as :meth:`absorb` does; returns the (n, 3) residuals."""
+        residuals = np.empty(np.shape(targets))
+        for _ in self.absorb(regressors, targets, frozen, residuals):
+            pass
+        return residuals
 
     def rows(self) -> np.ndarray:
         """Current Markov row estimates, shape (3, 2p)."""
@@ -305,13 +334,18 @@ class RepetitiveLaw:
         self.coeffs = np.asarray(coeffs, dtype=float).reshape(3, 2).copy()
         self._dcoeffs = np.zeros((3, 2))
 
-    def period_update(self, load_proj: np.ndarray, markov_rows: np.ndarray) -> None:
+    def period_update(self, load_proj: np.ndarray, rows: Iterable[tuple[int, np.ndarray]]) -> None:
         """One adaptation step from the just-completed period.
 
         load_proj is the measured per-blade load projection (3, 2) of that
-        period; markov_rows (3, 2p) is the current identification state.
+        period.  rows yields the current identification state as
+        (blade, markov_row) pairs in any order, such as
+        ``enumerate(identifier.rows())`` or, pipelined, the pairs of
+        :meth:`MarkovIdentifier.absorb`: each live blade steps as its pair
+        arrives and frozen blades are skipped.  The coefficients, their change
+        and the load memory are committed once every live blade has stepped;
+        a live blade without a pair raises ValueError.
         """
-        past_window = markov_rows.shape[1] // 2
         load_proj = np.asarray(load_proj, dtype=float).reshape(3, 2)
         if self._load_proj_prev is None:
             dload = np.zeros((3, 2))
@@ -319,16 +353,20 @@ class RepetitiveLaw:
             dload = load_proj - self._load_proj_prev
 
         new_coeffs = self.coeffs.copy()
-        for blade in range(3):
+        stepped = self.frozen.copy()
+        for blade, row in rows:
             if self.frozen[blade]:
                 continue
-            a_lift, b_lift = build_lifted(markov_rows[blade], self.P, past_window, self.basis)
+            a_lift, b_lift = build_lifted(row, self.P, len(row) // 2, self.basis)
             result = update_gain(a_lift, b_lift, self.Q, self.R, previous=self._gains[blade])
             if not result.ok:
                 self.gain_failures += 1
             self._gains[blade] = result
             state = np.concatenate([load_proj[blade], self._dcoeffs[blade], dload[blade]])
             new_coeffs[blade] = self.coeffs[blade] - self.step_gain * (result.gain @ state)
+            stepped[blade] = True
+        if not stepped.all():
+            raise ValueError(f"live blades {np.flatnonzero(~stepped).tolist()} got no Markov row")
 
         self._dcoeffs = new_coeffs - self.coeffs
         self.coeffs = new_coeffs

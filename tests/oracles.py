@@ -4,11 +4,18 @@ The library advances every block over whole chunks of samples.  These
 references follow the defining recursions one sample at a time, so tests
 can pin the chunked code to them at arbitrary chunk boundaries.  The RLS
 block update has a dense reference here too: one QR of the whole stacked
-system, which the library's structured QR must reproduce.
+system, which the library's structured QR must reproduce.  The closed loop
+has a sequential reference: each chunk's identification is flushed whole,
+blade by blade, before its period-boundary update, where the library
+overlaps the two.
 """
 
 import numpy as np
 import scipy.linalg as sla
+
+from pitchftc import harness, supervisor
+from pitchftc.numerics import single_blas_thread
+from pitchftc.sprc import build_regressor_block
 
 
 class DeltaBuffers:
@@ -170,3 +177,57 @@ def lifted_transition_maps(markov_row, period_samples, past_window, basis):
         trans = np.concatenate([terms, np.zeros(P)])[exponents]
         maps.append((2.0 / P) * (basis.T @ (trans @ tail)))
     return maps
+
+
+class SequentialStepper(harness._Stepper):
+    """The chunked run with each chunk's identification flushed whole before its boundary.
+
+    Per chunk: the residuals of every blade against the rows held before
+    the chunk, then the live blades' block updates in turn on the calling
+    thread, then the proposed switch, then
+    ``period_update(load_proj, enumerate(identifier.rows()))`` at a period
+    boundary.  The library computes the same steps overlapped; it must give
+    the same bits.
+    """
+
+    def _finish(self):
+        (pre_state, b, latched), self._open = self._open, None
+        cfg, fuser, k = self.cfg, self.fuser, self.k
+        switch_now = latched and cfg.mode == "proposed"
+        if switch_now and fuser.confirmed_at + 1 < b:
+            for block, state in zip((self.actuator, self.plant, self.fdie), pre_state):
+                block.set_state(state)
+            b = fuser.confirmed_at + 1
+            self._simulate_span(k, b)
+        self._flush_whole(k, b)
+        if switch_now:
+            self.switch_sample = b
+            self.switch_applied = supervisor.on_detection(
+                fuser.d_fd, self.bank, self.identifier, self.law, config=cfg
+            )
+        self.k = b
+        if b % cfg.period_samples == 0:
+            self._boundary_update(b, enumerate(self.identifier.rows()))
+
+    def _flush_whole(self, a, b):
+        cfg, series = self.cfg, self.series
+        P = cfg.period_samples
+        lo = max(a, P + cfg.past_window)
+        if cfg.mode == "baseline" or lo >= b:
+            return
+        regressors, targets = build_regressor_block(series["u_act"], series["y"], lo, b, P, cfg.past_window)
+        rows = self.identifier.rows()
+        for blade in range(3):
+            series["ident_res"][lo:b, blade] = targets[:, blade] - regressors[:, :, blade] @ rows[blade]
+        for blade, est in enumerate(self.identifier.estimators):
+            if not self.law.frozen[blade]:
+                est.update_block(regressors[:, :, blade], targets[:, blade])
+
+
+def sequential_run(cfg, bank=None):
+    """``run_simulation`` on :class:`SequentialStepper`: the run's RunResult, without telemetry."""
+    cfg.validate()
+    with single_blas_thread():
+        run = SequentialStepper(cfg, harness._run_bank(cfg, bank))
+        run.advance(cfg.n_samples)
+        return run.result()

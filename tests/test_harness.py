@@ -1,5 +1,7 @@
 import csv
 import json
+import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -9,10 +11,11 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import FuserOracle
-from pitchftc import fdi, harness, supervisor
+from oracles import FuserOracle, sequential_run
+from pitchftc import fdi, harness, sprc, supervisor
 from pitchftc.actuator import ActuatorBank
 from pitchftc.fdi import DecisionFuser, design_fdie, residual_noise_std
+from pitchftc.numerics import RlsEstimator
 from pitchftc.harness import (
     CSV_SCHEMA,
     START_PERIOD,
@@ -805,7 +808,11 @@ def _assert_same_run(got, want):
         assert got.series[name].dtype == want.series[name].dtype, name
         np.testing.assert_array_equal(got.series[name], want.series[name], err_msg=name)
     np.testing.assert_array_equal(got.coeff_history, want.coeff_history)
-    assert got.snapshot_coeffs is want.snapshot_coeffs is None
+    for name in ("snapshot_coeffs", "snapshot_markov"):
+        snapshot = getattr(want, name)
+        assert (getattr(got, name) is None) if snapshot is None else (
+            getattr(got, name).tobytes() == snapshot.tobytes()
+        ), name
     assert json.dumps(got.report.to_dict()) == json.dumps(want.report.to_dict())
 
 
@@ -913,3 +920,97 @@ class TestFork:
         assert results["sprc_only"].report.decision_sample is None
         assert sum(b - a for _, a, b in spans) == cfg.n_samples
         np.testing.assert_array_equal(self._coverage(spans, "sprc_only", cfg.n_samples), 1)
+
+
+class TestPipelinedBoundary:
+    @given(
+        mode=st.sampled_from(("sprc_only", "proposed", "offline_tune")),
+        fault_blade=st.integers(1, 3),
+        fault_time_s=st.floats(0.0, 75.0),
+        seed=st.integers(0, 2**16),
+    )
+    # proposed confirms on a chunk's last sample: the switch acts between the
+    # flush and the boundary update, which must see the reseeded rows
+    @example(mode="proposed", fault_blade=3, fault_time_s=31.14, seed=0)
+    # the stuck blade's Riccati solves fail: periods with a DareError fallback blade
+    @example(mode="offline_tune", fault_blade=2, fault_time_s=0.0, seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_equals_the_sequential_oracle(self, lc3_bank, mode, fault_blade, fault_time_s, seed):
+        if mode == "offline_tune":
+            fault_time_s = 0.0  # its fault acts from the first sample
+        # the blade 3 snapshot stands in for every blade
+        entry = lc3_bank.get(3)
+        bank = supervisor.PretunedBank()
+        bank.add(replace(entry, config=replace(entry.config, fault_blade=fault_blade)))
+        cfg = RunConfig(
+            mode=mode, load_case="LC3", seed=seed, duration_s=80.0,
+            fault_blade=fault_blade, fault_time_s=fault_time_s,
+        )
+        pipelined = run_simulation(cfg, bank=bank)
+        _assert_same_run(pipelined, sequential_run(cfg, bank))
+        report = pipelined.report
+        event(f"gain fallbacks {report.gain_failures > 0}")
+        if report.switch_sample is not None:
+            event(f"switch {'on a chunk end' if report.switch_sample % cfg.period_samples == 0 else 'mid-chunk'}")
+
+    @staticmethod
+    def _stepper_before_an_adapting_boundary():
+        """A run stopped one chunk before a boundary whose update adapts, and that boundary."""
+        cfg = short_cfg(duration_s=60.0)
+        P = cfg.period_samples
+        run = harness._Stepper(cfg, None)
+        run.advance((START_PERIOD + 2) * P)
+        return run, (START_PERIOD + 3) * P
+
+    def test_the_first_gain_starts_while_the_helper_absorbs(self, monkeypatch):
+        # each helper blade holds its QR until a gain has started: the calling
+        # thread's blade must reach its gain without waiting for them
+        run, boundary = self._stepper_before_an_adapting_boundary()
+        caller, gain_started, waited = threading.current_thread(), threading.Event(), []
+        update_block, update_gain = RlsEstimator.update_block, sprc.update_gain
+
+        def held_update(est, regressors, observations):
+            if threading.current_thread() is not caller:
+                waited.append(gain_started.wait(timeout=5))
+            return update_block(est, regressors, observations)
+
+        def signalling_gain(*args, **kwargs):
+            gain_started.set()
+            return update_gain(*args, **kwargs)
+
+        monkeypatch.setattr(RlsEstimator, "update_block", held_update)
+        monkeypatch.setattr(sprc, "update_gain", signalling_gain)
+        run.advance(boundary)
+        assert waited == [True, True]
+        assert run.k == boundary
+
+    def test_a_gain_error_surfaces_after_the_helper_blades_finish(self, monkeypatch):
+        run, boundary = self._stepper_before_an_adapting_boundary()
+        caller, gain_raised = threading.current_thread(), threading.Event()
+        waited, finished = [], []
+        update_block = RlsEstimator.update_block
+
+        def slow_helper_update(est, regressors, observations):
+            if threading.current_thread() is caller:
+                return update_block(est, regressors, observations)
+            waited.append(gain_raised.wait(timeout=5))
+            time.sleep(0.05)
+            residual = update_block(est, regressors, observations)
+            finished.append(est)
+            return residual
+
+        def failing_gain(*args, **kwargs):
+            gain_raised.set()
+            raise RuntimeError("gain failed")
+
+        monkeypatch.setattr(RlsEstimator, "update_block", slow_helper_update)
+        monkeypatch.setattr(sprc, "update_gain", failing_gain)
+        with pytest.raises(RuntimeError, match="gain failed"):
+            try:
+                run.advance(boundary)
+            finally:
+                finished_when_raised = len(finished)
+        # the gain raised while both helper blades were still absorbing, and
+        # the error came out only once they had finished
+        assert waited == [True, True]
+        assert finished_when_raised == 2

@@ -235,14 +235,40 @@ class TestSideBySideBlades:
         ident.update_block(*_blade_blocks(rng, 625, p))
         expected = copy.deepcopy(ident.estimators)
         regressors, targets = _blade_blocks(rng, n, p)
+        rows = ident.rows()
+        # every blade's a-priori residual, as the run computed it before the update
+        want_residuals = np.column_stack(
+            [targets[:, blade] - regressors[:, :, blade] @ rows[blade] for blade in range(3)]
+        )
 
-        ident.update_block(regressors, targets, frozen)
+        got_residuals = ident.update_block(regressors, targets, frozen)
         for blade, est in enumerate(expected):
             if not frozen[blade]:
                 est.update_block(regressors[:, :, blade], targets[:, blade])
         for got, want in zip(ident.estimators, expected):
             assert got._tri.tobytes() == want._tri.tobytes()
         assert ident.rows().tobytes() == np.vstack([est.estimate for est in expected]).tobytes()
+        assert got_residuals.tobytes() == want_residuals.tobytes()
+
+    @pytest.mark.parametrize(
+        "frozen",
+        list(itertools.product((False, True), repeat=3)),
+        ids=lambda mask: "".join("F" if f else "-" for f in mask),
+    )
+    def test_absorb_hands_out_the_calling_threads_blade_first(self, frozen):
+        rng = np.random.default_rng(12)
+        p = 20
+        ident = MarkovIdentifier(p)
+        twin = copy.deepcopy(ident)
+        regressors, targets = _blade_blocks(rng, 200, p)
+        residuals = np.empty((200, 3))
+
+        pairs = list(ident.absorb(regressors, targets, frozen, residuals))
+        live = [blade for blade in range(3) if not frozen[blade]]
+        assert [blade for blade, _ in pairs] == live[-1:] + live[:-1]
+        assert residuals.tobytes() == twin.update_block(regressors, targets, frozen).tobytes()
+        for blade, row in pairs:
+            assert row.tobytes() == ident.rows()[blade].tobytes() == twin.rows()[blade].tobytes()
 
     @pytest.mark.parametrize("failing", [0, 1, 2])
     def test_a_blade_error_surfaces_after_the_other_blades_finish(self, monkeypatch, failing):
@@ -444,7 +470,7 @@ class TestRepetitiveLaw:
         law = RepetitiveLaw(build_basis(16), step_gain=0.3)
         law.set_coeffs(np.ones((3, 2)))
         # gains start at zero and the zero markov rows keep them there
-        law.period_update(np.random.default_rng(0).normal(size=(3, 2)), np.zeros((3, 8)))
+        law.period_update(np.random.default_rng(0).normal(size=(3, 2)), enumerate(np.zeros((3, 8))))
         np.testing.assert_array_equal(law.coeffs, np.ones((3, 2)))
 
     def test_output_quarter_period(self):
@@ -478,9 +504,20 @@ class TestRepetitiveLaw:
         law.freeze_blade(3)
         before = law.coeffs[2].copy()
         for _ in range(3):
-            law.period_update(rng.normal(size=(3, 2)), rows)
+            law.period_update(rng.normal(size=(3, 2)), enumerate(rows))
         np.testing.assert_array_equal(law.coeffs[2], before)
         assert not np.array_equal(law.coeffs[0], before)
+
+    def test_a_live_blade_without_a_row_is_refused(self):
+        law = RepetitiveLaw(build_basis(16))
+        law.freeze_blade(1)
+        rows = np.zeros((3, 8))
+        with pytest.raises(ValueError, match=r"live blades \[2\]"):
+            law.period_update(np.ones((3, 2)), [(1, rows[1])])
+        assert law._load_proj_prev is None
+        # the frozen blade needs no row, and any order does
+        law.period_update(np.ones((3, 2)), [(2, rows[2]), (1, rows[1])])
+        np.testing.assert_array_equal(law._load_proj_prev, np.ones((3, 2)))
 
     def test_weights_are_checked_once_at_construction(self, monkeypatch):
         checked = []
@@ -496,7 +533,7 @@ class TestRepetitiveLaw:
         assert checked == ["Q", "R"]
         checked.clear()
         rows = np.tile(scalar_markov_row(0.6, 0.9, 1.1, 0.0, p), (3, 1))
-        law.period_update(np.ones((3, 2)), rows)
+        law.period_update(np.ones((3, 2)), enumerate(rows))
         # three blades solved their Riccati equation without checking the weights again
         assert law.gain_failures == 0 and checked == []
 
