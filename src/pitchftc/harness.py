@@ -26,7 +26,6 @@ Controller modes:
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import json
 import sys
@@ -456,13 +455,13 @@ class _Stepper:
     def _finish(self) -> None:
         """Finish the open chunk: the proposed switch, the identification flush, the boundary.
 
-        The flush of a chunk that ends on a period boundary runs into that
-        boundary's update: the law steps each live blade as soon as its
-        estimator has finished (:meth:`MarkovIdentifier.absorb`), so the
-        calling thread's gain solves overlap the helper's QR.  A switching
-        chunk flushes whole before the switch acts, and its boundary reads
-        the rows the switch reseeded.  Every helper blade has finished when
-        this returns or raises.
+        The flush of a chunk whose boundary adapts the law also designs the
+        live blades' gains, each as soon as its blade's estimator has
+        finished and on whichever thread :meth:`MarkovIdentifier.absorb`
+        assigns; the calling thread then commits the law.  A switching chunk
+        flushes without designing before the switch acts, and its boundary
+        designs on the calling thread from the rows the switch reseeded.
+        The helper has finished when this returns or raises.
         """
         (pre_state, b, latched), self._open = self._open, None
         cfg, fuser, k = self.cfg, self.fuser, self.k
@@ -475,19 +474,18 @@ class _Stepper:
             self._simulate_span(k, b)
 
         boundary = b % cfg.period_samples == 0
-        with contextlib.closing(self._flush_identification(k, b)) as absorbed:
-            if switch_now or not boundary:
-                for _ in absorbed:
-                    pass
+        design = self.law.design if boundary and not switch_now and self._adapts(b) else None
+        designs = self._flush_identification(k, b, design)
+        if switch_now:
+            self.switch_sample = b
+            self.switch_applied = _supervisor.on_detection(
+                fuser.d_fd, self.bank, self.identifier, self.law, config=cfg
+            )
+        self.k = b
+        if boundary:
             if switch_now:
-                self.switch_sample = b
-                self.switch_applied = _supervisor.on_detection(
-                    fuser.d_fd, self.bank, self.identifier, self.law, config=cfg
-                )
-            self.k = b
-            if boundary:
-                rows = enumerate(self.identifier.rows()) if switch_now else absorbed
-                self._boundary_update(b, rows)
+                designs = [(blade, row, None) for blade, row in enumerate(self.identifier.rows())]
+            self._boundary_update(b, designs)
 
     def _simulate_span(self, a: int, b: int) -> None:
         n, series = b - a, self.series
@@ -504,44 +502,46 @@ class _Stepper:
         series["y"][a:b] = y
         series["r"][a:b] = self.fdie.run_chunk(u_ref, u_meas)
 
-    def _flush_identification(self, a: int, b: int):
-        """Absorb samples a..b-1, yielding (blade, row) as each live blade finishes.
+    def _flush_identification(self, a: int, b: int, design=None) -> list:
+        """Absorb samples a..b-1; returns the live blades' (blade, row, gain) triples.
 
-        The a-priori residuals land in ``ident_res``.  A generator: nothing
-        is absorbed before the first pair is asked for.
+        The a-priori residuals land in ``ident_res``.  ``design`` is the
+        law's :meth:`RepetitiveLaw.design` at a boundary that adapts, and
+        None elsewhere, where the gains are None.
         """
         cfg, series = self.cfg, self.series
         if cfg.mode == "baseline":
-            return
+            return []
         P = cfg.period_samples
         lo = max(a, P + cfg.past_window)
         if lo >= b:
-            return
+            return []
         regressors, targets = build_regressor_block(
             series["u_act"], series["y"], lo, b, P, cfg.past_window
         )
-        yield from self.identifier.absorb(
-            regressors, targets, self.law.frozen, series["ident_res"][lo:b]
+        return self.identifier.absorb(
+            regressors, targets, self.law.frozen, series["ident_res"][lo:b], design
         )
 
-    def _boundary_update(self, k: int, rows) -> None:
+    def _adapts(self, k: int) -> bool:
+        """Whether the boundary after sample k-1 steps the law."""
+        return self.cfg.mode != "baseline" and k // self.cfg.period_samples > START_PERIOD
+
+    def _boundary_update(self, k: int, designs) -> None:
         """Per-period controller refresh after sample k-1.
 
-        ``rows`` yields the (blade, row) pairs the law's period update steps
-        on, and is drained when the law does not adapt yet.  The refreshed
-        coefficients take effect on the upcoming period, so they land at
-        slot k // P of the applied-coefficient history.  An offline tuning
-        ends here once the last c increments, all of them after
+        ``designs`` holds the (blade, row, gain) triples the law's period
+        update commits; it is unused when the law does not adapt yet.  The
+        refreshed coefficients take effect on the upcoming period, so they
+        land at slot k // P of the applied-coefficient history.  An offline
+        tuning ends here once the last c increments, all of them after
         START_PERIOD, are quiet.
         """
         cfg, law, history = self.cfg, self.law, self.coeff_history
         P = cfg.period_samples
         j = k // P  # period the refreshed coefficients apply to
-        if cfg.mode != "baseline" and j > START_PERIOD:
-            law.period_update(law.project(self.series["y"][k - P : k]), rows)
-        else:
-            for _ in rows:
-                pass
+        if self._adapts(k):
+            law.period_update(law.project(self.series["y"][k - P : k]), designs)
         if j < history.shape[0]:
             history[j] = law.coeffs
         c = CONVERGENCE_CONSECUTIVE

@@ -16,8 +16,12 @@ without the fork.
 
 Each output line is ``<artifact> <sha256>``: one per series, coefficient
 history, tuning snapshot, report, reduction table and bank entry.  With
-``--against FILE`` the lines are compared with an earlier output and the
-exit status is 1 on any difference.  pytest does not collect this file.
+``--against FILE`` the lines are compared with an earlier output: each
+shared artifact whose digest differs is listed, artifacts present on one
+side only are counted per side (a run without ``--acceptance`` against a
+file with it misses the acceptance runs, which is not a difference in
+bits), and the exit status is 1 on either.  pytest does not collect this
+file.
 """
 
 import argparse
@@ -146,12 +150,20 @@ def main(argv=None) -> int:
     with open(args.against) as handle:
         expected = dict(line.split() for line in handle if line.strip())
     got = dict(line.split() for line in out)
-    names = expected.keys() | got.keys()
-    differ = sorted(k for k in names if expected.get(k) != got.get(k))
+    shared = expected.keys() & got.keys()
+    differ = sorted(k for k in shared if expected[k] != got[k])
     for name in differ:
-        print(f"DIFFERS {name}: {expected.get(name)} -> {got.get(name)}", file=sys.stderr)
-    print(f"{len(names) - len(differ)} of {len(names)} digests equal", file=sys.stderr)
-    return 1 if differ else 0
+        print(f"DIFFERS {name}: {expected[name]} -> {got[name]}", file=sys.stderr)
+    one_sided = (
+        (args.against, expected.keys() - got.keys()),
+        ("this run", got.keys() - expected.keys()),
+    )
+    for side, names in one_sided:
+        if names:
+            groups = ", ".join(sorted({name.split("/")[0] for name in names}))
+            print(f"MISSING {len(names)} artifacts only in {side} ({groups})", file=sys.stderr)
+    print(f"{len(shared) - len(differ)} of {len(shared)} shared digests equal", file=sys.stderr)
+    return 1 if differ or any(names for _, names in one_sided) else 0
 
 
 if __name__ == "__main__":

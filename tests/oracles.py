@@ -184,10 +184,10 @@ class SequentialStepper(harness._Stepper):
 
     Per chunk: the residuals of every blade against the rows held before
     the chunk, then the live blades' block updates in turn on the calling
-    thread, then the proposed switch, then
-    ``period_update(load_proj, enumerate(identifier.rows()))`` at a period
-    boundary.  The library computes the same steps overlapped; it must give
-    the same bits.
+    thread, then the proposed switch, then the period update from
+    ``identifier.rows()`` at a period boundary, every gain designed on the
+    calling thread.  The library computes the same steps overlapped; it must
+    give the same bits.
     """
 
     def _finish(self):
@@ -207,7 +207,8 @@ class SequentialStepper(harness._Stepper):
             )
         self.k = b
         if b % cfg.period_samples == 0:
-            self._boundary_update(b, enumerate(self.identifier.rows()))
+            designs = [(blade, row, None) for blade, row in enumerate(self.identifier.rows())]
+            self._boundary_update(b, designs)
 
     def _flush_whole(self, a, b):
         cfg, series = self.cfg, self.series

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pitchftc
-from pitchftc import harness, numerics
+from pitchftc import harness, numerics, sprc
 from pitchftc.plant import Plant
 
 TESTS = Path(__file__).resolve().parent
@@ -122,26 +122,34 @@ def test_helper_thread_computes_on_one_blas_thread(monkeypatch):
     libraries, missing = numerics._openblas_libraries()
     if missing:
         pytest.skip(f"no OpenBLAS thread control for {missing}")
-    inside = []
-    update_block = numerics.RlsEstimator.update_block
+    inside, designed = [], []
+    update_block, update_gain = numerics.RlsEstimator.update_block, sprc.update_gain
 
     def spy(self, *args):
         inside.append((threading.current_thread() is threading.main_thread(), _thread_counts()))
         return update_block(self, *args)
 
+    def gain_spy(*args, **kwargs):
+        designed.append((threading.current_thread() is threading.main_thread(), _thread_counts()))
+        return update_gain(*args, **kwargs)
+
     monkeypatch.setattr(numerics.RlsEstimator, "update_block", spy)
+    monkeypatch.setattr(sprc, "update_gain", gain_spy)
     original = _thread_counts()
     for lib in libraries:
         lib.set_threads(2)
     try:
-        harness.run_simulation(harness.RunConfig(mode="sprc_only", duration_s=30.0, fault_blade=0))
+        harness.run_simulation(harness.RunConfig(mode="sprc_only", duration_s=60.0, fault_blade=0))
     finally:
         for lib, count in zip(libraries, original):
             lib.set_threads(count)
 
+    # the helper absorbs one of the three blades and designs two of their gains
     helper = [counts for on_main, counts in inside if not on_main]
-    assert helper and len(helper) == 2 * (len(inside) - len(helper))
-    assert all(counts == [1] * len(libraries) for _, counts in inside)
+    assert helper and 2 * len(helper) == len(inside) - len(helper)
+    helper_gains = [counts for on_main, counts in designed if not on_main]
+    assert helper_gains and len(helper_gains) == 2 * (len(designed) - len(helper_gains))
+    assert all(counts == [1] * len(libraries) for _, counts in inside + designed)
 
 
 def test_run_without_thread_control_goes_on_and_says_so(monkeypatch):

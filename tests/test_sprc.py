@@ -263,12 +263,41 @@ class TestSideBySideBlades:
         regressors, targets = _blade_blocks(rng, 200, p)
         residuals = np.empty((200, 3))
 
-        pairs = list(ident.absorb(regressors, targets, frozen, residuals))
+        triples = ident.absorb(regressors, targets, frozen, residuals)
         live = [blade for blade in range(3) if not frozen[blade]]
-        assert [blade for blade, _ in pairs] == live[-1:] + live[:-1]
+        # the helper absorbs the first of two or three live blades
+        assert [blade for blade, _, _ in triples] == live[1:] + live[:1]
         assert residuals.tobytes() == twin.update_block(regressors, targets, frozen).tobytes()
-        for blade, row in pairs:
+        for blade, row, gain in triples:
             assert row.tobytes() == ident.rows()[blade].tobytes() == twin.rows()[blade].tobytes()
+            assert gain is None
+
+    @pytest.mark.parametrize(
+        "frozen",
+        list(itertools.product((False, True), repeat=3)),
+        ids=lambda mask: "".join("F" if f else "-" for f in mask),
+    )
+    def test_absorb_designs_each_live_blade_from_its_new_row(self, frozen):
+        rng = np.random.default_rng(13)
+        p = 20
+        ident = MarkovIdentifier(p)
+        regressors, targets = _blade_blocks(rng, 200, p)
+        caller, threads = threading.current_thread(), {}
+
+        def design(blade, row):
+            threads[blade] = threading.current_thread() is caller
+            return blade, row.tobytes()
+
+        triples = ident.absorb(regressors, targets, frozen, np.empty((200, 3)), design)
+        live = [blade for blade in range(3) if not frozen[blade]]
+        rows = ident.rows()
+        assert {blade: gain for blade, _, gain in triples} == {
+            blade: (blade, rows[blade].tobytes()) for blade in live
+        }
+        # three live blades: the helper designs its own and the calling
+        # thread's first; otherwise the calling thread designs them all
+        on_caller = live[2:] if len(live) == 3 else live
+        assert threads == {blade: blade in on_caller for blade in live}
 
     @pytest.mark.parametrize("failing", [0, 1, 2])
     def test_a_blade_error_surfaces_after_the_other_blades_finish(self, monkeypatch, failing):
@@ -288,9 +317,9 @@ class TestSideBySideBlades:
         with pytest.raises(RuntimeError, match=f"blade {failing} failed"):
             ident.update_block(*_blade_blocks(np.random.default_rng(0), 10, 3))
         assert sorted(finished) == [b for b in range(3) if b != failing]
-        # the last live blade runs on the calling thread, the others on the helper
-        assert threads[2] == threading.current_thread().name
-        assert threads[0] == threads[1] != threads[2]
+        # the first live blade runs on the helper, the others on the calling thread
+        assert threads[1] == threads[2] == threading.current_thread().name
+        assert threads[0] != threads[1]
 
     def test_the_calling_thread_error_wins(self, monkeypatch):
         ident = MarkovIdentifier(3)
@@ -465,12 +494,18 @@ class TestUpdateGain:
         assert all(n2 < n1 for n1, n2 in zip(norms, norms[1:]))
 
 
+def _undesigned(rows):
+    """(blade, row, None) for each row: every gain designed by the period update."""
+    return [(blade, row, None) for blade, row in enumerate(rows)]
+
+
 class TestRepetitiveLaw:
     def test_zero_gain_holds_coefficients(self):
         law = RepetitiveLaw(build_basis(16), step_gain=0.3)
         law.set_coeffs(np.ones((3, 2)))
         # gains start at zero and the zero markov rows keep them there
-        law.period_update(np.random.default_rng(0).normal(size=(3, 2)), enumerate(np.zeros((3, 8))))
+        load_proj = np.random.default_rng(0).normal(size=(3, 2))
+        law.period_update(load_proj, _undesigned(np.zeros((3, 8))))
         np.testing.assert_array_equal(law.coeffs, np.ones((3, 2)))
 
     def test_output_quarter_period(self):
@@ -504,7 +539,7 @@ class TestRepetitiveLaw:
         law.freeze_blade(3)
         before = law.coeffs[2].copy()
         for _ in range(3):
-            law.period_update(rng.normal(size=(3, 2)), enumerate(rows))
+            law.period_update(rng.normal(size=(3, 2)), _undesigned(rows))
         np.testing.assert_array_equal(law.coeffs[2], before)
         assert not np.array_equal(law.coeffs[0], before)
 
@@ -513,10 +548,10 @@ class TestRepetitiveLaw:
         law.freeze_blade(1)
         rows = np.zeros((3, 8))
         with pytest.raises(ValueError, match=r"live blades \[2\]"):
-            law.period_update(np.ones((3, 2)), [(1, rows[1])])
+            law.period_update(np.ones((3, 2)), [(1, rows[1], None)])
         assert law._load_proj_prev is None
         # the frozen blade needs no row, and any order does
-        law.period_update(np.ones((3, 2)), [(2, rows[2]), (1, rows[1])])
+        law.period_update(np.ones((3, 2)), [(2, rows[2], None), (1, rows[1], None)])
         np.testing.assert_array_equal(law._load_proj_prev, np.ones((3, 2)))
 
     def test_weights_are_checked_once_at_construction(self, monkeypatch):
@@ -533,7 +568,7 @@ class TestRepetitiveLaw:
         assert checked == ["Q", "R"]
         checked.clear()
         rows = np.tile(scalar_markov_row(0.6, 0.9, 1.1, 0.0, p), (3, 1))
-        law.period_update(np.ones((3, 2)), enumerate(rows))
+        law.period_update(np.ones((3, 2)), _undesigned(rows))
         # three blades solved their Riccati equation without checking the weights again
         assert law.gain_failures == 0 and checked == []
 
