@@ -2,10 +2,11 @@
 
 A run wires the blocks together per sample: compose the pitch command
 (collective + repetitive waveform + excitation), drive the actuators with
-fault injection, drive the plant, feed the diagnosis bank, absorb the sample
-into the identification, and at every rotor-period boundary refresh the LQR
-gain and the waveform coefficients.  In the full architecture a latched
-fault isolation additionally triggers the pre-tuned parameter switch.
+fault injection, drive the plant, feed the diagnosis bank, absorb every
+``ident_decimation``-th sample into the identification, and at every
+rotor-period boundary refresh the LQR gain and the waveform coefficients.
+In the full architecture a latched fault isolation additionally triggers
+the pre-tuned parameter switch.
 
 The loop is executed in rotor-period chunks: inside a chunk nothing feeds
 back across samples except through linear filters, so each block advances
@@ -99,7 +100,8 @@ class RunConfig:
     fault_angle: float | None = None    # deg; None takes the load-case angle
 
     # identification and repetitive control
-    past_window: int = 100              # samples of differenced history per channel
+    past_window: int = 20               # identified samples of differenced history per channel
+    ident_decimation: int = 5           # identify on every D-th sample (D divides the period)
     lqr_r: float = 0.1                  # input weight against a unit state weight
     step_gain: float = 0.3
 
@@ -147,6 +149,10 @@ class RunConfig:
         ratio = ROTOR_PERIOD_S / self.Ts  # overflows for a subnormal Ts
         if ratio > sys.float_info.max or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 4:
             raise ValueError("Ts must divide the rotor period into an integer (>= 4) of samples")
+        for name in ("duration_s", "fault_time_s"):
+            # a sample count past the float range is infinite, and int(round(inf)) overflows
+            if not getattr(self, name) / self.Ts <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite number of samples")
         if self.n_samples < 1:
             raise ValueError("duration_s must hold at least one sample")
         if self.fault_blade not in (0, 1, 2, 3):
@@ -155,8 +161,11 @@ class RunConfig:
             raise ValueError("fault_time_s must lie inside the run, on a sample before its last")
         if self.mode == "offline_tune" and (self.fault_blade == 0 or self.fault_time_s != 0.0):
             raise ValueError("offline_tune requires a configured fault from the first sample")
-        if self.past_window < 1 or self.past_window >= self.period_samples:
-            raise ValueError("past_window must be in [1, period_samples)")
+        D = self.ident_decimation
+        if D < 1 or self.period_samples % D or self.period_samples // D < 4:
+            raise ValueError("ident_decimation must divide period_samples into at least 4 samples")
+        if self.past_window < 1 or self.past_window >= self.period_samples // D:
+            raise ValueError("past_window must be in [1, period_samples // ident_decimation)")
         if not 0.0 <= self.pole_radius < 1.0:
             raise ValueError("pole_radius must be in [0, 1)")
         if min(self.settle_periods, self.seed) < 0:
@@ -225,7 +234,8 @@ class RunConfig:
 
 
 _DYNAMICS_FIELDS = (
-    "load_case", "Ts", "past_window", "lqr_r", "step_gain", "meas_noise_var", "load_gain"
+    "load_case", "Ts", "past_window", "ident_decimation", "lqr_r", "step_gain",
+    "meas_noise_var", "load_gain",
 )
 
 
@@ -342,8 +352,11 @@ class _Stepper:
         if cfg.fault_blade:
             fault = FaultDescriptor(cfg.fault_blade, lc.stuck_angle, cfg.fault_sample)
 
-        self.law = RepetitiveLaw(build_basis(P), step_gain=cfg.step_gain, lqr_r=cfg.lqr_r)
-        self.identifier = MarkovIdentifier(cfg.past_window)
+        D = cfg.ident_decimation
+        self.law = RepetitiveLaw(
+            build_basis(P), step_gain=cfg.step_gain, lqr_r=cfg.lqr_r, decimation=D
+        )
+        self.identifier = MarkovIdentifier(cfg.past_window, decimation=D)
         self.actuator = ActuatorBank(cfg.Ts, fault=fault)
         self.plant = Plant(lc, cfg.Ts, P, load_gain=cfg.load_gain)
         # one observer for the three blades: they share model and gain
@@ -385,15 +398,16 @@ class _Stepper:
     def advance(self, to_sample: int, until_decision: bool = False) -> None:
         """Run chunks until sample to_sample, or the end of an offline tuning.
 
-        With ``until_decision`` the run stops right after the scan in which
-        the fuser latches, its chunk simulated but not finished: up to there
-        sprc_only and proposed run the same code.  The next advance finishes
-        that chunk as the run's mode does.
+        A chunk ends at the next period boundary or at to_sample, whichever
+        comes first.  With ``until_decision`` the run stops right after the
+        scan in which the fuser latches, its chunk simulated but not
+        finished: up to there sprc_only and proposed run the same code.  The
+        next advance finishes that chunk as the run's mode does.
         """
         if self._open is not None:
             self._finish()
         while self.k < min(to_sample, self.end):
-            if self._simulate_chunk() and until_decision:
+            if self._simulate_chunk(min(to_sample, self.end)) and until_decision:
                 return
             self._finish()
 
@@ -441,10 +455,13 @@ class _Stepper:
             snapshot_markov=self.snapshot_markov,
         )
 
-    def _simulate_chunk(self) -> bool:
-        """Simulate and scan the chunk up to the next period boundary; True when the fuser latches."""
+    def _simulate_chunk(self, to_sample: int) -> bool:
+        """Simulate and scan the chunk up to the next period boundary or to_sample.
+
+        Returns True when the fuser latches in it.
+        """
         series, fuser, P, k = self.series, self.fuser, self.cfg.period_samples, self.k
-        b = min((k // P + 1) * P, self.cfg.n_samples)
+        b = min((k // P + 1) * P, to_sample)
         pre_state = [block.get_state() for block in (self.actuator, self.plant, self.fdie)]
         self._simulate_span(k, b)
         # the fuser latches once, so a switch happens at most once per run
@@ -460,7 +477,9 @@ class _Stepper:
         finished and on whichever thread :meth:`MarkovIdentifier.absorb`
         assigns; the calling thread then commits the law.  A switching chunk
         flushes without designing before the switch acts, and its boundary
-        designs on the calling thread from the rows the switch reseeded.
+        designs on the calling thread from the rows the switch reseeded; so
+        does the boundary of a chunk without an identified sample, from the
+        rows it left unchanged.
         The helper has finished when this returns or raises.
         """
         (pre_state, b, latched), self._open = self._open, None
@@ -483,7 +502,9 @@ class _Stepper:
             )
         self.k = b
         if boundary:
-            if switch_now:
+            # a switch reseeded the rows, and an adapting chunk holding no
+            # identified sample left them as they were: design from the rows held
+            if switch_now or (design is not None and not designs):
                 designs = [(blade, row, None) for blade, row in enumerate(self.identifier.rows())]
             self._boundary_update(b, designs)
 
@@ -503,24 +524,31 @@ class _Stepper:
         series["r"][a:b] = self.fdie.run_chunk(u_ref, u_meas)
 
     def _flush_identification(self, a: int, b: int, design=None) -> list:
-        """Absorb samples a..b-1; returns the live blades' (blade, row, gain) triples.
+        """Absorb the identified samples in a..b-1; returns the live blades' (blade, row, gain).
 
-        The a-priori residuals land in ``ident_res``.  ``design`` is the
-        law's :meth:`RepetitiveLaw.design` at a boundary that adapts, and
-        None elsewhere, where the gains are None.
+        The identified samples are k = 0 (mod D), D the run's
+        ``ident_decimation``, wherever the chunk starts or ends, so which
+        samples a run absorbs does not depend on its chunks.  The regression
+        runs on the every-D-th-sample series, whose period is P/D samples.
+        Their a-priori residuals land in ``ident_res``, which stays 0.0 on
+        the samples between.  ``design`` is the law's
+        :meth:`RepetitiveLaw.design` at a boundary that adapts, and None
+        elsewhere, where the gains are None.
         """
         cfg, series = self.cfg, self.series
         if cfg.mode == "baseline":
             return []
-        P = cfg.period_samples
-        lo = max(a, P + cfg.past_window)
-        if lo >= b:
+        D, p = cfg.ident_decimation, cfg.past_window
+        P = cfg.period_samples // D
+        # the identified samples are j*D for j in [lo, hi); -(-a // D) is ceil(a / D)
+        lo, hi = max(-(-a // D), P + p), -(-b // D)
+        if lo >= hi:
             return []
         regressors, targets = build_regressor_block(
-            series["u_act"], series["y"], lo, b, P, cfg.past_window
+            series["u_act"][::D], series["y"][::D], lo, hi, P, p
         )
         return self.identifier.absorb(
-            regressors, targets, self.law.frozen, series["ident_res"][lo:b], design
+            regressors, targets, self.law.frozen, series["ident_res"][lo * D : hi * D : D], design
         )
 
     def _adapts(self, k: int) -> bool:
@@ -811,22 +839,23 @@ def write_csv(path: str | Path, series: dict, Ts: float) -> None:
     which reads back to the same float64 bit for bit.
     """
     n = series["y"].shape[0]
-    k = np.arange(n)
-    blades = (series[name] for name in _BLADE_SERIES)
-    block = np.column_stack([k, k * Ts, *blades, series["rbar"], series["dfd"]])
+    columns = [*(series[name] for name in _BLADE_SERIES), series["rbar"], series["dfd"]]
     with open(path, "w", newline="\n") as handle:
         handle.write(f"# {CSV_SCHEMA}\n" + ",".join(_CSV_COLUMNS) + "\n")
-        # formatted slice by slice, so only one slice at a time is Python floats
+        # stacked and formatted slice by slice, so only one slice at a time is
+        # a block or Python floats: a whole-run block was 34 MB more at the peak
         for lo in range(0, n, _CSV_CHUNK_ROWS):
-            rows = block[lo : lo + _CSV_CHUNK_ROWS].tolist()
-            handle.writelines(_CSV_ROW % tuple(row) for row in rows)
+            k = np.arange(lo, min(lo + _CSV_CHUNK_ROWS, n))
+            rows = np.column_stack([k, k * Ts, *(c[lo : lo + _CSV_CHUNK_ROWS] for c in columns)])
+            handle.writelines(_CSV_ROW % tuple(row) for row in rows.tolist())
 
 
 def read_csv(path: str | Path) -> dict:
     """Read a time-series CSV back into the in-memory series layout, plus ``t``.
 
     The blade series come back as (n, 3) arrays, the threshold ``rbar``
-    (shared by the blades), ``dfd`` and the sample times ``t`` as (n,).
+    (shared by the blades), ``dfd`` and the sample times ``t`` as (n,); all
+    but ``dfd`` are views into the one array the file was loaded into.
     Raises ValueError unless the file holds the schema line, the fixed
     header and at least one row, every cell a finite number, ``k`` counting
     the rows from 0, ``t`` equal to ``k * t[1]`` with ``t[1] > 0`` (``t[0]
@@ -862,8 +891,9 @@ def read_csv(path: str | Path) -> dict:
     first = np.searchsorted(dfd, 0.0, side="right")
     if (dfd[1:] < dfd[:-1]).any() or (first < n and dfd[first] != dfd[-1]):
         raise ValueError("CSV column dfd must latch: 0, then one blade to the end")
-    series = {name: data[:, 2 + 3 * i : 5 + 3 * i].copy() for i, name in enumerate(_BLADE_SERIES)}
-    series["rbar"] = data[:, -2].copy()
+    # views into the loaded block: copies would hold the file twice at the peak
+    series = {name: data[:, 2 + 3 * i : 5 + 3 * i] for i, name in enumerate(_BLADE_SERIES)}
+    series["rbar"] = data[:, -2]
     series["dfd"] = dfd.astype(int)
-    series["t"] = t.copy()
+    series["t"] = t
     return series

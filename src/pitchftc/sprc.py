@@ -136,7 +136,8 @@ class MarkovIdentifier:
     """Three decoupled recursive estimators of per-blade Markov rows.
 
     Each row has length 2p: pitch-channel terms first, load-channel terms
-    second, both oldest-sample-first to match the regressor layout.  A run
+    second, both oldest-sample-first to match the regressor layout, each
+    term one identified sample apart (``decimation`` samples of the run).  A run
     passes its law's frozen mask, so after fault isolation the degenerate
     zero-information stream from a stuck actuator stops touching its estimate.
 
@@ -150,9 +151,11 @@ class MarkovIdentifier:
     turn.
     """
 
-    def __init__(self, past_window: int, forgetting: float = 0.99999):
+    def __init__(self, past_window: int, forgetting: float = 0.99999, decimation: int = 1):
+        # forgetting is per sample: an identification on every D-th sample
+        # forgets by its D-th power, so the memory in seconds is the same
         dim = 2 * int(past_window)
-        self.estimators = [RlsEstimator(dim, forgetting=forgetting) for _ in range(3)]
+        self.estimators = [RlsEstimator(dim, forgetting=forgetting**decimation) for _ in range(3)]
 
     def absorb(
         self,
@@ -339,12 +342,18 @@ class RepetitiveLaw:
 
     K weighs the six states by the identity and the input by lqr_r; scaling
     both weights together leaves K unchanged, so lqr_r is the only knob.
-    The weights are constant, so they are checked once, here.
+    The weights are constant, so they are checked once, here.  The waveform
+    and the load projection run on every sample; the lifted model is built
+    from Markov rows identified on every ``decimation``-th sample, on the
+    P/decimation-sample basis.
     """
 
-    def __init__(self, basis: np.ndarray, step_gain: float = 0.3, lqr_r: float = 0.1):
+    def __init__(
+        self, basis: np.ndarray, step_gain: float = 0.3, lqr_r: float = 0.1, decimation: int = 1
+    ):
         self.basis = basis
         self.P = basis.shape[0]
+        self.ident_basis = build_basis(self.P // decimation)
         self.step_gain = float(step_gain)
         self.Q, self.R = _check_weights(np.eye(6), lqr_r * np.eye(2))
         self.coeffs = np.zeros((3, 2))
@@ -378,7 +387,8 @@ class RepetitiveLaw:
         the blade's previous gain, which falls back in place of a failed
         Riccati solve, and it changes nothing.
         """
-        a_lift, b_lift = build_lifted(row, self.P, len(row) // 2, self.basis)
+        basis = self.ident_basis
+        a_lift, b_lift = build_lifted(row, basis.shape[0], len(row) // 2, basis)
         return update_gain(a_lift, b_lift, self.Q, self.R, previous=self._gains[blade])
 
     def period_update(

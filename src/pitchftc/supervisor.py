@@ -35,7 +35,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-BANK_SCHEMA = "pitchftc-bank-v3"
+BANK_SCHEMA = "pitchftc-bank-v4"
 
 
 @dataclass
@@ -94,7 +94,13 @@ class PretunedBank:
         from .harness import RunConfig  # local import; harness imports this module
 
         payload = json.loads(Path(path).read_text())
-        if not isinstance(payload, dict) or payload.get("schema") != BANK_SCHEMA:
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if schema == "pitchftc-bank-v3":
+            raise ValueError(
+                f"bank {path} has schema pitchftc-bank-v3: it was tuned at 100 Hz "
+                "identification, before ident_decimation existed; tune it again"
+            )
+        if schema != BANK_SCHEMA:
             raise ValueError(f"unrecognized bank schema in {path}")
         if set(payload) != {"schema", "entries"} or not isinstance(payload["entries"], dict):
             raise ValueError(f"bank {path} must hold exactly a schema and an entries object")

@@ -1,6 +1,7 @@
 """Print one sha256 per artifact of the reference run chain, to compare trees bit for bit.
 
-    PYTHONPATH=src python tests/digest_runs.py [--acceptance] [--out FILE] [--against FILE]
+    PYTHONPATH=src python tests/digest_runs.py [--acceptance] [--set FIELD=VALUE ...]
+        [--out FILE] [--against FILE]
 
 For each of LC1-LC3 it runs the offline tune of blade 3 (seed 100, 600 s,
 fault from the first sample) and then ``compare_modes`` on the default
@@ -13,6 +14,14 @@ The chain's ``compare_modes`` forks its proposed run off sprc_only where
 the fuser latches, or at the end without a decision, while the A7 pairs
 here run independently, as the acceptance suite's comparison would
 without the fork.
+
+``--set FIELD=VALUE`` (repeatable) overrides one ``RunConfig`` field on
+every run of the chain, the tunes included; VALUE is read as JSON, and as a
+string when it is not JSON.  So the chain of another protocol, such as
+``--set ident_decimation=1 --set past_window=100`` (identification on every
+sample), can be compared with digests a tree of that protocol wrote.  A
+tuned entry's config is digested without ``ident_decimation`` when that is
+1, the layout of the trees that had no such field.
 
 Each output line is ``<artifact> <sha256>``: one per series, coefficient
 history, tuning snapshot, report, reduction table and bank entry.  With
@@ -61,13 +70,20 @@ def digest_result(tag: str, result) -> list[str]:
     return lines
 
 
-def tune(lc: str, out: list[str]) -> supervisor.PretunedBank:
-    cfg = harness.RunConfig(
+def _entry(entry) -> dict:
+    data = asdict(entry)
+    if data["config"]["ident_decimation"] == 1:
+        del data["config"]["ident_decimation"]
+    return data
+
+
+def tune(lc: str, out: list[str], config=harness.RunConfig) -> supervisor.PretunedBank:
+    cfg = config(
         mode="offline_tune", load_case=lc, seed=100, duration_s=600.0,
         fault_blade=3, fault_time_s=0.0,
     )
     entry, report = supervisor.offline_tune(cfg)
-    out.append(f"tune/{lc}/entry {_json(asdict(entry))}")
+    out.append(f"tune/{lc}/entry {_json(_entry(entry))}")
     out.append(f"tune/{lc}/report {_json(report.to_dict())}")
     return supervisor.PretunedBank({3: entry})
 
@@ -83,45 +99,45 @@ def run(tag: str, cfg, out: list[str], bank=None) -> None:
     out.extend(digest_result(tag, harness.run_simulation(cfg, bank=bank)))
 
 
-def chain(banks: dict, out: list[str]) -> None:
+def chain(banks: dict, out: list[str], config=harness.RunConfig) -> None:
     for lc in LOAD_CASES:
-        compare(f"chain/{lc}", harness.RunConfig(load_case=lc), banks[lc],
+        compare(f"chain/{lc}", config(load_case=lc), banks[lc],
                 ("baseline", "sprc_only", "proposed"), out)
-    compare("chain/LC3/healthy", harness.RunConfig(load_case="LC3", fault_blade=0),
+    compare("chain/LC3/healthy", config(load_case="LC3", fault_blade=0),
             banks["LC3"], ("sprc_only", "proposed"), out)
 
 
-def acceptance(banks: dict, out: list[str]) -> None:
+def acceptance(banks: dict, out: list[str], config=harness.RunConfig) -> None:
     for i in range(20):
-        cfg = harness.RunConfig(
+        cfg = config(
             mode="proposed", load_case=LOAD_CASES[i % 3], seed=1000 + i,
             duration_s=900.0, fault_blade=0, fault_time_s=0.0,
         )
         run(f"A1/{i}", cfg, out)
     for lc in LOAD_CASES:
         for seed in range(20):
-            cfg = harness.RunConfig(
+            cfg = config(
                 mode="proposed", load_case=lc, seed=seed, duration_s=400.0,
                 fault_blade=3, fault_time_s=300.0,
             )
             run(f"A2/{lc}/{seed}", cfg, out, bank=banks[lc])
-    cfg = harness.RunConfig(
+    cfg = config(
         mode="sprc_only", load_case="LC3", seed=21, duration_s=150.0,
         fault_blade=0, fault_time_s=0.0,
     )
     run("A5", cfg, out)
     for lc in LOAD_CASES:
-        compare(f"A6/{lc}", harness.RunConfig(mode="proposed", load_case=lc, seed=7),
+        compare(f"A6/{lc}", config(mode="proposed", load_case=lc, seed=7),
                 banks[lc], ("baseline", "proposed"), out)
     for lc, n_seeds in (("LC1", 7), ("LC2", 7), ("LC3", 6)):
         for seed in range(n_seeds):
-            cfg = harness.RunConfig(
+            cfg = config(
                 mode="proposed", load_case=lc, seed=seed, duration_s=550.0,
                 fault_blade=3, fault_time_s=300.0,
             )
             run(f"A7/{lc}/{seed}/warm", cfg, out, bank=banks[lc])
             run(f"A7/{lc}/{seed}/cold", replace(cfg, mode="sprc_only"), out)
-    cfg = harness.RunConfig(
+    cfg = config(
         mode="proposed", load_case="LC3", seed=17, duration_s=420.0,
         fault_blade=3, fault_time_s=300.0,
     )
@@ -131,15 +147,37 @@ def acceptance(banks: dict, out: list[str]) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--acceptance", action="store_true", help="also digest the acceptance runs")
+    parser.add_argument(
+        "--set", action="append", default=[], metavar="FIELD=VALUE", dest="overrides",
+        help="override a RunConfig field on every run (repeatable)",
+    )
     parser.add_argument("--out", help="write the digest lines here as well")
     parser.add_argument("--against", help="digest file to compare with; exit 1 on any difference")
     args = parser.parse_args(argv)
+    overrides = {}
+    for item in args.overrides:
+        name, sep, value = item.partition("=")
+        if not sep:
+            parser.error(f"--set {item!r}: expected FIELD=VALUE")
+        try:
+            overrides[name] = json.loads(value)
+        except json.JSONDecodeError:
+            overrides[name] = value
+
+    def config(**fields) -> harness.RunConfig:
+        """The chain's config with these fields, the overrides applied last."""
+        return harness.RunConfig(**{**fields, **overrides})
+
+    try:
+        config()
+    except (TypeError, ValueError) as exc:
+        parser.error(f"--set: {exc}")
 
     out: list[str] = []
-    banks = {lc: tune(lc, out) for lc in LOAD_CASES}
-    chain(banks, out)
+    banks = {lc: tune(lc, out, config) for lc in LOAD_CASES}
+    chain(banks, out, config)
     if args.acceptance:
-        acceptance(banks, out)
+        acceptance(banks, out, config)
     text = "\n".join(out) + "\n"
     print(text, end="")
     if args.out:

@@ -7,7 +7,8 @@ block update has a dense reference here too: one QR of the whole stacked
 system, which the library's structured QR must reproduce.  The closed loop
 has a sequential reference: each chunk's identification is flushed whole,
 blade by blade, before its period-boundary update, where the library
-overlaps the two.
+overlaps the two.  It picks the identified samples of a chunk itself, as
+the multiples of the decimation whose regressor has its full history.
 """
 
 import numpy as np
@@ -182,12 +183,14 @@ def lifted_transition_maps(markov_row, period_samples, past_window, basis):
 class SequentialStepper(harness._Stepper):
     """The chunked run with each chunk's identification flushed whole before its boundary.
 
-    Per chunk: the residuals of every blade against the rows held before
-    the chunk, then the live blades' block updates in turn on the calling
-    thread, then the proposed switch, then the period update from
-    ``identifier.rows()`` at a period boundary, every gain designed on the
-    calling thread.  The library computes the same steps overlapped; it must
-    give the same bits.
+    Per chunk: the identified samples k of the chunk, k = 0 (mod D) and at
+    least D * (P/D + p), then the residuals of every blade on them against
+    the rows held before the chunk, then the live blades' block updates in
+    turn on the calling thread, on the every-D-th-sample series
+    ``u_act[::D]`` and ``y[::D]``, then the proposed switch, then the period
+    update from ``identifier.rows()`` at a period boundary, every gain
+    designed on the calling thread.  The library computes the same steps
+    overlapped; it must give the same bits.
     """
 
     def _finish(self):
@@ -212,14 +215,17 @@ class SequentialStepper(harness._Stepper):
 
     def _flush_whole(self, a, b):
         cfg, series = self.cfg, self.series
-        P = cfg.period_samples
-        lo = max(a, P + cfg.past_window)
-        if cfg.mode == "baseline" or lo >= b:
+        D, p = cfg.ident_decimation, cfg.past_window
+        P = cfg.period_samples // D
+        k = np.arange(a, b)
+        k = k[(k % D == 0) & (k >= D * (P + p))]
+        if cfg.mode == "baseline" or k.size == 0:
             return
-        regressors, targets = build_regressor_block(series["u_act"], series["y"], lo, b, P, cfg.past_window)
+        u, y = series["u_act"][::D], series["y"][::D]
+        regressors, targets = build_regressor_block(u, y, k[0] // D, k[-1] // D + 1, P, p)
         rows = self.identifier.rows()
         for blade in range(3):
-            series["ident_res"][lo:b, blade] = targets[:, blade] - regressors[:, :, blade] @ rows[blade]
+            series["ident_res"][k, blade] = targets[:, blade] - regressors[:, :, blade] @ rows[blade]
         for blade, est in enumerate(self.identifier.estimators):
             if not self.law.frozen[blade]:
                 est.update_block(regressors[:, :, blade], targets[:, blade])

@@ -239,23 +239,18 @@ def test_a5_riccati_oracle_and_runtime_gains():
         fault_time_s=0.0,
     )
     result = harness.run_simulation(cfg)
-    basis = build_basis(cfg.period_samples)
-    law = RepetitiveLaw(basis)
-    ident = MarkovIdentifier(cfg.past_window)
-    regs, tgts = build_regressor_block(
-        result.series["u_act"],
-        result.series["y"],
-        cfg.period_samples + cfg.past_window,
-        result.series["y"].shape[0],
-        cfg.period_samples,
-        cfg.past_window,
-    )
+    # identified as the run identifies: on every D-th sample, P/D per period
+    D, p = cfg.ident_decimation, cfg.past_window
+    P = cfg.period_samples // D
+    basis = build_basis(P)
+    law = RepetitiveLaw(build_basis(cfg.period_samples), decimation=D)
+    ident = MarkovIdentifier(p, decimation=D)
+    u, y = result.series["u_act"][::D], result.series["y"][::D]
+    regs, tgts = build_regressor_block(u, y, P + p, y.shape[0], P, p)
     ident.update_block(regs, tgts)
     radii = []
     for blade in range(3):
-        a_lift, b_lift = build_lifted(
-            ident.rows()[blade], cfg.period_samples, cfg.past_window, basis
-        )
+        a_lift, b_lift = build_lifted(ident.rows()[blade], P, p, basis)
         res = update_gain(a_lift, b_lift, law.Q, law.R)
         assert res.ok
         rho = np.max(np.abs(np.linalg.eigvals(a_lift - b_lift @ res.gain)))

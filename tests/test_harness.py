@@ -12,11 +12,11 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import FuserOracle, sequential_run
+from oracles import FuserOracle, SequentialStepper, sequential_run
 from pitchftc import fdi, harness, sprc, supervisor
 from pitchftc.actuator import ActuatorBank
 from pitchftc.fdi import DecisionFuser, design_fdie, residual_noise_std
-from pitchftc.numerics import DareError, RlsEstimator
+from pitchftc.numerics import DareError, RlsEstimator, single_blas_thread
 from pitchftc.harness import (
     CSV_SCHEMA,
     START_PERIOD,
@@ -154,6 +154,8 @@ class TestConfig:
         assert cfg.meas_noise_var == 1.5
         assert cfg.period_samples == 625
         assert cfg.n_samples == 140_000
+        # identification at 20 Hz over 1 s of history
+        assert (cfg.ident_decimation, cfg.past_window) == (5, 20)
 
     def test_validation_failures(self):
         with pytest.raises(ValueError, match="mode"):
@@ -214,6 +216,9 @@ class TestConfig:
             # rounds to sample 6000 = N: the fault would never act
             {"fault_time_s": 59.996},
             {"mode": "offline_tune", "fault_time_s": 10.0},
+            # divided by Ts, past the float range: the sample count is infinite
+            {"duration_s": 1.797693134862316e306, "fault_blade": 0},
+            {"fault_time_s": 1.797693134862316e306},
         ],
         ids=["nan_multiplier", "negative_multiplier", "fractional_window", "inf_duration",
              "nan_lqr_r", "bool_seed", "negative_comparison_window", "list_load_case",
@@ -225,13 +230,33 @@ class TestConfig:
              "negative_lqr_q", "zero_reseed_confidence", "negative_reseed_confidence",
              "hold_gain_above_one", "negative_prbs_amplitude", "negative_load_noise_std",
              "threshold_margin_past_unit_circle", "negative_threshold_margin",
-             "zero_threshold_margin", "no_sample", "fault_on_sample_n", "late_tuning_fault"],
+             "zero_threshold_margin", "no_sample", "fault_on_sample_n", "late_tuning_fault",
+             "overflowing_duration", "overflowing_fault_time"],
     )
     def test_from_dict_rejects_bad_numbers(self, bad):
         # a NaN multiplier gives NaN thresholds that no residual crosses, so
         # the stuck blade would never be detected; a zero one (or a zero noise
         # variance) gives zero thresholds that every residual crosses, so no
         # blade is ever isolated
+        data = {"mode": "baseline", "duration_s": 60, "fault_blade": 3, "fault_time_s": 30}
+        with pytest.raises(ValueError):
+            RunConfig.from_dict({**data, **bad})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"ident_decimation": 0},
+            {"ident_decimation": -1},
+            {"ident_decimation": True},
+            {"ident_decimation": 2.5},
+            # 625 samples per period are not a whole number of 7-sample steps
+            {"ident_decimation": 7},
+            # 125 identified samples per period: the window must be shorter
+            {"ident_decimation": 5, "past_window": 125},
+        ],
+        ids=["zero", "negative", "bool", "fractional", "not_a_divisor", "window_of_a_period"],
+    )
+    def test_from_dict_rejects_bad_decimation(self, bad):
         data = {"mode": "baseline", "duration_s": 60, "fault_blade": 3, "fault_time_s": 30}
         with pytest.raises(ValueError):
             RunConfig.from_dict({**data, **bad})
@@ -503,15 +528,15 @@ class TestMetrics:
         assert convergence_time(history, 1, eps=0.001, floor=1.0, consecutive=10) is None
 
     def test_final_increment_is_the_last_period(self):
-        # converged at period 13; the streak completes at period 22, whose
-        # increment (0.133) is not the last period's (0.270)
+        # converged at period 15; the streak completes at period 24, whose
+        # increment (0.192) is not the last period's (0.253)
         cfg = short_cfg(duration_s=400.0)
         result = run_simulation(cfg)
         rep, history = result.report, result.coeff_history
         assert rep.healthy_converged_period is not None
         last = np.linalg.norm(history[-1] - history[-2], axis=1).max()
         assert rep.final_coeff_increment == pytest.approx(last, rel=1e-9)
-        assert rep.final_coeff_increment == pytest.approx(0.2698, abs=1e-4)
+        assert rep.final_coeff_increment == pytest.approx(0.2529, abs=1e-4)
 
     def test_final_increment_when_fault_in_last_settle_periods(self):
         # the post-fault scan is empty, but the controller still moved
@@ -1118,3 +1143,69 @@ class TestPipelinedBoundary:
         for name, values in sequential.series.items():
             assert pipelined.series[name].tobytes() == values.tobytes(), name
         assert pipelined.coeff_history.tobytes() == sequential.coeff_history.tobytes()
+
+
+def _cut_run(stepper, cfg, bank, cuts):
+    """A run of cfg on the given stepper class, advanced to each cut and then to the end."""
+    with single_blas_thread():
+        run = stepper(cfg, harness._run_bank(cfg, bank))
+        for cut in (*sorted(cuts), cfg.n_samples):
+            run.advance(cut)
+        return run.result()
+
+
+class TestDecimatedIdentification:
+    """Identification on every D-th sample, whatever the chunks (D = 5 by default)."""
+
+    @given(
+        mode=st.sampled_from(("sprc_only", "proposed")),
+        fault_time_s=st.floats(0.0, 75.0),
+        seed=st.integers(0, 2**16),
+        cuts=st.sets(st.integers(1, 7999), max_size=6),
+    )
+    # the switch replay ends on sample 2013, off the grid and mid-chunk, and
+    # cuts off the grid fall before the switch, inside the warm-up and in the
+    # chunk after the switch
+    @example(mode="proposed", fault_time_s=20.0, seed=0, cuts={501, 1003, 2011, 2502})
+    # the replay ends on sample 3122, so the rest of its period holds no
+    # identified sample: the boundary at 3125 designs from the rows held
+    @example(mode="proposed", fault_time_s=31.07, seed=0, cuts=set())
+    # a cut leaves the chunk 3121..3124 before an adapting boundary
+    @example(mode="sprc_only", fault_time_s=0.0, seed=0, cuts={3121})
+    @settings(max_examples=20, deadline=None)
+    def test_runs_cut_off_the_grid_equal_the_oracle(self, lc3_bank, mode, fault_time_s, seed, cuts):
+        cfg = RunConfig(
+            mode=mode, load_case="LC3", seed=seed, duration_s=80.0,
+            fault_blade=3, fault_time_s=fault_time_s,
+        )
+        D = cfg.ident_decimation
+        got = _cut_run(harness._Stepper, cfg, lc3_bank, cuts)
+        _assert_same_run(got, _cut_run(SequentialStepper, cfg, lc3_bank, cuts))
+        off_grid = np.arange(cfg.n_samples) % D != 0
+        assert (got.series["ident_res"][off_grid] == 0.0).all()
+        event(f"a cut off the grid {any(c % D for c in cuts)}")
+        switch = got.report.switch_sample
+        if switch is not None:
+            event(f"switch {'on' if switch % D == 0 else 'off'} the grid")
+
+    def test_a_whole_run_equals_the_oracle_at_both_rates(self):
+        for rate in ({}, {"ident_decimation": 1, "past_window": 100}):
+            cfg = short_cfg(duration_s=80.0, fault_blade=3, fault_time_s=40.0, **rate)
+            _assert_same_run(run_simulation(cfg), sequential_run(cfg))
+
+    def test_ident_res_holds_the_identified_samples_only(self, healthy_run):
+        cfg, result = healthy_run
+        D, P, p = cfg.ident_decimation, cfg.period_samples, cfg.past_window
+        res = result.series["ident_res"]
+        grid = np.arange(res.shape[0]) % D == 0
+        assert D > 1
+        assert (res[~grid] == 0.0).all()
+        # every identified sample past the warm-up of P/D + p identified samples has one
+        identified = grid & (np.arange(res.shape[0]) >= P + D * p)
+        assert (res[identified] != 0.0).all()
+        assert (res[: P + D * p] == 0.0).all()
+
+    def test_forgetting_keeps_its_memory_in_seconds(self):
+        lam = 0.99999
+        assert sprc.MarkovIdentifier(4).estimators[0].forgetting == lam
+        assert sprc.MarkovIdentifier(4, decimation=5).estimators[0].forgetting == lam**5
