@@ -3,7 +3,7 @@
 A run wires the blocks together per sample: compose the pitch command
 (collective + repetitive waveform + excitation), drive the actuators with
 fault injection, drive the plant, feed the diagnosis bank, absorb every
-``ident_decimation``-th sample into the identification, and at every
+``IDENT_DECIMATION``-th sample into the identification, and at every
 rotor-period boundary refresh the LQR gain and the waveform coefficients.
 In the full architecture a latched fault isolation additionally triggers
 the pre-tuned parameter switch.
@@ -75,6 +75,12 @@ _CSV_CHUNK_ROWS = 4096
 
 #: one revolution at the fixed 9.6 rpm rotor speed
 ROTOR_PERIOD_S = 6.25
+#: the identification absorbs every IDENT_DECIMATION-th sample (20 Hz at the
+#: reference Ts); the law's waveform and the load projection run on every sample
+IDENT_DECIMATION = 5
+#: the identifier forgets by this per sample, so by its IDENT_DECIMATION-th
+#: power per identified sample: the memory in seconds does not depend on the rate
+FORGETTING_PER_SAMPLE = 0.99999
 #: first rotor period with coefficient updates
 START_PERIOD = 4
 # the coefficients are quiet once the per-blade increment stays below
@@ -101,7 +107,6 @@ class RunConfig:
 
     # identification and repetitive control
     past_window: int = 20               # identified samples of differenced history per channel
-    ident_decimation: int = 5           # identify on every D-th sample (D divides the period)
     lqr_r: float = 0.1                  # input weight against a unit state weight
     step_gain: float = 0.3
 
@@ -161,11 +166,11 @@ class RunConfig:
             raise ValueError("fault_time_s must lie inside the run, on a sample before its last")
         if self.mode == "offline_tune" and (self.fault_blade == 0 or self.fault_time_s != 0.0):
             raise ValueError("offline_tune requires a configured fault from the first sample")
-        D = self.ident_decimation
-        if D < 1 or self.period_samples % D or self.period_samples // D < 4:
-            raise ValueError("ident_decimation must divide period_samples into at least 4 samples")
+        D = IDENT_DECIMATION
+        if self.period_samples % D or self.period_samples // D < 4:
+            raise ValueError(f"Ts must divide the rotor period into at least 4 steps of {D} samples")
         if self.past_window < 1 or self.past_window >= self.period_samples // D:
-            raise ValueError("past_window must be in [1, period_samples // ident_decimation)")
+            raise ValueError(f"past_window must be in [1, period_samples // {D})")
         if not 0.0 <= self.pole_radius < 1.0:
             raise ValueError("pole_radius must be in [0, 1)")
         if min(self.settle_periods, self.seed) < 0:
@@ -234,8 +239,7 @@ class RunConfig:
 
 
 _DYNAMICS_FIELDS = (
-    "load_case", "Ts", "past_window", "ident_decimation", "lqr_r", "step_gain",
-    "meas_noise_var", "load_gain",
+    "load_case", "Ts", "past_window", "lqr_r", "step_gain", "meas_noise_var", "load_gain"
 )
 
 
@@ -352,11 +356,12 @@ class _Stepper:
         if cfg.fault_blade:
             fault = FaultDescriptor(cfg.fault_blade, lc.stuck_angle, cfg.fault_sample)
 
-        D = cfg.ident_decimation
+        D = IDENT_DECIMATION
         self.law = RepetitiveLaw(
-            build_basis(P), step_gain=cfg.step_gain, lqr_r=cfg.lqr_r, decimation=D
+            build_basis(P), step_gain=cfg.step_gain, lqr_r=cfg.lqr_r,
+            ident_basis=build_basis(P // D),
         )
-        self.identifier = MarkovIdentifier(cfg.past_window, decimation=D)
+        self.identifier = MarkovIdentifier(cfg.past_window, forgetting=FORGETTING_PER_SAMPLE**D)
         self.actuator = ActuatorBank(cfg.Ts, fault=fault)
         self.plant = Plant(lc, cfg.Ts, P, load_gain=cfg.load_gain)
         # one observer for the three blades: they share model and gain
@@ -526,8 +531,8 @@ class _Stepper:
     def _flush_identification(self, a: int, b: int, design=None) -> list:
         """Absorb the identified samples in a..b-1; returns the live blades' (blade, row, gain).
 
-        The identified samples are k = 0 (mod D), D the run's
-        ``ident_decimation``, wherever the chunk starts or ends, so which
+        The identified samples are k = 0 (mod D), D = ``IDENT_DECIMATION``,
+        wherever the chunk starts or ends, so which
         samples a run absorbs does not depend on its chunks.  The regression
         runs on the every-D-th-sample series, whose period is P/D samples.
         Their a-priori residuals land in ``ident_res``, which stays 0.0 on
@@ -538,7 +543,7 @@ class _Stepper:
         cfg, series = self.cfg, self.series
         if cfg.mode == "baseline":
             return []
-        D, p = cfg.ident_decimation, cfg.past_window
+        D, p = IDENT_DECIMATION, cfg.past_window
         P = cfg.period_samples // D
         # the identified samples are j*D for j in [lo, hi); -(-a // D) is ceil(a / D)
         lo, hi = max(-(-a // D), P + p), -(-b // D)

@@ -136,8 +136,7 @@ class MarkovIdentifier:
     """Three decoupled recursive estimators of per-blade Markov rows.
 
     Each row has length 2p: pitch-channel terms first, load-channel terms
-    second, both oldest-sample-first to match the regressor layout, each
-    term one identified sample apart (``decimation`` samples of the run).  A run
+    second, both oldest-sample-first to match the regressor layout.  A run
     passes its law's frozen mask, so after fault isolation the degenerate
     zero-information stream from a stuck actuator stops touching its estimate.
 
@@ -151,11 +150,9 @@ class MarkovIdentifier:
     turn.
     """
 
-    def __init__(self, past_window: int, forgetting: float = 0.99999, decimation: int = 1):
-        # forgetting is per sample: an identification on every D-th sample
-        # forgets by its D-th power, so the memory in seconds is the same
+    def __init__(self, past_window: int, forgetting: float = 0.99999):
         dim = 2 * int(past_window)
-        self.estimators = [RlsEstimator(dim, forgetting=forgetting**decimation) for _ in range(3)]
+        self.estimators = [RlsEstimator(dim, forgetting=forgetting) for _ in range(3)]
 
     def absorb(
         self,
@@ -343,17 +340,17 @@ class RepetitiveLaw:
     K weighs the six states by the identity and the input by lqr_r; scaling
     both weights together leaves K unchanged, so lqr_r is the only knob.
     The weights are constant, so they are checked once, here.  The waveform
-    and the load projection run on every sample; the lifted model is built
-    from Markov rows identified on every ``decimation``-th sample, on the
-    P/decimation-sample basis.
+    and the load projection use ``basis``; the lifted model is built on
+    ``ident_basis``, the basis at the rate the Markov rows were identified
+    at (``basis`` by default).
     """
 
     def __init__(
-        self, basis: np.ndarray, step_gain: float = 0.3, lqr_r: float = 0.1, decimation: int = 1
+        self, basis: np.ndarray, step_gain: float = 0.3, lqr_r: float = 0.1, ident_basis=None
     ):
         self.basis = basis
         self.P = basis.shape[0]
-        self.ident_basis = build_basis(self.P // decimation)
+        self.ident_basis = basis if ident_basis is None else ident_basis
         self.step_gain = float(step_gain)
         self.Q, self.R = _check_weights(np.eye(6), lqr_r * np.eye(2))
         self.coeffs = np.zeros((3, 2))

@@ -98,7 +98,7 @@ class PretunedBank:
         if schema == "pitchftc-bank-v3":
             raise ValueError(
                 f"bank {path} has schema pitchftc-bank-v3: it was tuned at 100 Hz "
-                "identification, before ident_decimation existed; tune it again"
+                "identification; tune it again"
             )
         if schema != BANK_SCHEMA:
             raise ValueError(f"unrecognized bank schema in {path}")

@@ -1,7 +1,7 @@
 """Print one sha256 per artifact of the reference run chain, to compare trees bit for bit.
 
     PYTHONPATH=src python tests/digest_runs.py [--acceptance] [--set FIELD=VALUE ...]
-        [--out FILE] [--against FILE]
+        [--ident-decimation D] [--out FILE] [--against FILE]
 
 For each of LC1-LC3 it runs the offline tune of blade 3 (seed 100, 600 s,
 fault from the first sample) and then ``compare_modes`` on the default
@@ -17,11 +17,11 @@ without the fork.
 
 ``--set FIELD=VALUE`` (repeatable) overrides one ``RunConfig`` field on
 every run of the chain, the tunes included; VALUE is read as JSON, and as a
-string when it is not JSON.  So the chain of another protocol, such as
-``--set ident_decimation=1 --set past_window=100`` (identification on every
-sample), can be compared with digests a tree of that protocol wrote.  A
-tuned entry's config is digested without ``ident_decimation`` when that is
-1, the layout of the trees that had no such field.
+string when it is not JSON.  ``--ident-decimation D`` sets
+``harness.IDENT_DECIMATION`` for the whole chain.  So the chain of another
+protocol, such as ``--ident-decimation 1 --set past_window=100``
+(identification on every sample), can be compared with digests a tree of
+that protocol wrote.
 
 Each output line is ``<artifact> <sha256>``: one per series, coefficient
 history, tuning snapshot, report, reduction table and bank entry.  With
@@ -70,20 +70,13 @@ def digest_result(tag: str, result) -> list[str]:
     return lines
 
 
-def _entry(entry) -> dict:
-    data = asdict(entry)
-    if data["config"]["ident_decimation"] == 1:
-        del data["config"]["ident_decimation"]
-    return data
-
-
 def tune(lc: str, out: list[str], config=harness.RunConfig) -> supervisor.PretunedBank:
     cfg = config(
         mode="offline_tune", load_case=lc, seed=100, duration_s=600.0,
         fault_blade=3, fault_time_s=0.0,
     )
     entry, report = supervisor.offline_tune(cfg)
-    out.append(f"tune/{lc}/entry {_json(_entry(entry))}")
+    out.append(f"tune/{lc}/entry {_json(asdict(entry))}")
     out.append(f"tune/{lc}/report {_json(report.to_dict())}")
     return supervisor.PretunedBank({3: entry})
 
@@ -151,9 +144,17 @@ def main(argv=None) -> int:
         "--set", action="append", default=[], metavar="FIELD=VALUE", dest="overrides",
         help="override a RunConfig field on every run (repeatable)",
     )
+    parser.add_argument(
+        "--ident-decimation", type=int, metavar="D",
+        help="identify on every D-th sample instead of harness.IDENT_DECIMATION",
+    )
     parser.add_argument("--out", help="write the digest lines here as well")
     parser.add_argument("--against", help="digest file to compare with; exit 1 on any difference")
     args = parser.parse_args(argv)
+    if args.ident_decimation is not None:
+        if args.ident_decimation < 1:
+            parser.error("--ident-decimation must be at least 1")
+        harness.IDENT_DECIMATION = args.ident_decimation
     overrides = {}
     for item in args.overrides:
         name, sep, value = item.partition("=")

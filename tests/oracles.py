@@ -215,7 +215,7 @@ class SequentialStepper(harness._Stepper):
 
     def _flush_whole(self, a, b):
         cfg, series = self.cfg, self.series
-        D, p = cfg.ident_decimation, cfg.past_window
+        D, p = harness.IDENT_DECIMATION, cfg.past_window
         P = cfg.period_samples // D
         k = np.arange(a, b)
         k = k[(k % D == 0) & (k >= D * (P + p))]

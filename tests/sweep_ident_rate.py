@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/sweep_ident_rate.py [--seeds N]
 
-D is ``RunConfig.ident_decimation`` (identify on every D-th sample) and p
-is ``past_window`` (identified samples of history per channel).  For each
+D is ``harness.IDENT_DECIMATION`` (identify on every D-th sample), which
+the sweep sets per setting, and p is ``past_window`` (identified samples of
+history per channel).  For each
 setting and load case it tunes the blade 3 bank (seed 100, 600 s, fault
 from the first sample), runs the A6 comparison (seed 7, 1400 s, baseline
 against proposed) and the A7 protocol on seeds 0..N-1 (550 s, fault on
@@ -15,9 +16,8 @@ one markdown row per setting and load case:
 - the worst A7 warm/cold ratio, with the ranges of warm and cold
   post-fault convergence periods;
 - the gain fallbacks summed over every run of the row;
-- whether every gate held: A6 (isolated blade 3, peak ratio <= 20 %,
-  reduction >= 40 %) and, on every pair, A7 (warm converges, ratio < 0.5,
-  the warm run isolated blade 3 and switched);
+- whether every gate held: the A6 gate and, on every pair, the A7 gate,
+  both as ``tests/test_acceptance.py`` checks them;
 - the wall time of the row.
 
 The last line names the setting adopted by the rule: (5, 20) if every gate
@@ -31,6 +31,7 @@ import sys
 import time
 
 from pitchftc import harness, supervisor
+from test_acceptance import a6_gate, a7_gate
 
 SETTINGS = ((1, 100), (5, 20), (5, 30), (5, 40))
 LOAD_CASES = ("LC1", "LC2", "LC3")
@@ -40,48 +41,40 @@ ADOPT_MAX_RATIO = 0.4
 
 def sweep_row(lc: str, D: int, p: int, n_seeds: int) -> dict:
     t0 = time.perf_counter()
-    rate = {"ident_decimation": D, "past_window": p}
+    harness.IDENT_DECIMATION = D
     tune_cfg = harness.RunConfig(
         mode="offline_tune", load_case=lc, seed=100, duration_s=600.0,
-        fault_blade=3, fault_time_s=0.0, **rate,
+        fault_blade=3, fault_time_s=0.0, past_window=p,
     )
     entry, tune_report = supervisor.offline_tune(tune_cfg)
     bank = supervisor.PretunedBank({3: entry})
     failures = []
 
     a6 = harness.compare_modes(
-        harness.RunConfig(mode="proposed", load_case=lc, seed=7, **rate),
+        harness.RunConfig(mode="proposed", load_case=lc, seed=7, past_window=p),
         bank=bank, modes=("baseline", "proposed"),
     )
-    base, prop = (a6["results"][m].report for m in ("baseline", "proposed"))
-    reduction = a6["reduction"]["proposed"]["cumulative"]
-    peak_ratio = sum(prop.psd_peak_1p[:2]) / sum(base.psd_peak_1p[:2])
-    if prop.d_fd != 3 or peak_ratio > 0.20 or reduction < 40.0:
+    peak_ratio, reduction, failed = a6_gate(a6)
+    if failed:
         failures.append("A6")
-    fallbacks = prop.gain_failures
+    fallbacks = a6["results"]["proposed"].report.gain_failures
 
     ratios, warms, colds = [], [], []
     for seed in range(n_seeds):
         cfg = harness.RunConfig(
             mode="proposed", load_case=lc, seed=seed, duration_s=550.0,
-            fault_blade=3, fault_time_s=FAULT_TIME_S, **rate,
+            fault_blade=3, fault_time_s=FAULT_TIME_S, past_window=p,
         )
         pair = harness.compare_modes(cfg, bank=bank, modes=("sprc_only", "proposed"))["results"]
-        warm, cold = pair["proposed"].report, pair["sprc_only"].report
-        fallbacks += warm.gain_failures + cold.gain_failures
-        cap = cfg.n_samples // cfg.period_samples - (
-            cfg.fault_sample // cfg.period_samples + cfg.settle_periods
-        )
-        cold_periods = cold.postfault_converged_periods
-        cold_periods = cap if cold_periods is None else cold_periods
-        colds.append(cold_periods)
-        if warm.postfault_converged_periods is None or warm.d_fd != 3 or not warm.switch_applied:
+        warm_report, cold_report = pair["proposed"].report, pair["sprc_only"].report
+        fallbacks += warm_report.gain_failures + cold_report.gain_failures
+        warm, cold, ratio, failed = a7_gate(cfg, warm_report, cold_report)
+        colds.append(cold)
+        if failed:
             failures.append(f"A7 seed {seed}")
-            continue
-        warms.append(warm.postfault_converged_periods)
-        ratios.append(warm.postfault_converged_periods / cold_periods)
-        if ratios[-1] >= 0.5:
-            failures.append(f"A7 seed {seed}")
+        if warm is not None:
+            warms.append(warm)
+            ratios.append(ratio)
 
     def span(values):
         return f"{min(values)}-{max(values)}" if values else "-"

@@ -43,6 +43,43 @@ def _pass(line: str) -> None:
     print(f"[PASS] {line}")
 
 
+def a6_gate(outcome) -> tuple[float, float, list[str]]:
+    """A6 on one baseline/proposed comparison: (peak ratio, reduction %, the gates it fails).
+
+    The peak ratio is the proposed run's healthy-blade 1P peak over the
+    baseline's; the reduction is the cumulative variance reduction.
+    """
+    reduction = outcome["reduction"]["proposed"]["cumulative"]
+    peaks_base = np.asarray(outcome["results"]["baseline"].report.psd_peak_1p)
+    peaks_prop = np.asarray(outcome["results"]["proposed"].report.psd_peak_1p)
+    healthy = [0, 1]
+    ratio = peaks_prop[healthy].sum() / peaks_base[healthy].sum()
+    gates = (
+        ("isolation", outcome["results"]["proposed"].report.d_fd == 3),
+        ("peak ratio", ratio <= 0.20),
+        ("reduction", reduction >= 40.0),
+    )
+    return ratio, reduction, [name for name, held in gates if not held]
+
+
+def a7_gate(cfg, warm_report, cold_report) -> tuple[int | None, int, float | None, list[str]]:
+    """A7 on one matched pair: (warm periods, cold periods, ratio, the gates it fails).
+
+    A cold run that never converges counts the post-fault periods the run
+    holds after its settling.
+    """
+    cap = cfg.n_samples // cfg.period_samples - (
+        cfg.fault_sample // cfg.period_samples + cfg.settle_periods
+    )
+    warm = warm_report.postfault_converged_periods
+    cold = cold_report.postfault_converged_periods
+    cold = cap if cold is None else cold
+    if warm is None:
+        return warm, cold, None, ["warm converges"]
+    ratio = warm / cold
+    return warm, cold, ratio, [] if ratio < 0.5 else ["ratio"]
+
+
 @pytest.fixture(scope="session")
 def banks():
     out = {}
@@ -240,11 +277,11 @@ def test_a5_riccati_oracle_and_runtime_gains():
     )
     result = harness.run_simulation(cfg)
     # identified as the run identifies: on every D-th sample, P/D per period
-    D, p = cfg.ident_decimation, cfg.past_window
+    D, p = harness.IDENT_DECIMATION, cfg.past_window
     P = cfg.period_samples // D
     basis = build_basis(P)
-    law = RepetitiveLaw(build_basis(cfg.period_samples), decimation=D)
-    ident = MarkovIdentifier(p, decimation=D)
+    law = RepetitiveLaw(basis)
+    ident = MarkovIdentifier(p, forgetting=harness.FORGETTING_PER_SAMPLE**D)
     u, y = result.series["u_act"][::D], result.series["y"][::D]
     regs, tgts = build_regressor_block(u, y, P + p, y.shape[0], P, p)
     ident.update_block(regs, tgts)
@@ -267,14 +304,8 @@ def test_a6_load_alleviation(banks):
     for lc in LOAD_CASES:
         cfg = harness.RunConfig(mode="proposed", load_case=lc, seed=7)
         outcome = harness.compare_modes(cfg, bank=banks[lc], modes=("baseline", "proposed"))
-        reduction = outcome["reduction"]["proposed"]["cumulative"]
-        peaks_base = np.asarray(outcome["results"]["baseline"].report.psd_peak_1p)
-        peaks_prop = np.asarray(outcome["results"]["proposed"].report.psd_peak_1p)
-        healthy = [0, 1]
-        ratio = peaks_prop[healthy].sum() / peaks_base[healthy].sum()
-        assert outcome["results"]["proposed"].report.d_fd == 3
-        assert ratio <= 0.20, (lc, ratio)
-        assert reduction >= 40.0, (lc, reduction)
+        ratio, reduction, failed = a6_gate(outcome)
+        assert not failed, (lc, failed, ratio, reduction)
         lines.append(f"{lc}: peak ratio {100 * ratio:.2f}%, reduction {reduction:.1f}%")
     _pass(
         "A6 load alleviation: healthy-blade 1P peak <= 20% of baseline and "
@@ -283,18 +314,10 @@ def test_a6_load_alleviation(banks):
 
 
 def test_a7_fast_accommodation(matched_pairs):
-    cfg0 = matched_pairs[0][2]
-    n_periods = cfg0.n_samples // cfg0.period_samples
-    first_eligible = FAULT_SAMPLE // cfg0.period_samples + cfg0.settle_periods
-    cap = n_periods - first_eligible
     worst_ratio, results = 0.0, []
     for lc, seed, cfg, warm_run, cold_run in matched_pairs:
-        warm = warm_run.report.postfault_converged_periods
-        cold = cold_run.report.postfault_converged_periods
-        assert warm is not None, (lc, seed)
-        cold_value = cold if cold is not None else cap
-        ratio = warm / cold_value
-        assert ratio < 0.5, (lc, seed, warm, cold_value)
+        warm, cold_value, ratio, failed = a7_gate(cfg, warm_run.report, cold_run.report)
+        assert not failed, (lc, seed, failed, warm, cold_value)
         worst_ratio = max(worst_ratio, ratio)
         results.append((warm, cold_value))
     warms, colds = zip(*results)

@@ -155,7 +155,7 @@ class TestConfig:
         assert cfg.period_samples == 625
         assert cfg.n_samples == 140_000
         # identification at 20 Hz over 1 s of history
-        assert (cfg.ident_decimation, cfg.past_window) == (5, 20)
+        assert (harness.IDENT_DECIMATION, cfg.past_window) == (5, 20)
 
     def test_validation_failures(self):
         with pytest.raises(ValueError, match="mode"):
@@ -219,6 +219,8 @@ class TestConfig:
             # divided by Ts, past the float range: the sample count is infinite
             {"duration_s": 1.797693134862316e306, "fault_blade": 0},
             {"fault_time_s": 1.797693134862316e306},
+            # 125 identified samples per period: the window must be shorter
+            {"past_window": 125},
         ],
         ids=["nan_multiplier", "negative_multiplier", "fractional_window", "inf_duration",
              "nan_lqr_r", "bool_seed", "negative_comparison_window", "list_load_case",
@@ -231,32 +233,13 @@ class TestConfig:
              "hold_gain_above_one", "negative_prbs_amplitude", "negative_load_noise_std",
              "threshold_margin_past_unit_circle", "negative_threshold_margin",
              "zero_threshold_margin", "no_sample", "fault_on_sample_n", "late_tuning_fault",
-             "overflowing_duration", "overflowing_fault_time"],
+             "overflowing_duration", "overflowing_fault_time", "window_of_a_period"],
     )
     def test_from_dict_rejects_bad_numbers(self, bad):
         # a NaN multiplier gives NaN thresholds that no residual crosses, so
         # the stuck blade would never be detected; a zero one (or a zero noise
         # variance) gives zero thresholds that every residual crosses, so no
         # blade is ever isolated
-        data = {"mode": "baseline", "duration_s": 60, "fault_blade": 3, "fault_time_s": 30}
-        with pytest.raises(ValueError):
-            RunConfig.from_dict({**data, **bad})
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {"ident_decimation": 0},
-            {"ident_decimation": -1},
-            {"ident_decimation": True},
-            {"ident_decimation": 2.5},
-            # 625 samples per period are not a whole number of 7-sample steps
-            {"ident_decimation": 7},
-            # 125 identified samples per period: the window must be shorter
-            {"ident_decimation": 5, "past_window": 125},
-        ],
-        ids=["zero", "negative", "bool", "fractional", "not_a_divisor", "window_of_a_period"],
-    )
-    def test_from_dict_rejects_bad_decimation(self, bad):
         data = {"mode": "baseline", "duration_s": 60, "fault_blade": 3, "fault_time_s": 30}
         with pytest.raises(ValueError):
             RunConfig.from_dict({**data, **bad})
@@ -1155,7 +1138,7 @@ def _cut_run(stepper, cfg, bank, cuts):
 
 
 class TestDecimatedIdentification:
-    """Identification on every D-th sample, whatever the chunks (D = 5 by default)."""
+    """Identification on every D-th sample, D = IDENT_DECIMATION, whatever the chunks."""
 
     @given(
         mode=st.sampled_from(("sprc_only", "proposed")),
@@ -1178,7 +1161,7 @@ class TestDecimatedIdentification:
             mode=mode, load_case="LC3", seed=seed, duration_s=80.0,
             fault_blade=3, fault_time_s=fault_time_s,
         )
-        D = cfg.ident_decimation
+        D = harness.IDENT_DECIMATION
         got = _cut_run(harness._Stepper, cfg, lc3_bank, cuts)
         _assert_same_run(got, _cut_run(SequentialStepper, cfg, lc3_bank, cuts))
         off_grid = np.arange(cfg.n_samples) % D != 0
@@ -1188,14 +1171,15 @@ class TestDecimatedIdentification:
         if switch is not None:
             event(f"switch {'on' if switch % D == 0 else 'off'} the grid")
 
-    def test_a_whole_run_equals_the_oracle_at_both_rates(self):
-        for rate in ({}, {"ident_decimation": 1, "past_window": 100}):
-            cfg = short_cfg(duration_s=80.0, fault_blade=3, fault_time_s=40.0, **rate)
+    def test_a_whole_run_equals_the_oracle_at_both_rates(self, monkeypatch):
+        for D, p in ((5, 20), (1, 100)):
+            monkeypatch.setattr(harness, "IDENT_DECIMATION", D)
+            cfg = short_cfg(duration_s=80.0, fault_blade=3, fault_time_s=40.0, past_window=p)
             _assert_same_run(run_simulation(cfg), sequential_run(cfg))
 
     def test_ident_res_holds_the_identified_samples_only(self, healthy_run):
         cfg, result = healthy_run
-        D, P, p = cfg.ident_decimation, cfg.period_samples, cfg.past_window
+        D, P, p = harness.IDENT_DECIMATION, cfg.period_samples, cfg.past_window
         res = result.series["ident_res"]
         grid = np.arange(res.shape[0]) % D == 0
         assert D > 1
@@ -1205,7 +1189,9 @@ class TestDecimatedIdentification:
         assert (res[identified] != 0.0).all()
         assert (res[: P + D * p] == 0.0).all()
 
-    def test_forgetting_keeps_its_memory_in_seconds(self):
-        lam = 0.99999
-        assert sprc.MarkovIdentifier(4).estimators[0].forgetting == lam
-        assert sprc.MarkovIdentifier(4, decimation=5).estimators[0].forgetting == lam**5
+    def test_forgetting_keeps_its_memory_in_seconds(self, monkeypatch):
+        lam = harness.FORGETTING_PER_SAMPLE
+        for D in (1, 5):
+            monkeypatch.setattr(harness, "IDENT_DECIMATION", D)
+            run = harness._Stepper(short_cfg(), None)
+            assert run.identifier.estimators[0].forgetting == lam**D

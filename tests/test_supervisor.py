@@ -44,7 +44,7 @@ class TestBank:
         )
 
     def test_full_rate_bank_refused(self, tmp_path):
-        # a v3 bank was tuned before the identification rate was a setting
+        # a v3 bank was tuned identifying on every sample, at 100 Hz
         path = tmp_path / "bank.json"
         PretunedBank({3: make_entry()}).save(path)
         payload = json.loads(path.read_text())
@@ -272,24 +272,6 @@ class TestOfflineTune:
         )
         result = harness.run_simulation(cfg, bank=PretunedBank({3: entry}))
         assert result.report.switch_applied
-
-    def test_a_full_rate_bank_does_not_switch_a_decimated_run(self, caplog):
-        # the Markov rows of a bank tuned at D = 1 are another model: the
-        # D = 5 run refuses the entry and logs why
-        tune = harness.RunConfig(
-            mode="offline_tune", load_case="LC3", seed=100, duration_s=600.0,
-            fault_blade=3, fault_time_s=0.0, ident_decimation=1, past_window=100,
-        )
-        entry, _ = supervisor.offline_tune(tune)
-        cfg = harness.RunConfig(
-            mode="proposed", load_case="LC3", seed=5, duration_s=100.0, fault_blade=3,
-            fault_time_s=10.0,
-        )
-        assert cfg.ident_decimation == 5
-        with caplog.at_level(logging.WARNING):
-            result = harness.run_simulation(cfg, bank=PretunedBank({3: entry}))
-        assert result.report.d_fd == 3 and not result.report.switch_applied
-        assert "(['past_window', 'ident_decimation'] differ)" in caplog.text
 
     def test_tuning_a_late_fault_is_refused(self):
         # what `pitchftc tune --config configs/run_lc3_proposed.json` runs: its
