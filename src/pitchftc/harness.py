@@ -40,7 +40,6 @@ from .fdi import DecisionFuser, FdiBounds, decision_record, design_fdie, residua
 from .numerics import run_lengths, single_blas_thread
 from .plant import LOAD_CASES, PITCH_MAX_DEG, PITCH_MIN_DEG, LoadCase, Plant
 from .sprc import (
-    IDENTIFIER_THREADS,
     MarkovIdentifier,
     RepetitiveLaw,
     build_basis,
@@ -300,8 +299,7 @@ class RunResult:
     coeff_history: np.ndarray
     snapshot_coeffs: np.ndarray | None = None
     snapshot_markov: np.ndarray | None = None
-    #: the environment the run computed in (BLAS pin, threads of the RLS
-    #: updates); never part of the report
+    #: the environment the run computed in (the BLAS pin); never part of the report
     telemetry: dict = field(default_factory=dict)
 
 
@@ -324,10 +322,7 @@ def run_simulation(cfg: RunConfig, bank: "_supervisor.PretunedBank | None" = Non
     """Execute one closed-loop run; deterministic in (config, seed).
 
     BLAS runs on one thread for the length of the run, so the bits do not
-    depend on the thread count the process was started with.  The blades'
-    RLS updates run on this thread and one helper (``rls_threads`` in the
-    telemetry), each estimator on one of them, so the bits do not depend on
-    scheduling either.
+    depend on the thread count the process was started with.
     """
     cfg.validate()
     bank = _run_bank(cfg, bank)
@@ -335,7 +330,7 @@ def run_simulation(cfg: RunConfig, bank: "_supervisor.PretunedBank | None" = Non
         run = _Stepper(cfg, bank)
         run.advance(cfg.n_samples)
         result = run.result()
-    result.telemetry = {**pin, "rls_threads": IDENTIFIER_THREADS}
+    result.telemetry = pin
     return result
 
 
@@ -477,15 +472,8 @@ class _Stepper:
     def _finish(self) -> None:
         """Finish the open chunk: the proposed switch, the identification flush, the boundary.
 
-        The flush of a chunk whose boundary adapts the law also designs the
-        live blades' gains, each as soon as its blade's estimator has
-        finished and on whichever thread :meth:`MarkovIdentifier.absorb`
-        assigns; the calling thread then commits the law.  A switching chunk
-        flushes without designing before the switch acts, and its boundary
-        designs on the calling thread from the rows the switch reseeded; so
-        does the boundary of a chunk without an identified sample, from the
-        rows it left unchanged.
-        The helper has finished when this returns or raises.
+        The flush comes before the switch, and the boundary update designs
+        the gains from the rows held after both.
         """
         (pre_state, b, latched), self._open = self._open, None
         cfg, fuser, k = self.cfg, self.fuser, self.k
@@ -497,21 +485,15 @@ class _Stepper:
             b = fuser.confirmed_at + 1
             self._simulate_span(k, b)
 
-        boundary = b % cfg.period_samples == 0
-        design = self.law.design if boundary and not switch_now and self._adapts(b) else None
-        designs = self._flush_identification(k, b, design)
+        self._flush_identification(k, b)
         if switch_now:
             self.switch_sample = b
             self.switch_applied = _supervisor.on_detection(
                 fuser.d_fd, self.bank, self.identifier, self.law, config=cfg
             )
         self.k = b
-        if boundary:
-            # a switch reseeded the rows, and an adapting chunk holding no
-            # identified sample left them as they were: design from the rows held
-            if switch_now or (design is not None and not designs):
-                designs = [(blade, row, None) for blade, row in enumerate(self.identifier.rows())]
-            self._boundary_update(b, designs)
+        if b % cfg.period_samples == 0:
+            self._boundary_update(b)
 
     def _simulate_span(self, a: int, b: int) -> None:
         n, series = b - a, self.series
@@ -528,53 +510,50 @@ class _Stepper:
         series["y"][a:b] = y
         series["r"][a:b] = self.fdie.run_chunk(u_ref, u_meas)
 
-    def _flush_identification(self, a: int, b: int, design=None) -> list:
-        """Absorb the identified samples in a..b-1; returns the live blades' (blade, row, gain).
+    def _flush_identification(self, a: int, b: int) -> None:
+        """Absorb the identified samples in a..b-1 into the live blades' estimators.
 
         The identified samples are k = 0 (mod D), D = ``IDENT_DECIMATION``,
         wherever the chunk starts or ends, so which
         samples a run absorbs does not depend on its chunks.  The regression
         runs on the every-D-th-sample series, whose period is P/D samples.
         Their a-priori residuals land in ``ident_res``, which stays 0.0 on
-        the samples between.  ``design`` is the law's
-        :meth:`RepetitiveLaw.design` at a boundary that adapts, and None
-        elsewhere, where the gains are None.
+        the samples between.
         """
         cfg, series = self.cfg, self.series
         if cfg.mode == "baseline":
-            return []
+            return
         D, p = IDENT_DECIMATION, cfg.past_window
         P = cfg.period_samples // D
         # the identified samples are j*D for j in [lo, hi); -(-a // D) is ceil(a / D)
         lo, hi = max(-(-a // D), P + p), -(-b // D)
         if lo >= hi:
-            return []
+            return
         regressors, targets = build_regressor_block(
             series["u_act"][::D], series["y"][::D], lo, hi, P, p
         )
-        return self.identifier.absorb(
-            regressors, targets, self.law.frozen, series["ident_res"][lo * D : hi * D : D], design
+        series["ident_res"][lo * D : hi * D : D] = self.identifier.update_block(
+            regressors, targets, self.law.frozen
         )
 
     def _adapts(self, k: int) -> bool:
         """Whether the boundary after sample k-1 steps the law."""
         return self.cfg.mode != "baseline" and k // self.cfg.period_samples > START_PERIOD
 
-    def _boundary_update(self, k: int, designs) -> None:
+    def _boundary_update(self, k: int) -> None:
         """Per-period controller refresh after sample k-1.
 
-        ``designs`` holds the (blade, row, gain) triples the law's period
-        update commits; it is unused when the law does not adapt yet.  The
-        refreshed coefficients take effect on the upcoming period, so they
-        land at slot k // P of the applied-coefficient history.  An offline
-        tuning ends here once the last c increments, all of them after
-        START_PERIOD, are quiet.
+        Once the law adapts, its period update designs the gains from the
+        identifier's rows.  The refreshed coefficients take effect on the
+        upcoming period, so they land at slot k // P of the
+        applied-coefficient history.  An offline tuning ends here once the
+        last c increments, all of them after START_PERIOD, are quiet.
         """
         cfg, law, history = self.cfg, self.law, self.coeff_history
         P = cfg.period_samples
         j = k // P  # period the refreshed coefficients apply to
         if self._adapts(k):
-            law.period_update(law.project(self.series["y"][k - P : k]), designs)
+            law.period_update(law.project(self.series["y"][k - P : k]), self.identifier.rows())
         if j < history.shape[0]:
             history[j] = law.coeffs
         c = CONVERGENCE_CONSECUTIVE
@@ -823,7 +802,6 @@ def _adaptive_pair(cfg: RunConfig, bank) -> dict:
     bank = _run_bank(replace(cfg, mode="proposed"), bank)
     N = cfg.n_samples
     with single_blas_thread() as pin:
-        telemetry = {**pin, "rls_threads": IDENTIFIER_THREADS}
         trunk = _Stepper(replace(cfg, mode="sprc_only"), None)
         trunk.advance(N, until_decision=True)
         arm = trunk.fork("proposed", bank)
@@ -831,7 +809,7 @@ def _adaptive_pair(cfg: RunConfig, bank) -> dict:
         for mode, run in (("sprc_only", trunk), ("proposed", arm)):
             run.advance(N)
             results[mode] = run.result()
-            results[mode].telemetry = telemetry
+            results[mode].telemetry = pin
     return results
 
 

@@ -4,9 +4,8 @@ Everything here is plain linear algebra with no knowledge of turbines:
 
 - square-root recursive least squares with exponential forgetting, each
   block absorbed in place by one triangular-pentagonal QR (LAPACK
-  ``dtpqrt``) of a persistent column-major triangle; the QR is called
-  through the function pointer ``scipy.linalg.cython_lapack`` exports,
-  which, unlike scipy's f2py wrapper, lets other threads run during it,
+  ``dtpqrt``, through scipy's wrapper) of a persistent column-major
+  triangle,
 - a stabilizing discrete Riccati solve with a closed-loop check: the
   generalized-Schur algorithm of ``scipy.linalg.solve_discrete_are`` on
   direct LAPACK calls, which gives its bits without its per-call wrapper
@@ -81,75 +80,12 @@ class StateSpaceModel:
 
 
 #: column block size of the triangular-pentagonal QR, capped at the column
-#: count (d + 1) because LAPACK requires it; 16 was the fastest of 8-201 at
-#: the reference shape (201 columns, 625 rows, one thread)
+#: count (d + 1) because LAPACK requires it.  At the run shape (41 columns,
+#: 125 rows, one BLAS thread on a Xeon vCPU) 4, 8 and 16 each took 48-54 us
+#: per call and 32 took 65 us (best of 30 runs of 500 calls).  The block
+#: size changes the bits (4, 8 and 16 give different triangles), so it stays
+#: at 16, the size every recorded run was computed with
 TPQRT_BLOCK = 16
-
-
-@functools.cache
-def _dtpqrt_pointer():
-    """LAPACK ``dtpqrt`` as a ctypes function on the pointer ``cython_lapack`` exports.
-
-    It is the routine scipy's ``lapack.dtpqrt`` wrapper calls, so the bits
-    are the same; a ctypes foreign call releases the GIL, which the wrapper
-    holds.  Looked up on first use, not at import.
-    """
-    from scipy.linalg import cython_lapack
-
-    capsule = cython_lapack.__pyx_capi__["dtpqrt"]
-    # private prototypes, so the shared ctypes.pythonapi functions keep theirs
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi)
-    )
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    address = get_pointer(capsule, get_name(capsule))
-    # m, n, l, nb, a, lda, b, ldb, t, ldt, work, info: every Fortran argument
-    # is a pointer, passed as a plain address so no ctypes object is built per call
-    return ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 12)(address)
-
-
-def _tpqrt(nb: int, tri: np.ndarray, rows: np.ndarray) -> None:
-    """QR of the upper triangle ``tri`` (n, n) over the full rows ``rows`` (m, n), in place.
-
-    LAPACK ``dtpqrt`` with l = 0 and column block ``nb``: ``tri`` receives
-    the new triangle and ``rows`` the reflectors.  The call passes raw
-    pointers, so both arrays must be writeable, Fortran-contiguous float64
-    with matching column counts (ValueError otherwise); an argument LAPACK
-    rejects raises RuntimeError.
-    """
-    for name, arr in (("tri", tri), ("rows", rows)):
-        if not (
-            isinstance(arr, np.ndarray)
-            and arr.ndim == 2
-            and arr.dtype == np.float64
-            and arr.flags.f_contiguous
-            and arr.flags.writeable
-        ):
-            raise ValueError(f"{name} must be a writeable Fortran-contiguous 2-D float64 array")
-    m, n = rows.shape
-    if tri.shape != (n, n):
-        raise ValueError(f"tri must be ({n}, {n}) to match rows {rows.shape}, not {tri.shape}")
-    nb = int(nb)
-    # t (max(nb, 1), n), work (nb n) and the eight integer arguments
-    # (m, n, l, nb, lda, ldb, ldt, info) share one buffer, addressed once
-    t_size = max(nb, 1) * n
-    buf = np.empty(t_size + max(nb * n, 1) + 4)
-    ints = buf[-4:].view(np.intc)
-    ints[:] = m, n, 0, nb, max(n, 1), max(m, 1), max(nb, 1), 0
-    t = buf.ctypes.data
-    i = t + 8 * (buf.shape[0] - 4)
-    _dtpqrt_pointer()(
-        i, i + 4, i + 8, i + 12,
-        tri.ctypes.data, i + 16,
-        rows.ctypes.data, i + 20,
-        t, i + 24,
-        t + 8 * t_size,
-        i + 28,
-    )
-    if ints[7] != 0:
-        raise RuntimeError(f"dtpqrt rejected argument {-ints[7]}")
 
 
 class RlsEstimator:
@@ -167,9 +103,7 @@ class RlsEstimator:
 
     ``[R z]`` lives in one persistent column-major (dim+1) x (dim+1) array
     that ``dtpqrt`` overwrites in place; ``factor`` and ``rhs`` read copies
-    of its blocks and assign into them.  The QR runs without the GIL, so
-    estimators updated from different threads compute side by side; each
-    estimator must be updated from one thread at a time.
+    of its blocks and assign into them.
 
     The factor is initialized to ``init_scale * I`` so the first solves are
     well posed without meaningfully biasing long-run estimates.
@@ -256,7 +190,11 @@ class RlsEstimator:
         np.multiply(w[:, None], phi, out=rows[:, :d])
         np.multiply(w, y, out=rows[:, d])
 
-        _tpqrt(min(TPQRT_BLOCK, d + 1), tri, rows)
+        out, _, _, info = lapack.dtpqrt(
+            0, min(TPQRT_BLOCK, d + 1), tri, rows, overwrite_a=1, overwrite_b=1
+        )
+        if info != 0 or out is not tri:
+            raise RuntimeError(f"dtpqrt did not update the triangle in place (info {info})")
         # One triangular factor per information matrix; fix signs so the
         # diagonal is positive and the factor is unique.
         diag = np.diagonal(tri)[:d]

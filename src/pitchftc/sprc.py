@@ -13,24 +13,13 @@ periodic load content to zero.
 
 Per-blade decoupling runs through the whole pipeline: three independent
 regressions per sample and three independent six-state designs per period.
-The blades' regressions are absorbed side by side: one helper thread takes
-the first of two or three live blades, the calling thread the rest.  At a
-period boundary each blade's gain is designed as soon as its regression has
-finished.  With three live blades the helper designs its own blade's gain
-and then that of the calling thread's first blade while the calling thread
-absorbs its second; otherwise the calling thread designs every gain.  Each
-estimator is updated by one thread only, a design reads only the law's
-constant weights and that blade's previous gain, only the calling thread
-commits the law, and BLAS runs on one thread in both, so the bits do not
-depend on scheduling.
+The blades' regressions are absorbed in turn, and at a period boundary the
+law designs every live blade's gain from the identified rows before it
+commits any of them.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-from collections.abc import Callable, Iterable
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,23 +104,6 @@ def build_regressor_block(
     return blocks.transpose(2, 1, 0), targets
 
 
-#: threads that absorb the blades' blocks: the calling thread plus the helper
-IDENTIFIER_THREADS = 2
-
-
-@functools.cache
-def _helper() -> ThreadPoolExecutor:
-    """The one helper thread of the identifiers, started on first use, not at import.
-
-    It lives at module level, out of anything a fork of a run deep-copies.
-    """
-    return ThreadPoolExecutor(max_workers=IDENTIFIER_THREADS - 1, thread_name_prefix="pitchftc-rls")
-
-
-# a forked child process inherits the executor but not its thread
-os.register_at_fork(after_in_child=_helper.cache_clear)
-
-
 class MarkovIdentifier:
     """Three decoupled recursive estimators of per-blade Markov rows.
 
@@ -139,98 +111,25 @@ class MarkovIdentifier:
     second, both oldest-sample-first to match the regressor layout.  A run
     passes its law's frozen mask, so after fault isolation the degenerate
     zero-information stream from a stuck actuator stops touching its estimate.
-
-    A block is absorbed with the live blades side by side: the module's
-    helper thread absorbs the first of two or three live blades while the
-    calling thread absorbs the rest (the QR releases the GIL).  Given a
-    design callable, :meth:`absorb` also designs each live blade's gain as
-    soon as that blade has finished, split between the threads so that the
-    calling thread need not wait for the helper.  Each estimator is updated
-    by one thread, so the result is bit-identical to updating the blades in
-    turn.
     """
 
     def __init__(self, past_window: int, forgetting: float = 0.99999):
         dim = 2 * int(past_window)
         self.estimators = [RlsEstimator(dim, forgetting=forgetting) for _ in range(3)]
 
-    def absorb(
-        self,
-        regressors: np.ndarray,
-        targets: np.ndarray,
-        frozen,
-        residuals: np.ndarray,
-        design: Callable[[int, np.ndarray], GainResult] | None = None,
-    ) -> list[tuple[int, np.ndarray, GainResult | None]]:
-        """Absorb a chronological block; returns (blade, row, gain) for each live blade.
-
-        regressors (n, 2p, 3) and targets (n, 3) are the block; the blades
-        marked in the (3,) mask ``frozen`` are left untouched.  ``row`` is
-        the blade's new Markov row and ``gain`` is ``design(blade, row)``, or
-        None without ``design``.  The helper absorbs the first of two or
-        three live blades, the calling thread the rest, and the triples list
-        the calling thread's blades first.  With three live blades the
-        helper then designs its own blade's gain and that of the calling
-        thread's first blade, while the calling thread absorbs its second
-        and designs that one's gain; otherwise the calling thread designs
-        its own blade's gain and then the helper's.  ``residuals`` (n, 3)
-        receives every blade's a-priori residual, a live blade's computed by
-        the thread that absorbs it.  Every live blade is absorbed and the
-        helper has finished when this returns or raises; an error of the
-        calling thread's blades wins over one of the helper's.
-        """
-        live = [blade for blade in range(3) if not frozen[blade]]
-        helper_blades, own = (live[:1], live[1:]) if len(live) > 1 else ([], live)
-        # with three live blades two QRs outlast one QR and two gains
-        relayed = live[:2] if design is not None and len(live) == 3 else []
-        own_gains = [] if design is None else [b for b in own + helper_blades if b not in relayed]
-        # (a-priori residual, row) of each live blade, or the error of its update
-        updated = {blade: Future() for blade in live}
-
-        def update(blade):
-            est, done = self.estimators[blade], updated[blade]
-            try:
-                residual = est.update_block(regressors[:, :, blade], targets[:, blade])
-                done.set_result((residual, est.estimate))
-            except Exception as exc:
-                done.set_exception(exc)
-
-        def designed(blades):
-            return [design(blade, updated[blade].result()[1]) for blade in blades]
-
-        def helper_part():
-            update(helper_blades[0])
-            return designed(relayed)
-
-        helper = _helper().submit(helper_part) if helper_blades else None
-        try:
-            for blade in own:
-                update(blade)
-            for blade in np.flatnonzero(frozen):
-                residuals[:, blade] = self.estimators[blade].residual(
-                    regressors[:, :, blade], targets[:, blade]
-                )
-            gains = dict(zip(own_gains, designed(own_gains)))
-            if helper is not None:
-                gains.update(zip(relayed, helper.result()))
-            absorbed = []
-            for blade in own + helper_blades:
-                residuals[:, blade], row = updated[blade].result()
-                absorbed.append((blade, row, gains.get(blade)))
-            return absorbed
-        finally:
-            # a helper relaying the calling thread's first row must not wait for it in vain
-            for blade in own:
-                updated[blade].cancel()
-            if helper is not None:
-                wait([helper])
-
     def update_block(
         self, regressors: np.ndarray, targets: np.ndarray, frozen=(False,) * 3
     ) -> np.ndarray:
-        """Absorb a whole block as :meth:`absorb` does; returns the (n, 3) residuals."""
+        """Absorb a chronological block, blade by blade; returns the (n, 3) a-priori residuals.
+
+        regressors (n, 2p, 3) and targets (n, 3) are the block.  The blades
+        marked in the (3,) mask ``frozen`` are left untouched; their
+        residuals are taken against the rows they hold.
+        """
         residuals = np.empty(np.shape(targets))
-        self.absorb(regressors, targets, frozen, residuals)
+        for blade, est in enumerate(self.estimators):
+            block = regressors[:, :, blade], targets[:, blade]
+            residuals[:, blade] = est.residual(*block) if frozen[blade] else est.update_block(*block)
         return residuals
 
     def rows(self) -> np.ndarray:
@@ -377,40 +276,25 @@ class RepetitiveLaw:
         self.coeffs = np.asarray(coeffs, dtype=float).reshape(3, 2).copy()
         self._dcoeffs = np.zeros((3, 2))
 
-    def design(self, blade: int, row: np.ndarray) -> GainResult:
-        """The LQR gain of one blade's lifted model identified by Markov row ``row``.
-
-        Either thread may run it: it reads only the weights, the basis and
-        the blade's previous gain, which falls back in place of a failed
-        Riccati solve, and it changes nothing.
-        """
-        basis = self.ident_basis
-        a_lift, b_lift = build_lifted(row, basis.shape[0], len(row) // 2, basis)
-        return update_gain(a_lift, b_lift, self.Q, self.R, previous=self._gains[blade])
-
-    def period_update(
-        self, load_proj: np.ndarray, designs: Iterable[tuple[int, np.ndarray, GainResult | None]]
-    ) -> None:
-        """One adaptation step from the just-completed period, on the calling thread.
+    def period_update(self, load_proj: np.ndarray, rows: np.ndarray) -> None:
+        """One adaptation step from the just-completed period.
 
         load_proj is the measured per-blade load projection (3, 2) of that
-        period.  designs yields (blade, markov_row, gain) triples in any
-        order, such as those of :meth:`MarkovIdentifier.absorb` with
-        :meth:`design`; a gain of None is designed here, and frozen blades
-        are skipped.  Once every live blade has arrived the coefficients,
+        period and rows (3, 2p) the identified Markov rows, such as
+        :meth:`MarkovIdentifier.rows`.  Each live blade's LQR gain is
+        designed on its lifted model, built on ``ident_basis``; a failed
+        Riccati solve falls back to that blade's previous gain.  Frozen
+        blades are skipped.  Once every gain is designed the coefficients,
         their change, the load memory, the gains and the fallback count are
-        committed together; a live blade without a triple raises ValueError
-        and commits nothing.
+        committed together, so a design that raises commits nothing.
         """
         load_proj = np.asarray(load_proj, dtype=float).reshape(3, 2)
-        gains = {
-            blade: self.design(blade, row) if gain is None else gain
-            for blade, row, gain in designs
-            if not self.frozen[blade]
-        }
-        missing = [blade for blade in range(3) if not self.frozen[blade] and blade not in gains]
-        if missing:
-            raise ValueError(f"live blades {missing} got no Markov row")
+        basis = self.ident_basis
+        gains = {}
+        for blade in np.flatnonzero(~self.frozen):
+            row = rows[blade]
+            a_lift, b_lift = build_lifted(row, basis.shape[0], len(row) // 2, basis)
+            gains[blade] = update_gain(a_lift, b_lift, self.Q, self.R, previous=self._gains[blade])
 
         if self._load_proj_prev is None:
             dload = np.zeros((3, 2))

@@ -5,16 +5,16 @@ references follow the defining recursions one sample at a time, so tests
 can pin the chunked code to them at arbitrary chunk boundaries.  The RLS
 block update has a dense reference here too: one QR of the whole stacked
 system, which the library's structured QR must reproduce.  The closed loop
-has a sequential reference: each chunk's identification is flushed whole,
-blade by blade, before its period-boundary update, where the library
-overlaps the two.  It picks the identified samples of a chunk itself, as
-the multiples of the decimation whose regressor has its full history.
+has a reference for its identification flush: each chunk's identified
+samples are picked by hand, as the multiples of the decimation whose
+regressor has its full history, their residuals computed against the rows
+held before the chunk, and the live blades updated in turn.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
-from pitchftc import harness, supervisor
+from pitchftc import harness
 from pitchftc.numerics import single_blas_thread
 from pitchftc.sprc import build_regressor_block
 
@@ -181,39 +181,17 @@ def lifted_transition_maps(markov_row, period_samples, past_window, basis):
 
 
 class SequentialStepper(harness._Stepper):
-    """The chunked run with each chunk's identification flushed whole before its boundary.
+    """The chunked run with its identification flush written out by hand.
 
     Per chunk: the identified samples k of the chunk, k = 0 (mod D) and at
     least D * (P/D + p), then the residuals of every blade on them against
     the rows held before the chunk, then the live blades' block updates in
-    turn on the calling thread, on the every-D-th-sample series
-    ``u_act[::D]`` and ``y[::D]``, then the proposed switch, then the period
-    update from ``identifier.rows()`` at a period boundary, every gain
-    designed on the calling thread.  The library computes the same steps
-    overlapped; it must give the same bits.
+    turn, on the every-D-th-sample series ``u_act[::D]`` and ``y[::D]``.
+    The library picks its samples and computes its residuals its own way;
+    it must give the same bits.
     """
 
-    def _finish(self):
-        (pre_state, b, latched), self._open = self._open, None
-        cfg, fuser, k = self.cfg, self.fuser, self.k
-        switch_now = latched and cfg.mode == "proposed"
-        if switch_now and fuser.confirmed_at + 1 < b:
-            for block, state in zip((self.actuator, self.plant, self.fdie), pre_state):
-                block.set_state(state)
-            b = fuser.confirmed_at + 1
-            self._simulate_span(k, b)
-        self._flush_whole(k, b)
-        if switch_now:
-            self.switch_sample = b
-            self.switch_applied = supervisor.on_detection(
-                fuser.d_fd, self.bank, self.identifier, self.law, config=cfg
-            )
-        self.k = b
-        if b % cfg.period_samples == 0:
-            designs = [(blade, row, None) for blade, row in enumerate(self.identifier.rows())]
-            self._boundary_update(b, designs)
-
-    def _flush_whole(self, a, b):
+    def _flush_identification(self, a, b):
         cfg, series = self.cfg, self.series
         D, p = harness.IDENT_DECIMATION, cfg.past_window
         P = cfg.period_samples // D

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -79,22 +78,30 @@ def test_run_pins_one_thread_and_restores_the_counts(monkeypatch, raises):
     if missing:
         pytest.skip(f"no OpenBLAS thread control for {missing}")
     inside = []
-    run_chunk = Plant.run_chunk
 
-    def spy(self, *args):
-        inside.append(_thread_counts())
-        if raises:
-            raise RuntimeError("plant failed")
-        return run_chunk(self, *args)
+    def spied(name, fn):
+        def spy(*args, **kwargs):
+            inside.append((name, _thread_counts()))
+            if raises:
+                raise RuntimeError(f"{name} failed")
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(Plant, "run_chunk", spy)
+        return spy
+
+    # the plant runs on every chunk, the QR on every identified block and
+    # the gain on every adapting boundary
+    for owner, name in (
+        (Plant, "run_chunk"), (numerics.RlsEstimator, "update_block"), (sprc, "update_gain")
+    ):
+        monkeypatch.setattr(owner, name, spied(name, getattr(owner, name)))
     original = _thread_counts()
     for lib in libraries:
         lib.set_threads(2)
-    cfg = harness.RunConfig(mode="sprc_only", duration_s=30.0, fault_blade=0)
+    # the boundary at 31.25 s is the first that adapts
+    cfg = harness.RunConfig(mode="sprc_only", duration_s=40.0, fault_blade=0)
     try:
         if raises:
-            with pytest.raises(RuntimeError, match="plant failed"):
+            with pytest.raises(RuntimeError, match="run_chunk failed"):
                 harness.run_simulation(cfg)
         else:
             result = harness.run_simulation(cfg)
@@ -104,7 +111,9 @@ def test_run_pins_one_thread_and_restores_the_counts(monkeypatch, raises):
             lib.set_threads(count)
 
     assert after == [2] * len(libraries)
-    assert inside and all(counts == [1] * len(libraries) for counts in inside)
+    assert all(counts == [1] * len(libraries) for _, counts in inside)
+    seen = {name for name, _ in inside}
+    assert seen == ({"run_chunk"} if raises else {"run_chunk", "update_block", "update_gain"})
     if not raises:
         assert result.telemetry == {
             "blas_threads": 1,
@@ -113,43 +122,8 @@ def test_run_pins_one_thread_and_restores_the_counts(monkeypatch, raises):
                 for lib in libraries
             },
             "blas_missing": [],
-            "rls_threads": 2,
         }
         assert "telemetry" not in result.report.to_dict()
-
-
-def test_helper_thread_computes_on_one_blas_thread(monkeypatch):
-    libraries, missing = numerics._openblas_libraries()
-    if missing:
-        pytest.skip(f"no OpenBLAS thread control for {missing}")
-    inside, designed = [], []
-    update_block, update_gain = numerics.RlsEstimator.update_block, sprc.update_gain
-
-    def spy(self, *args):
-        inside.append((threading.current_thread() is threading.main_thread(), _thread_counts()))
-        return update_block(self, *args)
-
-    def gain_spy(*args, **kwargs):
-        designed.append((threading.current_thread() is threading.main_thread(), _thread_counts()))
-        return update_gain(*args, **kwargs)
-
-    monkeypatch.setattr(numerics.RlsEstimator, "update_block", spy)
-    monkeypatch.setattr(sprc, "update_gain", gain_spy)
-    original = _thread_counts()
-    for lib in libraries:
-        lib.set_threads(2)
-    try:
-        harness.run_simulation(harness.RunConfig(mode="sprc_only", duration_s=60.0, fault_blade=0))
-    finally:
-        for lib, count in zip(libraries, original):
-            lib.set_threads(count)
-
-    # the helper absorbs one of the three blades and designs two of their gains
-    helper = [counts for on_main, counts in inside if not on_main]
-    assert helper and 2 * len(helper) == len(inside) - len(helper)
-    helper_gains = [counts for on_main, counts in designed if not on_main]
-    assert helper_gains and len(helper_gains) == 2 * (len(designed) - len(helper_gains))
-    assert all(counts == [1] * len(libraries) for _, counts in inside + designed)
 
 
 def test_run_without_thread_control_goes_on_and_says_so(monkeypatch):

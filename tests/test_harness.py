@@ -1,8 +1,5 @@
 import csv
 import json
-import sys
-import threading
-import time
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -16,7 +13,7 @@ from oracles import FuserOracle, SequentialStepper, sequential_run
 from pitchftc import fdi, harness, sprc, supervisor
 from pitchftc.actuator import ActuatorBank
 from pitchftc.fdi import DecisionFuser, design_fdie, residual_noise_std
-from pitchftc.numerics import DareError, RlsEstimator, single_blas_thread
+from pitchftc.numerics import DareError, single_blas_thread
 from pitchftc.harness import (
     CSV_SCHEMA,
     START_PERIOD,
@@ -932,6 +929,8 @@ class TestFork:
 
 
 class TestPipelinedBoundary:
+    """The run against its sequential oracle, and what a period boundary commits."""
+
     @given(
         mode=st.sampled_from(("sprc_only", "proposed", "offline_tune")),
         fault_blade=st.integers(1, 3),
@@ -955,9 +954,9 @@ class TestPipelinedBoundary:
             mode=mode, load_case="LC3", seed=seed, duration_s=80.0,
             fault_blade=fault_blade, fault_time_s=fault_time_s,
         )
-        pipelined = run_simulation(cfg, bank=bank)
-        _assert_same_run(pipelined, sequential_run(cfg, bank))
-        report = pipelined.report
+        result = run_simulation(cfg, bank=bank)
+        _assert_same_run(result, sequential_run(cfg, bank))
+        report = result.report
         event(f"gain fallbacks {report.gain_failures > 0}")
         if report.switch_sample is not None:
             event(f"switch {'on a chunk end' if report.switch_sample % cfg.period_samples == 0 else 'mid-chunk'}")
@@ -971,135 +970,45 @@ class TestPipelinedBoundary:
         run.advance((START_PERIOD + 2) * P)
         return run, (START_PERIOD + 3) * P
 
-    def test_the_first_gain_starts_while_the_helper_absorbs(self, monkeypatch):
-        # the helper's blade holds its QR until a gain has started: the calling
-        # thread's blades must reach their gain without waiting for it
+    def test_a_gain_error_commits_nothing(self, monkeypatch):
         run, boundary = self._stepper_before_an_adapting_boundary()
-        caller, gain_started, waited = threading.current_thread(), threading.Event(), []
-        update_block, update_gain = RlsEstimator.update_block, sprc.update_gain
+        law = run.law
+        before = (law.coeffs.copy(), law._dcoeffs.copy(), law._load_proj_prev.copy())
+        gains, failures, rows = list(law._gains), law.gain_failures, run.identifier.rows()
+        update_gain, designed = sprc.update_gain, []
 
-        def held_update(est, regressors, observations):
-            if threading.current_thread() is not caller:
-                waited.append(gain_started.wait(timeout=5))
-            return update_block(est, regressors, observations)
-
-        def signalling_gain(*args, **kwargs):
-            gain_started.set()
+        def failing_on_the_last_blade(*args, **kwargs):
+            designed.append(True)
+            if len(designed) == 3:
+                raise RuntimeError("gain failed")
             return update_gain(*args, **kwargs)
 
-        monkeypatch.setattr(RlsEstimator, "update_block", held_update)
-        monkeypatch.setattr(sprc, "update_gain", signalling_gain)
-        run.advance(boundary)
-        assert waited == [True]
-        assert run.k == boundary
-
-    @pytest.mark.parametrize("frozen_blade", [None, 2], ids=["three live", "two live"])
-    def test_the_threads_split_the_work_of_an_adapting_boundary(self, monkeypatch, frozen_blade):
-        run, boundary = self._stepper_before_an_adapting_boundary()
-        if frozen_blade is not None:
-            run.law.freeze_blade(frozen_blade)
-        caller, work = threading.current_thread(), {True: [], False: []}
-        update_block, update_gain = RlsEstimator.update_block, sprc.update_gain
-
-        def spied_update(est, regressors, observations):
-            work[threading.current_thread() is caller].append("qr")
-            return update_block(est, regressors, observations)
-
-        def spied_gain(*args, **kwargs):
-            work[threading.current_thread() is caller].append("gain")
-            return update_gain(*args, **kwargs)
-
-        monkeypatch.setattr(RlsEstimator, "update_block", spied_update)
-        monkeypatch.setattr(sprc, "update_gain", spied_gain)
-        run.advance(boundary)
-        if frozen_blade is None:
-            # the calling thread's two QRs outlast the helper's QR and two gains
-            assert work == {True: ["qr", "qr", "gain"], False: ["qr", "gain", "gain"]}
-        else:
-            # two live blades keep both gains on the calling thread
-            assert work == {True: ["qr", "gain", "gain"], False: ["qr"]}
-
-    def test_a_gain_error_surfaces_after_the_helper_blades_finish(self, monkeypatch):
-        run, boundary = self._stepper_before_an_adapting_boundary()
-        caller, gain_raised = threading.current_thread(), threading.Event()
-        waited, finished = [], []
-        update_block = RlsEstimator.update_block
-
-        def slow_helper_update(est, regressors, observations):
-            if threading.current_thread() is caller:
-                return update_block(est, regressors, observations)
-            waited.append(gain_raised.wait(timeout=5))
-            time.sleep(0.05)
-            residual = update_block(est, regressors, observations)
-            finished.append(est)
-            return residual
-
-        def failing_gain(*args, **kwargs):
-            gain_raised.set()
-            raise RuntimeError("gain failed")
-
-        monkeypatch.setattr(RlsEstimator, "update_block", slow_helper_update)
-        monkeypatch.setattr(sprc, "update_gain", failing_gain)
+        monkeypatch.setattr(sprc, "update_gain", failing_on_the_last_blade)
         with pytest.raises(RuntimeError, match="gain failed"):
-            try:
-                run.advance(boundary)
-            finally:
-                finished_when_raised = len(finished)
-        # the calling thread's gain raised while the helper's blade was still
-        # absorbing, and the error came out only once it had finished
-        assert waited == [True]
-        assert finished_when_raised == 1
+            run.advance(boundary)
+        # every blade absorbed the chunk, and the two gains designed first were not committed
+        assert (run.identifier.rows() != rows).any(axis=1).all()
+        for got, want in zip((law.coeffs, law._dcoeffs, law._load_proj_prev), before):
+            np.testing.assert_array_equal(got, want)
+        assert all(got is want for got, want in zip(law._gains, gains))
+        assert law.gain_failures == failures
 
-    def test_a_helper_gain_error_surfaces_after_every_blade_and_commits_nothing(self, monkeypatch):
-        run, boundary = self._stepper_before_an_adapting_boundary()
-        law, estimators = run.law, run.identifier.estimators
-        before = (law.coeffs.copy(), law._dcoeffs.copy(), law.gain_failures)
-        caller, helper_raised = threading.current_thread(), threading.Event()
-        waited, finished = [], []
-        update_block, update_gain = RlsEstimator.update_block, sprc.update_gain
-
-        def held_update(est, regressors, observations):
-            residual = update_block(est, regressors, observations)
-            if est is estimators[2]:
-                # the calling thread's last blade finishes after the helper's gain raised
-                waited.append(helper_raised.wait(timeout=5))
-            finished.append(est)
-            return residual
-
-        def failing_on_the_helper(*args, **kwargs):
-            if threading.current_thread() is not caller:
-                helper_raised.set()
-                raise RuntimeError("helper gain failed")
-            return update_gain(*args, **kwargs)
-
-        monkeypatch.setattr(RlsEstimator, "update_block", held_update)
-        monkeypatch.setattr(sprc, "update_gain", failing_on_the_helper)
-        with pytest.raises(RuntimeError, match="helper gain failed"):
-            try:
-                run.advance(boundary)
-            finally:
-                finished_when_raised = len(finished)
-        assert waited == [True] and finished_when_raised == 3
-        np.testing.assert_array_equal(law.coeffs, before[0])
-        np.testing.assert_array_equal(law._dcoeffs, before[1])
-        assert law.gain_failures == before[2]
-
-    def test_a_fallback_designed_on_the_helper_keeps_that_blades_gain(self, monkeypatch):
+    def test_a_fallback_blade_keeps_its_gain_and_the_others_move(self, monkeypatch):
         run, boundary = self._stepper_before_an_adapting_boundary()
         twin = run.fork("sprc_only")
         twin.advance(boundary)
         previous = run.law._gains[0]
-        caller, failed = threading.current_thread(), []
+        failed = []
         solve = sprc._solve_dare
 
-        def failing_once_on_the_helper(*args):
-            # the helper designs blade 0 first
-            if threading.current_thread() is not caller and not failed:
+        def failing_once(*args):
+            # blade 0 is designed first
+            if not failed:
                 failed.append(True)
                 raise DareError("no stabilizing solution")
             return solve(*args)
 
-        monkeypatch.setattr(sprc, "_solve_dare", failing_once_on_the_helper)
+        monkeypatch.setattr(sprc, "_solve_dare", failing_once)
         run.advance(boundary)
         assert failed == [True]
         assert run.law.gain_failures == twin.law.gain_failures + 1
@@ -1108,24 +1017,6 @@ class TestPipelinedBoundary:
         for blade in (1, 2):
             assert run.law._gains[blade].gain.tobytes() == twin.law._gains[blade].gain.tobytes()
             assert run.law.coeffs[blade].tobytes() == twin.law.coeffs[blade].tobytes()
-
-    def test_a_busy_switching_interpreter_keeps_the_bits(self):
-        # the threads hand the GIL back and forth every microsecond
-        cfg = RunConfig(
-            mode="sprc_only", load_case="LC3", seed=0, duration_s=80.0,
-            fault_blade=3, fault_time_s=40.0,
-        )
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pipelined = run_simulation(cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        sequential = sequential_run(cfg)
-        _assert_same_run(pipelined, sequential)
-        for name, values in sequential.series.items():
-            assert pipelined.series[name].tobytes() == values.tobytes(), name
-        assert pipelined.coeff_history.tobytes() == sequential.coeff_history.tobytes()
 
 
 def _cut_run(stepper, cfg, bank, cuts):

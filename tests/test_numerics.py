@@ -1,6 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
-from time import perf_counter
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,9 +7,7 @@ from scipy.linalg import lapack
 from conftest import assert_stabilizing_riccati
 from oracles import stacked_qr_update
 from pitchftc.numerics import (
-    TPQRT_BLOCK,
     DareError,
-    _tpqrt,
     _check_weights,
     _solve_dare,
     _stabilizing_solution,
@@ -21,7 +16,6 @@ from pitchftc.numerics import (
     discretize_second_order,
     psd_estimate,
     run_lengths,
-    single_blas_thread,
     solve_dare,
 )
 from pitchftc.sprc import build_basis, build_lifted
@@ -158,110 +152,20 @@ def test_persistent_triangle_across_changing_blocks(d, data, forgetting, seed):
         assert (np.diagonal(est.factor) > 0.0).all()
 
 
-@given(
-    d=st.integers(1, 60),
-    data=st.data(),
-    full_block=st.booleans(),
-    zeroed=st.sampled_from(("none", "some", "all")),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=150, deadline=None)
-def test_tpqrt_is_scipys_dtpqrt_bit_for_bit(d, data, full_block, zeroed, seed):
-    # the pointer call against scipy's wrapper of the same routine, at the
-    # block size update_block uses and at the whole column count
-    n = d + 1
-    b = data.draw(st.integers(1, 3 * n), label="rows")
-    rng = np.random.default_rng(seed)
-    tri = np.asfortranarray(np.triu(rng.normal(size=(n, n))))
-    rows = np.asfortranarray(rng.normal(size=(b, n)))
-    if zeroed == "all":
-        rows[:] = 0.0
-    elif zeroed == "some":
-        rows[rng.random(b) < 0.5] = 0.0
-    nb = n if full_block else min(TPQRT_BLOCK, n)
+@pytest.mark.parametrize("spoil", ["copied", "rejected"])
+def test_a_qr_not_done_in_place_raises(monkeypatch, spoil):
+    dtpqrt = lapack.dtpqrt
 
-    want_tri, want_rows = tri.copy(order="F"), rows.copy(order="F")
-    *_, info = lapack.dtpqrt(0, nb, want_tri, want_rows, overwrite_a=1, overwrite_b=1)
-    assert info == 0
-    _tpqrt(nb, tri, rows)
-    assert tri.tobytes() == want_tri.tobytes()
-    assert rows.tobytes() == want_rows.tobytes()
+    def spoiled(l, nb, a, b, **kwargs):
+        if spoil == "copied":
+            return dtpqrt(l, nb, a, b)  # without overwrite the wrapper works on copies
+        *out, info = dtpqrt(l, nb, a, b, **kwargs)
+        return (*out, -4)
 
-
-class TestTpqrtArguments:
-    def _pair(self, n=4, m=3):
-        rng = np.random.default_rng(0)
-        tri = np.asfortranarray(np.triu(rng.normal(size=(n, n))))
-        return tri, np.asfortranarray(rng.normal(size=(m, n)))
-
-    @pytest.mark.parametrize(
-        "spoil",
-        [
-            lambda tri, rows: (tri, np.ascontiguousarray(rows)),
-            lambda tri, rows: (np.ascontiguousarray(tri), rows),
-            lambda tri, rows: (tri, rows.astype(np.float32, order="F")),
-            lambda tri, rows: (tri[:3, :3].copy(order="F"), rows),
-            lambda tri, rows: (tri, rows[:, :3].copy(order="F")),
-            lambda tri, rows: (tri, rows.reshape(-1, order="F")),
-        ],
-        ids=[
-            "rows C-ordered", "tri C-ordered", "rows float32", "tri too small", "rows too narrow", "rows 1-D"
-        ],
-    )
-    def test_refuses_what_the_pointers_cannot_carry(self, spoil):
-        tri, rows = spoil(*self._pair())
-        kept = tri.copy(), rows.copy()
-        with pytest.raises(ValueError):
-            _tpqrt(2, tri, rows)
-        np.testing.assert_array_equal(tri, kept[0])
-        np.testing.assert_array_equal(rows, kept[1])
-
-    def test_refuses_read_only_arrays(self):
-        tri, rows = self._pair()
-        rows.flags.writeable = False
-        with pytest.raises(ValueError, match="writeable"):
-            _tpqrt(2, tri, rows)
-
-    @pytest.mark.parametrize("nb", [0, 5])
-    def test_lapack_rejection_raises(self, nb):
-        # the block size must lie in 1..n; LAPACK reports argument 4
-        tri, rows = self._pair()
-        with pytest.raises(RuntimeError, match="argument 4"):
-            _tpqrt(nb, tri, rows)
-
-
-def test_tpqrt_lets_other_threads_run():
-    # While a helper thread sits in one long QR, this thread keeps stamping
-    # the clock.  A call that held the GIL would stall it for the whole call.
-    rng = np.random.default_rng(0)
-    n, m, stall = 401, 5000, 5e-3
-    tri = np.asfortranarray(np.triu(rng.normal(size=(n, n))))
-    rows = np.asfortranarray(rng.normal(size=(m, n)))
-
-    def timed():
-        t0 = perf_counter()
-        _tpqrt(TPQRT_BLOCK, tri, rows)
-        return t0, perf_counter()
-
-    with single_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(timed)
-        stalls, first = [], perf_counter()
-        last = first
-        while True:
-            # the stamp follows the check, so a stall inside done() shows too
-            done = future.done()
-            now = perf_counter()
-            if now - last > stall:
-                stalls.append((last, now))
-            last = now
-            if done:
-                break
-        t0, t1 = future.result(timeout=60)
-    # the window is uncovered before the first stamp and inside every stall
-    stalled = max(0.0, min(first, t1) - t0)
-    stalled += sum(max(0.0, min(b, t1) - max(a, t0)) for a, b in stalls)
-    assert t1 - t0 > 4 * stall, "the call is too short to tell"
-    assert stalled < 0.5 * (t1 - t0), (stalled, t1 - t0)
+    monkeypatch.setattr(lapack, "dtpqrt", spoiled)
+    est = RlsEstimator(dim=3)
+    with pytest.raises(RuntimeError, match="in place"):
+        est.update_block(np.ones((2, 3)), np.ones(2))
 
 
 class TestSolveDare:

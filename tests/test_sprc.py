@@ -1,10 +1,5 @@
 import copy
 import itertools
-import multiprocessing
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import PipelineSystem, scalar_markov_row
 from oracles import DeltaBuffers, lifted_transition_maps
-from pitchftc import numerics
-from pitchftc.numerics import RlsEstimator, psd_estimate
+from pitchftc import numerics, sprc
+from pitchftc.numerics import psd_estimate
 from pitchftc.sprc import (
     PRBS_AMPLITUDE,
     PRBS_TAU,
@@ -222,6 +217,8 @@ def _blade_blocks(rng, n, p):
 
 
 class TestSideBySideBlades:
+    """A block absorbed by the identifier against each blade's estimator updated alone."""
+
     @pytest.mark.parametrize("n", [0, 1, 625])
     @pytest.mark.parametrize(
         "frozen",
@@ -249,139 +246,6 @@ class TestSideBySideBlades:
             assert got._tri.tobytes() == want._tri.tobytes()
         assert ident.rows().tobytes() == np.vstack([est.estimate for est in expected]).tobytes()
         assert got_residuals.tobytes() == want_residuals.tobytes()
-
-    @pytest.mark.parametrize(
-        "frozen",
-        list(itertools.product((False, True), repeat=3)),
-        ids=lambda mask: "".join("F" if f else "-" for f in mask),
-    )
-    def test_absorb_hands_out_the_calling_threads_blade_first(self, frozen):
-        rng = np.random.default_rng(12)
-        p = 20
-        ident = MarkovIdentifier(p)
-        twin = copy.deepcopy(ident)
-        regressors, targets = _blade_blocks(rng, 200, p)
-        residuals = np.empty((200, 3))
-
-        triples = ident.absorb(regressors, targets, frozen, residuals)
-        live = [blade for blade in range(3) if not frozen[blade]]
-        # the helper absorbs the first of two or three live blades
-        assert [blade for blade, _, _ in triples] == live[1:] + live[:1]
-        assert residuals.tobytes() == twin.update_block(regressors, targets, frozen).tobytes()
-        for blade, row, gain in triples:
-            assert row.tobytes() == ident.rows()[blade].tobytes() == twin.rows()[blade].tobytes()
-            assert gain is None
-
-    @pytest.mark.parametrize(
-        "frozen",
-        list(itertools.product((False, True), repeat=3)),
-        ids=lambda mask: "".join("F" if f else "-" for f in mask),
-    )
-    def test_absorb_designs_each_live_blade_from_its_new_row(self, frozen):
-        rng = np.random.default_rng(13)
-        p = 20
-        ident = MarkovIdentifier(p)
-        regressors, targets = _blade_blocks(rng, 200, p)
-        caller, threads = threading.current_thread(), {}
-
-        def design(blade, row):
-            threads[blade] = threading.current_thread() is caller
-            return blade, row.tobytes()
-
-        triples = ident.absorb(regressors, targets, frozen, np.empty((200, 3)), design)
-        live = [blade for blade in range(3) if not frozen[blade]]
-        rows = ident.rows()
-        assert {blade: gain for blade, _, gain in triples} == {
-            blade: (blade, rows[blade].tobytes()) for blade in live
-        }
-        # three live blades: the helper designs its own and the calling
-        # thread's first; otherwise the calling thread designs them all
-        on_caller = live[2:] if len(live) == 3 else live
-        assert threads == {blade: blade in on_caller for blade in live}
-
-    @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_a_blade_error_surfaces_after_the_other_blades_finish(self, monkeypatch, failing):
-        ident = MarkovIdentifier(3)
-        blade_of = {id(est): blade for blade, est in enumerate(ident.estimators)}
-        finished, threads = [], {}
-
-        def spy(self, regressors, observations):
-            blade = blade_of[id(self)]
-            threads[blade] = threading.current_thread().name
-            if blade == failing:
-                raise RuntimeError(f"blade {blade} failed")
-            time.sleep(0.05)
-            finished.append(blade)
-
-        monkeypatch.setattr(RlsEstimator, "update_block", spy)
-        with pytest.raises(RuntimeError, match=f"blade {failing} failed"):
-            ident.update_block(*_blade_blocks(np.random.default_rng(0), 10, 3))
-        assert sorted(finished) == [b for b in range(3) if b != failing]
-        # the first live blade runs on the helper, the others on the calling thread
-        assert threads[1] == threads[2] == threading.current_thread().name
-        assert threads[0] != threads[1]
-
-    def test_the_calling_thread_error_wins(self, monkeypatch):
-        ident = MarkovIdentifier(3)
-
-        def spy(self, regressors, observations):
-            raise RuntimeError(threading.current_thread().name)
-
-        monkeypatch.setattr(RlsEstimator, "update_block", spy)
-        with pytest.raises(RuntimeError, match=threading.current_thread().name):
-            ident.update_block(*_blade_blocks(np.random.default_rng(0), 10, 3))
-
-    def test_concurrent_callers_share_the_helper(self):
-        # more calling threads than cores, switching often: each identifier
-        # still ends with the bits of its blades updated in turn
-        rng = np.random.default_rng(5)
-        p, rounds = 8, 20
-        blocks = [_blade_blocks(rng, 100, p) for _ in range(4)]
-        idents = [MarkovIdentifier(p) for _ in blocks]
-        expected = copy.deepcopy(idents)
-        for ident, (regressors, targets) in zip(expected, blocks):
-            for _ in range(rounds):
-                for blade, est in enumerate(ident.estimators):
-                    est.update_block(regressors[:, :, blade], targets[:, blade])
-
-        def run(ident, block):
-            for _ in range(rounds):
-                ident.update_block(*block)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=len(blocks)) as callers:
-                futures = [callers.submit(run, *pair) for pair in zip(idents, blocks)]
-                for future in futures:
-                    future.result(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        for got, want in zip(idents, expected):
-            assert got.rows().tobytes() == want.rows().tobytes()
-
-    def test_forked_child_gets_its_own_helper(self):
-        # a child inherits the parent's executor but not its thread
-        rng = np.random.default_rng(3)
-        ident = MarkovIdentifier(4)
-        ident.update_block(*_blade_blocks(rng, 50, 4))
-        blocks = _blade_blocks(rng, 50, 4)
-        fork = multiprocessing.get_context("fork")
-        queue = fork.SimpleQueue()
-        child = fork.Process(target=_update_and_send, args=(ident, blocks, queue))
-        child.start()
-        child.join(timeout=20)
-        if child.is_alive():
-            child.kill()
-            child.join()
-        assert child.exitcode == 0
-        ident.update_block(*blocks)
-        assert queue.get().tobytes() == ident.rows().tobytes()
-
-
-def _update_and_send(ident, blocks, queue):
-    ident.update_block(*blocks)
-    queue.put(ident.rows())
 
 
 class TestBuildLifted:
@@ -494,18 +358,13 @@ class TestUpdateGain:
         assert all(n2 < n1 for n1, n2 in zip(norms, norms[1:]))
 
 
-def _undesigned(rows):
-    """(blade, row, None) for each row: every gain designed by the period update."""
-    return [(blade, row, None) for blade, row in enumerate(rows)]
-
-
 class TestRepetitiveLaw:
     def test_zero_gain_holds_coefficients(self):
         law = RepetitiveLaw(build_basis(16), step_gain=0.3)
         law.set_coeffs(np.ones((3, 2)))
         # gains start at zero and the zero markov rows keep them there
         load_proj = np.random.default_rng(0).normal(size=(3, 2))
-        law.period_update(load_proj, _undesigned(np.zeros((3, 8))))
+        law.period_update(load_proj, np.zeros((3, 8)))
         np.testing.assert_array_equal(law.coeffs, np.ones((3, 2)))
 
     def test_output_quarter_period(self):
@@ -539,20 +398,34 @@ class TestRepetitiveLaw:
         law.freeze_blade(3)
         before = law.coeffs[2].copy()
         for _ in range(3):
-            law.period_update(rng.normal(size=(3, 2)), _undesigned(rows))
+            law.period_update(rng.normal(size=(3, 2)), rows)
         np.testing.assert_array_equal(law.coeffs[2], before)
         assert not np.array_equal(law.coeffs[0], before)
 
-    def test_a_live_blade_without_a_row_is_refused(self):
-        law = RepetitiveLaw(build_basis(16))
-        law.freeze_blade(1)
-        rows = np.zeros((3, 8))
-        with pytest.raises(ValueError, match=r"live blades \[2\]"):
-            law.period_update(np.ones((3, 2)), [(1, rows[1], None)])
-        assert law._load_proj_prev is None
-        # the frozen blade needs no row, and any order does
-        law.period_update(np.ones((3, 2)), [(2, rows[2], None), (1, rows[1], None)])
-        np.testing.assert_array_equal(law._load_proj_prev, np.ones((3, 2)))
+    @pytest.mark.parametrize(
+        "frozen",
+        list(itertools.product((False, True), repeat=3)),
+        ids=lambda mask: "".join("F" if f else "-" for f in mask),
+    )
+    def test_each_live_blade_is_designed_from_its_own_row(self, monkeypatch, frozen):
+        P, p = 48, 15
+        law = RepetitiveLaw(build_basis(P))
+        for blade in np.flatnonzero(frozen):
+            law.freeze_blade(blade + 1)
+        rows = np.stack([scalar_markov_row(0.6, 0.8 + 0.1 * b, 1.1, 0.0, p) for b in range(3)])
+        built = []
+
+        def spy(row, *args):
+            built.append(row.tobytes())
+            return build_lifted(row, *args)
+
+        monkeypatch.setattr(sprc, "build_lifted", spy)
+        law.period_update(np.ones((3, 2)), rows)
+        live = [blade for blade in range(3) if not frozen[blade]]
+        assert built == [rows[blade].tobytes() for blade in live]
+        for blade in range(3):
+            # a frozen blade keeps the zero gain it started with
+            assert law._gains[blade].ok == (blade in live)
 
     def test_weights_are_checked_once_at_construction(self, monkeypatch):
         checked = []
@@ -568,7 +441,7 @@ class TestRepetitiveLaw:
         assert checked == ["Q", "R"]
         checked.clear()
         rows = np.tile(scalar_markov_row(0.6, 0.9, 1.1, 0.0, p), (3, 1))
-        law.period_update(np.ones((3, 2)), _undesigned(rows))
+        law.period_update(np.ones((3, 2)), rows)
         # three blades solved their Riccati equation without checking the weights again
         assert law.gain_failures == 0 and checked == []
 
