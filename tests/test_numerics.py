@@ -7,6 +7,7 @@ from scipy.linalg import lapack
 from conftest import assert_stabilizing_riccati
 from oracles import stacked_qr_update
 from pitchftc.numerics import (
+    TPQRT_BLOCK,
     DareError,
     _check_weights,
     _solve_dare,
@@ -150,6 +151,42 @@ def test_persistent_triangle_across_changing_blocks(d, data, forgetting, seed):
         for got, want in zip((est.factor, est.rhs), expected):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert (np.diagonal(est.factor) > 0.0).all()
+
+
+@given(
+    d=st.integers(1, 60),
+    data=st.data(),
+    zeroed=st.sampled_from(("none", "some", "all")),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_tpqrt_is_scipys_dtpqrt_bit_for_bit(d, data, zeroed, seed):
+    # At unit forgetting a block update is one dtpqrt of [R z] over [phi y]
+    # at block size TPQRT_BLOCK, then the sign fix.  The block size changes
+    # the bits, so this pins the factor every recorded run was computed with.
+    n = d + 1
+    b = data.draw(st.integers(1, 3 * n), label="rows")
+    rng = np.random.default_rng(seed)
+    prior, z = np.triu(rng.normal(size=(d, d))), rng.normal(size=d)
+    phi, y = rng.normal(size=(b, d)), rng.normal(size=b)
+    if zeroed == "all":
+        phi[:], y[:] = 0.0, 0.0
+    elif zeroed == "some":
+        drop = rng.random(b) < 0.5
+        phi[drop], y[drop] = 0.0, 0.0
+    est = RlsEstimator(dim=d, forgetting=1.0)
+    est.factor, est.rhs = prior, z
+
+    tri = np.zeros((n, n), order="F")
+    tri[:d, :d], tri[:d, d] = prior, z
+    rows = np.asfortranarray(np.column_stack([phi, y]))
+    *_, info = lapack.dtpqrt(0, min(TPQRT_BLOCK, n), tri, rows, overwrite_a=1, overwrite_b=1)
+    assert info == 0
+    tri[np.flatnonzero(np.diagonal(tri)[:d] < 0.0)] *= -1.0
+
+    est.update_block(phi, y)
+    assert est.factor.tobytes() == tri[:d, :d].copy(order="F").tobytes()
+    assert est.rhs.tobytes() == tri[:d, d].copy().tobytes()
 
 
 @pytest.mark.parametrize("spoil", ["copied", "rejected"])
