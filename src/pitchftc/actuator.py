@@ -58,12 +58,6 @@ class ActuatorBank:
         """Start each actuator settled at its constant pitch angle u0[(3,)]."""
         self._zi = np.outer(self._zi_unit, u0)
 
-    def get_state(self) -> np.ndarray:
-        return self._zi.copy()
-
-    def set_state(self, state: np.ndarray) -> None:
-        self._zi = state.copy()
-
     def run_chunk(self, u_ref: np.ndarray, k_start: int) -> np.ndarray:
         """Advance all blades over u_ref[(n, 3)]; returns the physical pitch angles."""
         u_ref = np.asarray(u_ref, dtype=float)

@@ -162,13 +162,6 @@ class Fdie:
         self._zi_ref = np.outer(signal.lfilter_zi(self._num_ref, self._den), u0)
         self._zi_meas = np.outer(signal.lfilter_zi(self._num_meas, self._den), u0)
 
-    def get_state(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._zi_ref.copy(), self._zi_meas.copy()
-
-    def set_state(self, state) -> None:
-        self._zi_ref = state[0].copy()
-        self._zi_meas = state[1].copy()
-
     def run_chunk(self, u_ref: np.ndarray, u_meas: np.ndarray) -> np.ndarray:
         """Residuals (n, m) over aligned (n, m) input blocks."""
         u_ref = np.asarray(u_ref, dtype=float)

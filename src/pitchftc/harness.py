@@ -6,15 +6,16 @@ fault injection, drive the plant, feed the diagnosis bank, absorb every
 ``IDENT_DECIMATION``-th sample into the identification, and at every
 rotor-period boundary refresh the LQR gain and the waveform coefficients.
 In the full architecture a latched fault isolation additionally triggers
-the pre-tuned parameter switch.
+the pre-tuned parameter switch at the next period boundary.
 
 The loop is executed in rotor-period chunks: inside a chunk nothing feeds
 back across samples except through linear filters, so each block advances
-with vectorized filtering, equivalent to per-sample stepping.  The only
-mid-chunk event, the controller switch, is handled by replaying the chunk
-prefix from a state snapshot.  A comparison of sprc_only and proposed runs
-them as one run until the diagnosis latches, and forks there, inside the
-deciding chunk; without a decision it forks at the end.
+with vectorized filtering, equivalent to per-sample stepping.  The law
+changes only at period boundaries, the switch included, so nothing in a
+run acts mid-chunk and nothing rewinds.  A comparison of sprc_only and
+proposed runs them as one run until the chunk in which the diagnosis
+latches, and forks at its end; without a decision it forks at the end of
+the run.
 
 Controller modes:
 
@@ -250,7 +251,9 @@ class RunReport:
     rebuilt from the CSV is equal field by field.  Only five fields are
     controller tallies supplied by the run: ``gain_failures``,
     ``rls_degenerate``, ``switch_sample``, ``switch_applied`` and
-    ``converged_period``.
+    ``converged_period``.  ``switch_sample`` is the first period boundary
+    after ``decision_sample``, where proposed switches; None if the run
+    ended first.
     """
 
     schema: str
@@ -388,8 +391,6 @@ class _Stepper:
 
         self.k = 0
         self.end = N  # an offline tuning ends at the period it converges in
-        #: (filter state at k, chunk end, latched) of a chunk simulated but not finished
-        self._open = None
         self.switch_sample = None
         self.switch_applied = False
         self.converged_period = None
@@ -399,29 +400,27 @@ class _Stepper:
         """Run chunks until sample to_sample, or the end of an offline tuning.
 
         A chunk ends at the next period boundary or at to_sample, whichever
-        comes first.  With ``until_decision`` the run stops right after the
-        scan in which the fuser latches, its chunk simulated but not
-        finished: up to there sprc_only and proposed run the same code.  The
-        next advance finishes that chunk as the run's mode does.
+        comes first.  With ``until_decision`` the run stops after the chunk
+        in which the fuser latches: up to there sprc_only and proposed run
+        the same code, since a proposed run switches only at the first
+        period boundary after the decision.
         """
-        if self._open is not None:
-            self._finish()
         while self.k < min(to_sample, self.end):
-            if self._simulate_chunk(min(to_sample, self.end)) and until_decision:
+            if self._step(min(to_sample, self.end)) and until_decision:
                 return
-            self._finish()
 
     def fork(self, mode: str, bank=None) -> "_Stepper":
         """A copy of this adaptive run that carries on in adaptive ``mode``.
 
-        It forks before its decision acts: at the latch, with the deciding
-        chunk open, or anywhere without a decision.  The filters, fuser,
-        law, identifier, series and tallies are copied; the read-only noise
-        and excitation arrays are shared.  From here the copy runs exactly
-        the code an independent run of ``mode`` runs.
+        It forks before its decision acts: anywhere up to the first period
+        boundary after the decision, or anywhere without a decision.  The
+        filters, fuser, law, identifier, series and tallies are copied; the
+        read-only noise and excitation arrays are shared.  From here the
+        copy runs exactly the code an independent run of ``mode`` runs.
         """
         adaptive = ("sprc_only", "proposed")
-        acted = self.fuser.d_fd != 0 and self._open is None
+        switch = self._switch_boundary()
+        acted = switch is not None and self.k > switch
         if self.cfg.mode not in adaptive or mode not in adaptive or acted:
             raise ValueError("only an sprc_only or proposed run forks, before its decision acts")
         shared = (self.load_noise, self.meas_noise, self.prbs, self.bank)
@@ -455,45 +454,35 @@ class _Stepper:
             snapshot_markov=self.snapshot_markov,
         )
 
-    def _simulate_chunk(self, to_sample: int) -> bool:
-        """Simulate and scan the chunk up to the next period boundary or to_sample.
+    def _switch_boundary(self) -> int | None:
+        """The first period boundary after the decision, where proposed switches; None without one."""
+        P = self.cfg.period_samples
+        return None if self.fuser.d_fd == 0 else (self.fuser.confirmed_at // P + 1) * P
 
-        Returns True when the fuser latches in it.
+    def _step(self, to_sample: int) -> bool:
+        """One chunk, to the next period boundary or to_sample; True if the fuser latches in it.
+
+        A switch due at its first sample comes first and sets that period's
+        coefficients; then simulate, scan, flush and, on a boundary, update.
         """
-        series, fuser, P, k = self.series, self.fuser, self.cfg.period_samples, self.k
-        b = min((k // P + 1) * P, to_sample)
-        pre_state = [block.get_state() for block in (self.actuator, self.plant, self.fdie)]
-        self._simulate_span(k, b)
-        # the fuser latches once, so a switch happens at most once per run
-        latched = fuser.d_fd == 0 and fuser.scan_chunk(series["r"][k:b], series["rbar"][k:b], k) != 0
-        self._open = pre_state, b, latched
-        return latched
-
-    def _finish(self) -> None:
-        """Finish the open chunk: the proposed switch, the identification flush, the boundary.
-
-        The flush comes before the switch, and the boundary update designs
-        the gains from the rows held after both.
-        """
-        (pre_state, b, latched), self._open = self._open, None
-        cfg, fuser, k = self.cfg, self.fuser, self.k
-        switch_now = latched and cfg.mode == "proposed"
-        if switch_now and fuser.confirmed_at + 1 < b:
-            # the switch acts on the sample after confirmation: replay up to it
-            for block, state in zip((self.actuator, self.plant, self.fdie), pre_state):
-                block.set_state(state)
-            b = fuser.confirmed_at + 1
-            self._simulate_span(k, b)
-
-        self._flush_identification(k, b)
-        if switch_now:
-            self.switch_sample = b
+        cfg, fuser, series, k = self.cfg, self.fuser, self.series, self.k
+        P = cfg.period_samples
+        if cfg.mode == "proposed" and k == self._switch_boundary():
+            self.switch_sample = k
             self.switch_applied = _supervisor.on_detection(
                 fuser.d_fd, self.bank, self.identifier, self.law, config=cfg
             )
+            if k // P < self.coeff_history.shape[0]:
+                self.coeff_history[k // P] = self.law.coeffs
+        b = min((k // P + 1) * P, to_sample)
+        self._simulate_span(k, b)
+        # the fuser latches once, so a switch happens at most once per run
+        latched = fuser.d_fd == 0 and fuser.scan_chunk(series["r"][k:b], series["rbar"][k:b], k) != 0
+        self._flush_identification(k, b)
         self.k = b
-        if b % cfg.period_samples == 0:
+        if b % P == 0:
             self._boundary_update(b)
+        return latched
 
     def _simulate_span(self, a: int, b: int) -> None:
         n, series = b - a, self.series
@@ -514,11 +503,10 @@ class _Stepper:
         """Absorb the identified samples in a..b-1 into the live blades' estimators.
 
         The identified samples are k = 0 (mod D), D = ``IDENT_DECIMATION``,
-        wherever the chunk starts or ends, so which
-        samples a run absorbs does not depend on its chunks.  The regression
-        runs on the every-D-th-sample series, whose period is P/D samples.
-        Their a-priori residuals land in ``ident_res``, which stays 0.0 on
-        the samples between.
+        wherever the chunk starts or ends, so which samples a run absorbs
+        does not depend on its chunks.  The regression runs on the
+        every-D-th-sample series, whose period is P/D samples.  Their
+        a-priori residuals land in ``ident_res``, 0.0 on the samples between.
         """
         cfg, series = self.cfg, self.series
         if cfg.mode == "baseline":
@@ -767,8 +755,8 @@ def compare_modes(
     Returns {"results": {mode: RunResult}, "reduction": {mode: metrics}} with
     reductions measured against the baseline run over its comparison window.
     Asked for both sprc_only and proposed, it computes their common prefix
-    once and forks proposed at the latch, or at the end without a decision:
-    see :func:`_adaptive_pair`.
+    once and forks proposed at the end of the chunk in which the fuser
+    latches, or at the end without a decision: see :func:`_adaptive_pair`.
     """
     results = {}
     if {"sprc_only", "proposed"} <= set(modes):
@@ -793,11 +781,11 @@ def compare_modes(
 def _adaptive_pair(cfg: RunConfig, bank) -> dict:
     """The sprc_only and proposed runs of cfg, forked where they part.
 
-    The two modes run the same code until the fuser latches.  One sprc_only
-    trunk runs until the scan that latches, and proposed forks off it there,
-    each arm then finishing the deciding chunk in its own mode; without a
-    decision the trunk reaches the end and proposed forks off the finished
-    run.  Either way the forked run is bit-identical to an independent one.
+    The two modes run the same code until proposed switches, at the first
+    period boundary after the decision.  One sprc_only trunk runs to the end
+    of the chunk in which the fuser latches, and proposed forks off it there;
+    without a decision the trunk reaches the end and proposed forks off the
+    finished run.  Either way the forked run is bit-identical to an independent one.
     """
     bank = _run_bank(replace(cfg, mode="proposed"), bank)
     N = cfg.n_samples

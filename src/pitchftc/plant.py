@@ -73,12 +73,6 @@ class Plant:
         )
         self._zi = np.zeros((1, 3))
 
-    def get_state(self) -> np.ndarray:
-        return self._zi.copy()
-
-    def set_state(self, state: np.ndarray) -> None:
-        self._zi = state.copy()
-
     def run_chunk(self, pitch: np.ndarray, k_start: int, noise: np.ndarray | None = None) -> np.ndarray:
         """Advance the plant over pitch[(n, 3)] starting at sample index k_start."""
         pitch = np.asarray(pitch, dtype=float)

@@ -12,10 +12,10 @@ control waveform coefficients, and a discrete LQR on that model drives the
 periodic load content to zero.
 
 Per-blade decoupling runs through the whole pipeline: three independent
-regressions per sample and three independent six-state designs per period.
-The blades' regressions are absorbed in turn, and at a period boundary the
-law designs every live blade's gain from the identified rows before it
-commits any of them.
+regressions per identified sample and three independent six-state designs
+per period.  The blades' regressions are absorbed in turn, and at a period
+boundary the law designs every live blade's gain from the identified rows
+before it commits any of them.
 """
 
 from __future__ import annotations
@@ -108,12 +108,13 @@ class MarkovIdentifier:
     """Three decoupled recursive estimators of per-blade Markov rows.
 
     Each row has length 2p: pitch-channel terms first, load-channel terms
-    second, both oldest-sample-first to match the regressor layout.  A run
-    passes its law's frozen mask, so after fault isolation the degenerate
+    second, both oldest-sample-first to match the regressor layout.
+    ``forgetting`` is the factor per absorbed row, so per identified sample.
+    A run passes its law's frozen mask, so after fault isolation the degenerate
     zero-information stream from a stuck actuator stops touching its estimate.
     """
 
-    def __init__(self, past_window: int, forgetting: float = 0.99999):
+    def __init__(self, past_window: int, forgetting: float):
         dim = 2 * int(past_window)
         self.estimators = [RlsEstimator(dim, forgetting=forgetting) for _ in range(3)]
 

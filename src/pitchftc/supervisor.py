@@ -4,9 +4,9 @@ For every anticipated stuck-actuator scenario an offline run adapts the
 repetitive controller with the fault present from the start and snapshots
 the converged waveform coefficients and Markov rows.  When the online
 diagnosis isolates that fault, the snapshot replaces the live controller
-state in one sample, the stuck blade's adaptation freezes, and the healthy
-blades carry on from an already-good operating point instead of re-learning
-under the fault.
+state at the next rotor-period boundary, the stuck blade's adaptation
+freezes, and the healthy blades carry on from an already-good operating
+point instead of re-learning under the fault.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ One more LC3 comparison of sprc_only and proposed has no fault, so no
 decision: there proposed forks off sprc_only at the last sample.
 ``--acceptance`` adds the runs of the acceptance suite: A1 (20 healthy
 runs), A2 (60 fault runs), A5, A6, A7 (20 warm and 20 cold) and A9.
-The chain's ``compare_modes`` forks its proposed run off sprc_only where
-the fuser latches, or at the end without a decision, while the A7 pairs
+The chain's ``compare_modes`` forks its proposed run off sprc_only at the
+end of the chunk in which the fuser latches, or at the end without a
+decision, while the A7 pairs
 here run independently, as the acceptance suite's comparison would
 without the fork.
 
@@ -26,8 +27,10 @@ that protocol wrote.
 Each output line is ``<artifact> <sha256>``: one per series, coefficient
 history, tuning snapshot, report, reduction table and bank entry.  With
 ``--against FILE`` the lines are compared with an earlier output: each
-shared artifact whose digest differs is listed, artifacts present on one
-side only are counted per side (a run without ``--acceptance`` against a
+shared artifact whose digest differs is listed, then one line per
+top-level group (``tune``, ``chain``, ``A1``...) counts its shared, equal
+and differing artifacts, artifacts present on one side only are counted
+per side (a run without ``--acceptance`` against a
 file with it misses the acceptance runs, which is not a difference in
 bits), and the exit status is 1 on either.  pytest does not collect this
 file.
@@ -201,6 +204,13 @@ def main(argv=None) -> int:
         if names:
             groups = ", ".join(sorted({name.split("/")[0] for name in names}))
             print(f"MISSING {len(names)} artifacts only in {side} ({groups})", file=sys.stderr)
+    # one line per top-level group (tune, chain, A1...), so a protocol change
+    # shows at a glance which runs moved
+    for group in sorted({name.split("/")[0] for name in shared}):
+        mine = [name for name in shared if name.split("/")[0] == group]
+        moved = sum(expected[name] != got[name] for name in mine)
+        print(f"GROUP {group}: {len(mine)} shared, {len(mine) - moved} equal, {moved} differ",
+              file=sys.stderr)
     print(f"{len(shared) - len(differ)} of {len(shared)} shared digests equal", file=sys.stderr)
     return 1 if differ or any(names for _, names in one_sided) else 0
 

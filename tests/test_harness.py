@@ -406,7 +406,9 @@ class TestFaultyRun:
         rep = result.report
         assert rep.d_fd == 3
         assert rep.k_d is not None and rep.k_d >= cfg.fault_sample
-        assert rep.switch_applied and rep.switch_sample == rep.decision_sample + 1
+        # the switch acts at the first period boundary after the decision
+        P = cfg.period_samples
+        assert rep.switch_applied and rep.switch_sample == (rep.decision_sample // P + 1) * P
         assert rep.postfault_converged_periods is not None
 
     def test_dfd_column_latches(self, faulty_run):
@@ -419,12 +421,12 @@ class TestFaultyRun:
     def test_refused_warm_start_reported_and_blade_frozen(self, faulty_run):
         cfg, _ = faulty_run
         result = run_simulation(cfg, bank=supervisor.PretunedBank())
-        rep = result.report
-        assert rep.d_fd == 3 and rep.switch_sample == rep.decision_sample + 1
+        rep, P = result.report, cfg.period_samples
+        assert rep.d_fd == 3 and rep.switch_sample == (rep.decision_sample // P + 1) * P
         assert rep.switch_applied is False
         # isolation is trusted without a bank entry: the stuck blade's waveform
         # holds from the switch on
-        s, P = rep.switch_sample, cfg.period_samples
+        s = rep.switch_sample
         sprc3 = result.series["sprc"][:, 2]
         np.testing.assert_array_equal(sprc3[s + P :], sprc3[s:-P])
 
@@ -443,8 +445,8 @@ class TestFaultyRun:
         rep, history, P = result.report, result.coeff_history, cfg.period_samples
         assert rep.d_fd == 3 and rep.switch_applied
         assert rep.switch_sample < START_PERIOD * P  # before any adaptation
-        # the warm start lands in the next period and the stuck blade never moves
-        j = rep.switch_sample // P + 1
+        # the warm start is the switch's period and the stuck blade never moves
+        j = rep.switch_sample // P
         np.testing.assert_array_equal(history[j], lc3_bank.get(3).coeffs_array())
         assert (history[j:, 2] == history[j, 2]).all()
 
@@ -471,7 +473,9 @@ class TestFaultyRun:
         assert rep.duration_s == cfg.duration_s
         assert cfg.fault_sample // cfg.period_samples == result.coeff_history.shape[0] - 1
         assert rep.windows["faulty"] is None and rep.variance_faulty is None
-        assert rep.d_fd == 3 and rep.switch_applied
+        # the decision leaves no period boundary to switch at
+        assert rep.d_fd == 3 and rep.decision_sample is not None
+        assert rep.switch_sample is None and not rep.switch_applied
 
 
 class TestMetrics:
@@ -829,8 +833,10 @@ class TestFork:
         seed=st.integers(0, 2**16),
         tuned=st.booleans(),
     )
-    # the decision falls on the last sample of a chunk: the switch lands on the boundary
-    @example(fault_blade=3, fault_time_s=31.14, seed=0, tuned=True)
+    # the switch lands on the boundary at 7500, whose period the 80 s run cuts short
+    @example(fault_blade=3, fault_time_s=72.0, seed=0, tuned=True)
+    # the decision falls after the last boundary: proposed never switches
+    @example(fault_blade=3, fault_time_s=75.0, seed=0, tuned=True)
     # no decision: the arms never part, and proposed forks off the finished run
     @example(fault_blade=0, fault_time_s=0.0, seed=1, tuned=True)
     @settings(max_examples=12, deadline=None)
@@ -858,9 +864,20 @@ class TestFork:
         assert fork.call_count == 1
         for mode, result in alone.items():
             _assert_same_run(forked[mode], result)
-        switch = alone["proposed"].report.switch_sample
-        event(f"decision {'none' if decision is None else 'on a chunk end' if switch % 625 == 0 else 'mid-chunk'}")
-        event(f"switch applied {alone['proposed'].report.switch_applied}")
+        # the law changes only at period boundaries: each whole period runs
+        # the coefficients recorded for it, the switched period included
+        proposed, P = alone["proposed"], cfg.period_samples
+        basis = sprc.build_basis(P)
+        for j, coeffs in enumerate(proposed.coeff_history):
+            assert proposed.series["sprc"][j * P : (j + 1) * P].tobytes() == (basis @ coeffs.T).tobytes()
+        # the switch comes at the first boundary after the decision, if the run gets there
+        switch = proposed.report.switch_sample
+        if decision is None or (decision // P + 1) * P >= cfg.n_samples:
+            assert switch is None and not proposed.report.switch_applied
+        else:
+            assert switch == (decision // P + 1) * P
+        event("no decision" if decision is None else "no boundary left" if switch is None else "switched")
+        event(f"switch applied {proposed.report.switch_applied}")
 
     def test_only_an_adaptive_run_forks_before_its_decision_acts(self, lc3_bank):
         cfg = short_cfg(duration_s=20.0, fault_blade=3, fault_time_s=5.0)
@@ -870,11 +887,17 @@ class TestFork:
         run = harness._Stepper(cfg, None)
         with pytest.raises(ValueError, match="forks"):
             run.fork("baseline")
-        # stopped at the latch, with the deciding chunk still open, it forks
+        # stopped at the end of the chunk that latches, the boundary where
+        # proposed would switch, it forks
         run.advance(cfg.n_samples, until_decision=True)
-        assert run.fuser.d_fd == 3 and run.k < cfg.n_samples
+        P, decision = cfg.period_samples, run.fuser.confirmed_at
+        assert run.fuser.d_fd == 3 and run.k == (decision // P + 1) * P < cfg.n_samples
         run.fork("proposed", lc3_bank)
-        # once that chunk is finished the decision has acted
+        # so does a run cut between the decision and that boundary
+        cut = harness._Stepper(cfg, None)
+        cut.advance(decision + 1)
+        cut.fork("proposed", lc3_bank)
+        # one sample past the boundary the decision has acted
         run.advance(run.k + 1)
         with pytest.raises(ValueError, match="forks"):
             run.fork("proposed", lc3_bank)
@@ -912,13 +935,12 @@ class TestFork:
         results, spans = self._spans(cfg, lc3_bank)
         N, P = cfg.n_samples, cfg.period_samples
         switch = results["proposed"].report.switch_sample
-        assert switch is not None and switch % P != 0  # the decision falls mid-chunk
+        assert switch is not None and 0 < switch < N
         np.testing.assert_array_equal(self._coverage(spans, "sprc_only", N), 1)
-        # the arm replays the deciding chunk up to the switch and simulates the rest once
+        # the arm forks at the switch and simulates only the samples from there on, once
         arm = self._coverage(spans, "proposed", N)
-        start = switch // P * P
-        np.testing.assert_array_equal(arm[:start], 0)
-        np.testing.assert_array_equal(arm[start:], 1)
+        np.testing.assert_array_equal(arm[:switch], 0)
+        np.testing.assert_array_equal(arm[switch:], 1)
 
     def test_a_pair_without_a_decision_simulates_one_run(self):
         cfg = short_cfg(duration_s=80.0)
@@ -937,9 +959,6 @@ class TestPipelinedBoundary:
         fault_time_s=st.floats(0.0, 75.0),
         seed=st.integers(0, 2**16),
     )
-    # proposed confirms on a chunk's last sample: the switch acts between the
-    # flush and the boundary update, which must see the reseeded rows
-    @example(mode="proposed", fault_blade=3, fault_time_s=31.14, seed=0)
     # the stuck blade's Riccati solves fail: periods with a DareError fallback blade
     @example(mode="offline_tune", fault_blade=2, fault_time_s=0.0, seed=0)
     @settings(max_examples=25, deadline=None)
@@ -958,8 +977,7 @@ class TestPipelinedBoundary:
         _assert_same_run(result, sequential_run(cfg, bank))
         report = result.report
         event(f"gain fallbacks {report.gain_failures > 0}")
-        if report.switch_sample is not None:
-            event(f"switch {'on a chunk end' if report.switch_sample % cfg.period_samples == 0 else 'mid-chunk'}")
+        event(f"switched {report.switch_sample is not None}")
 
     @staticmethod
     def _stepper_before_an_adapting_boundary():
@@ -1037,13 +1055,10 @@ class TestDecimatedIdentification:
         seed=st.integers(0, 2**16),
         cuts=st.sets(st.integers(1, 7999), max_size=6),
     )
-    # the switch replay ends on sample 2013, off the grid and mid-chunk, and
-    # cuts off the grid fall before the switch, inside the warm-up and in the
-    # chunk after the switch
-    @example(mode="proposed", fault_time_s=20.0, seed=0, cuts={501, 1003, 2011, 2502})
-    # the replay ends on sample 3122, so the rest of its period holds no
-    # identified sample: the boundary at 3125 designs from the rows held
-    @example(mode="proposed", fault_time_s=31.07, seed=0, cuts=set())
+    # the decision falls on sample 2012 and the switch at 2500; cuts off the
+    # grid fall inside the warm-up, between the decision and the switch, and
+    # after the switch
+    @example(mode="proposed", fault_time_s=20.0, seed=0, cuts={501, 1003, 2103, 2502})
     # a cut leaves the chunk 3121..3124 before an adapting boundary
     @example(mode="sprc_only", fault_time_s=0.0, seed=0, cuts={3121})
     @settings(max_examples=20, deadline=None)
@@ -1058,9 +1073,6 @@ class TestDecimatedIdentification:
         off_grid = np.arange(cfg.n_samples) % D != 0
         assert (got.series["ident_res"][off_grid] == 0.0).all()
         event(f"a cut off the grid {any(c % D for c in cuts)}")
-        switch = got.report.switch_sample
-        if switch is not None:
-            event(f"switch {'on' if switch % D == 0 else 'off'} the grid")
 
     def test_a_whole_run_equals_the_oracle_at_both_rates(self, monkeypatch):
         for D, p in ((5, 20), (1, 100)):

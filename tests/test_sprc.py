@@ -201,7 +201,7 @@ class TestIdentification:
         assert diff < 0.01
 
     def test_frozen_blade_not_updated(self):
-        ident = MarkovIdentifier(3)
+        ident = MarkovIdentifier(3, forgetting=0.99999)
         rng = np.random.default_rng(6)
         law = RepetitiveLaw(build_basis(16))
         law.freeze_blade(2)
@@ -228,7 +228,7 @@ class TestSideBySideBlades:
     def test_bit_identical_to_blades_in_turn(self, frozen, n):
         rng = np.random.default_rng(11)
         p = 100
-        ident = MarkovIdentifier(p)
+        ident = MarkovIdentifier(p, forgetting=0.99999)
         ident.update_block(*_blade_blocks(rng, 625, p))
         expected = copy.deepcopy(ident.estimators)
         regressors, targets = _blade_blocks(rng, n, p)

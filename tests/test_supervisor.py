@@ -164,7 +164,7 @@ class TestCompose:
 
 class TestOnDetection:
     def setup_method(self):
-        self.identifier = MarkovIdentifier(4)
+        self.identifier = MarkovIdentifier(4, forgetting=0.99999)
         self.law = RepetitiveLaw(build_basis(625))
         self.entry = make_entry()
         self.bank = PretunedBank({3: self.entry})
