@@ -12,10 +12,10 @@ The loop is executed in rotor-period chunks: inside a chunk nothing feeds
 back across samples except through linear filters, so each block advances
 with vectorized filtering, equivalent to per-sample stepping.  The law
 changes only at period boundaries, the switch included, so nothing in a
-run acts mid-chunk and nothing rewinds.  A comparison of sprc_only and
-proposed runs them as one run until the chunk in which the diagnosis
-latches, and forks at its end; without a decision it forks at the end of
-the run.
+run acts mid-chunk and nothing rewinds.  A comparison runs its adaptive
+modes as one sprc_only run until the chunk in which the diagnosis latches,
+and forks the others at its end; without a decision it forks them at the
+end of the run.
 
 Controller modes:
 
@@ -342,7 +342,7 @@ class _Stepper:
 
     It owns the blocks (actuators, plant, observer, fuser, law and
     identifier), the series it writes, the applied-coefficient history and
-    the controller tallies.  :meth:`fork` copies that state, so the two
+    the controller tallies.  :meth:`fork` copies that state, so the
     adaptive arms of a comparison compute their common prefix once.
     """
 
@@ -546,10 +546,7 @@ class _Stepper:
             history[j] = law.coeffs
         c = CONVERGENCE_CONSECUTIVE
         if cfg.mode == "offline_tune" and START_PERIOD + c <= j < history.shape[0]:
-            quiet = convergence_time(
-                history[j - c : j + 1], 1, CONVERGENCE_EPS, CONVERGENCE_FLOOR, c
-            )
-            if quiet is not None:
+            if convergence_time(history[j - c : j + 1], 1) is not None:
                 self.converged_period = j - c + 1
                 self.snapshot_coeffs = law.coeffs.copy()
                 self.snapshot_markov = self.identifier.rows()
@@ -566,25 +563,19 @@ def _coeff_increment(now: np.ndarray, before: np.ndarray) -> np.ndarray:
     return np.linalg.norm(now - before, axis=-1).max(axis=-1)
 
 
-def convergence_time(
-    coeff_history: np.ndarray,
-    start_period: int,
-    eps: float,
-    floor: float,
-    consecutive: int,
-) -> int | None:
-    """First period index from which the coefficients stay quiet.
+def convergence_time(coeff_history: np.ndarray, start_period: int) -> int | None:
+    """First period index, from start_period on, from which the coefficients stay quiet.
 
-    Quiet means the per-blade increment stays below eps * max(norm, floor)
-    for `consecutive` successive periods; the returned index is the first
-    period of that streak.
+    Quiet means the per-blade increment stays below CONVERGENCE_EPS *
+    max(norm, CONVERGENCE_FLOOR) for CONVERGENCE_CONSECUTIVE successive
+    periods; the returned index is the first period of that streak.
     """
-    lo = max(start_period, 1)
+    lo, c = max(start_period, 1), CONVERGENCE_CONSECUTIVE
     now, before = coeff_history[lo:], coeff_history[lo - 1 : -1]
-    scale = np.maximum(np.linalg.norm(now, axis=-1).max(axis=-1), floor)
-    quiet = _coeff_increment(now, before) < eps * scale
-    done = np.flatnonzero(run_lengths(quiet) >= consecutive)
-    return int(lo + done[0] - consecutive + 1) if done.size else None
+    scale = np.maximum(np.linalg.norm(now, axis=-1).max(axis=-1), CONVERGENCE_FLOOR)
+    quiet = _coeff_increment(now, before) < CONVERGENCE_EPS * scale
+    done = np.flatnonzero(run_lengths(quiet) >= c)
+    return int(lo + done[0] - c + 1) if done.size else None
 
 
 def _psd_peak_1p(y: np.ndarray, cfg: RunConfig) -> float:
@@ -657,17 +648,12 @@ def report_from_series(
     ratio = np.abs(series["r"][:healthy_hi]) / rbar[:healthy_hi, None]
     max_ratio = float(ratio.max(initial=0.0))
 
-    def quiet_from(history, start):
-        return convergence_time(
-            history, start, CONVERGENCE_EPS, CONVERGENCE_FLOOR, CONVERGENCE_CONSECUTIVE
-        )
-
     scan_start = START_PERIOD + 1
-    healthy_conv = quiet_from(coeff_history[: healthy_hi // P], scan_start)
+    healthy_conv = convergence_time(coeff_history[: healthy_hi // P], scan_start)
     postfault_conv = None
     if k0 is not None and n_periods > k0 // P:
         first_eligible = k0 // P + cfg.settle_periods
-        j_star = quiet_from(coeff_history, first_eligible)  # never before first_eligible
+        j_star = convergence_time(coeff_history, first_eligible)  # never before first_eligible
         if j_star is not None:
             postfault_conv = j_star - first_eligible + 1
     # both scans end at the last applied period, whose increment is the final
@@ -754,13 +740,32 @@ def compare_modes(
 
     Returns {"results": {mode: RunResult}, "reduction": {mode: metrics}} with
     reductions measured against the baseline run over its comparison window.
-    Asked for both sprc_only and proposed, it computes their common prefix
-    once and forks proposed at the end of the chunk in which the fuser
-    latches, or at the end without a decision: see :func:`_adaptive_pair`.
+    The adaptive modes run the same code until proposed switches, at the
+    first period boundary after the decision.  So one sprc_only trunk runs to
+    the end of the chunk in which the fuser latches, or to the end without a
+    decision; every other adaptive mode forks off it there, and the trunk
+    itself is the sprc_only run.  Each arm is bit-identical to an independent
+    run.  The other modes run on their own, after the adaptive ones.
     """
+    if "proposed" in modes:
+        # resolved first, so a missing bank fails before anything is simulated
+        bank = _run_bank(replace(cfg, mode="proposed"), bank)
+    adaptive = [mode for mode in modes if mode in ("sprc_only", "proposed")]
     results = {}
-    if {"sprc_only", "proposed"} <= set(modes):
-        results = _adaptive_pair(cfg, bank)
+    if adaptive:
+        N = cfg.n_samples
+        with single_blas_thread() as pin:
+            trunk = _Stepper(replace(cfg, mode="sprc_only"), None)
+            trunk.advance(N, until_decision=True)
+            arms = {
+                mode: trunk if mode == "sprc_only" else trunk.fork(mode, bank) for mode in adaptive
+            }
+            for mode, run in arms.items():
+                run.advance(N)
+                results[mode] = run.result()
+                results[mode].telemetry = pin
+        # the steppers hold the noise inputs: free them before the other modes run
+        del trunk, arms, run
     for mode in modes:
         if mode not in results:
             results[mode] = run_simulation(replace(cfg, mode=mode), bank=bank)
@@ -776,29 +781,6 @@ def compare_modes(
                 res.series["y"], base.series["y"], (lo, hi), cfg.fault_blade
             )
     return {"results": results, "reduction": reduction}
-
-
-def _adaptive_pair(cfg: RunConfig, bank) -> dict:
-    """The sprc_only and proposed runs of cfg, forked where they part.
-
-    The two modes run the same code until proposed switches, at the first
-    period boundary after the decision.  One sprc_only trunk runs to the end
-    of the chunk in which the fuser latches, and proposed forks off it there;
-    without a decision the trunk reaches the end and proposed forks off the
-    finished run.  Either way the forked run is bit-identical to an independent one.
-    """
-    bank = _run_bank(replace(cfg, mode="proposed"), bank)
-    N = cfg.n_samples
-    with single_blas_thread() as pin:
-        trunk = _Stepper(replace(cfg, mode="sprc_only"), None)
-        trunk.advance(N, until_decision=True)
-        arm = trunk.fork("proposed", bank)
-        results = {}
-        for mode, run in (("sprc_only", trunk), ("proposed", arm)):
-            run.advance(N)
-            results[mode] = run.result()
-            results[mode].telemetry = pin
-    return results
 
 
 def write_csv(path: str | Path, series: dict, Ts: float) -> None:

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .numerics import DareError, RlsEstimator, _check_weights, _solve_dare
-from .numerics import solve_dare  # noqa: F401  (the benchmark's span tracing patches it here)
+from .numerics import DareError, RlsEstimator, _check_weights
+# the unchecked solve: the law checks its constant weights once, at construction
+from .numerics import _solve_dare as solve_dare
 
 PRBS_AMPLITUDE = 3.0    # deg, excitation level
 PRBS_HOLD = 10          # samples each random level is held
@@ -221,7 +222,7 @@ def update_gain(
     usable gain is kept.
     """
     try:
-        return GainResult(_solve_dare(a_lift, b_lift, Q, R)[1], True)
+        return GainResult(solve_dare(a_lift, b_lift, Q, R)[1], True)
     except DareError:
         if previous is not None:
             return GainResult(previous.gain, False)

@@ -10,11 +10,10 @@ One more LC3 comparison of sprc_only and proposed has no fault, so no
 decision: there proposed forks off sprc_only at the last sample.
 ``--acceptance`` adds the runs of the acceptance suite: A1 (20 healthy
 runs), A2 (60 fault runs), A5, A6, A7 (20 warm and 20 cold) and A9.
-The chain's ``compare_modes`` forks its proposed run off sprc_only at the
-end of the chunk in which the fuser latches, or at the end without a
-decision, while the A7 pairs
-here run independently, as the acceptance suite's comparison would
-without the fork.
+Every ``compare_modes`` here, the chain's and A6's, forks its proposed run
+off an sprc_only trunk at the end of the chunk in which the fuser latches,
+or at the end without a decision.  The A7 pairs here still run
+independently, as two ``run_simulation`` calls.
 
 ``--set FIELD=VALUE`` (repeatable) overrides one ``RunConfig`` field on
 every run of the chain, the tunes included; VALUE is read as JSON, and as a

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_stabilizing_riccati
-from pitchftc import numerics, supervisor
+from pitchftc import harness, numerics, supervisor
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -27,6 +27,29 @@ import bench_workloads  # noqa: E402
 )
 def test_traced_name_exists(layer, owner, attr):
     assert attr in owner.__dict__, layer
+
+
+def test_every_traced_layer_is_called(tmp_path):
+    # a short chain through every layer: an LC3 tune, a comparison whose
+    # proposed run switches, and a CSV round trip
+    tracer = bench_trace.Tracer()
+    tune_cfg = harness.RunConfig(
+        mode="offline_tune", load_case="LC3", seed=100, duration_s=600.0,
+        fault_blade=3, fault_time_s=0.0,
+    )
+    run_cfg = harness.RunConfig(load_case="LC3", duration_s=250.0, fault_time_s=125.0)
+    with tracer.installed():
+        entry, _ = supervisor.offline_tune(tune_cfg)
+        bank = supervisor.PretunedBank({entry.fault_blade: entry})
+        outcome = harness.compare_modes(run_cfg, bank=bank)
+        path = tmp_path / "proposed.csv"
+        harness.write_csv(path, outcome["results"]["proposed"].series, run_cfg.Ts)
+        harness.read_csv(path)
+    assert tracer.leftover_wrappers() == []
+    totals, _ = tracer.layer_totals()
+    assert [layer for layer, t in totals.items() if t["calls"] == 0] == []
+    # every gain the law designs is one Riccati solve under the traced name
+    assert totals["numerics.solve_dare"]["calls"] == totals["sprc.update_gain"]["calls"]
 
 
 def test_lifted_model_shapes():

@@ -15,6 +15,9 @@ from pitchftc.actuator import ActuatorBank
 from pitchftc.fdi import DecisionFuser, design_fdie, residual_noise_std
 from pitchftc.numerics import DareError, single_blas_thread
 from pitchftc.harness import (
+    CONVERGENCE_CONSECUTIVE,
+    CONVERGENCE_EPS,
+    CONVERGENCE_FLOOR,
     CSV_SCHEMA,
     START_PERIOD,
     RunConfig,
@@ -502,14 +505,24 @@ class TestMetrics:
         with pytest.raises(ValueError, match="variance"):
             load_reduction_metrics(np.ones((50, 3)), np.ones((50, 3)), (0, 50))
 
+    @staticmethod
+    def _loud_then_quiet(loud, quiet):
+        """Blade 1 moves by twice the quiet bound for periods 1..loud, then by 0.9 of it."""
+        bound = CONVERGENCE_EPS * CONVERGENCE_FLOOR  # the coefficients stay near the floor
+        steps = np.r_[np.full(loud, 2.0 * bound), np.full(quiet, 0.9 * bound)]
+        history = np.zeros((1 + loud + quiet, 3, 2))
+        history[1:, 0, 0] = np.cumsum(steps)
+        return history
+
     def test_convergence_time_constant_series(self):
-        history = np.ones((30, 3, 2))
-        assert convergence_time(history, 5, eps=0.02, floor=1.0, consecutive=10) == 5
+        assert convergence_time(np.ones((30, 3, 2)), 5) == 5
+        # the streak starts at the first quiet period, wherever the scan starts before it
+        history = self._loud_then_quiet(11, CONVERGENCE_CONSECUTIVE)
+        assert convergence_time(history, 5) == convergence_time(history, 1) == 12
 
     def test_convergence_time_never(self):
-        rng = np.random.default_rng(3)
-        history = np.cumsum(rng.normal(5.0, 1.0, size=(30, 3, 2)), axis=0)
-        assert convergence_time(history, 1, eps=0.001, floor=1.0, consecutive=10) is None
+        # one quiet period short of the streak
+        assert convergence_time(self._loud_then_quiet(11, CONVERGENCE_CONSECUTIVE - 1), 1) is None
 
     def test_final_increment_is_the_last_period(self):
         # converged at period 15; the streak completes at period 24, whose
@@ -832,16 +845,23 @@ class TestFork:
         fault_time_s=st.floats(0.0, 75.0),
         seed=st.integers(0, 2**16),
         tuned=st.booleans(),
+        # any non-empty ordered subset of the compared modes
+        modes=st.lists(
+            st.sampled_from(("baseline", "sprc_only", "proposed")), min_size=1, max_size=3, unique=True
+        ).map(tuple),
     )
     # the switch lands on the boundary at 7500, whose period the 80 s run cuts short
-    @example(fault_blade=3, fault_time_s=72.0, seed=0, tuned=True)
+    @example(fault_blade=3, fault_time_s=72.0, seed=0, tuned=True, modes=("sprc_only", "proposed"))
     # the decision falls after the last boundary: proposed never switches
-    @example(fault_blade=3, fault_time_s=75.0, seed=0, tuned=True)
+    @example(fault_blade=3, fault_time_s=75.0, seed=0, tuned=True, modes=("sprc_only", "proposed"))
     # no decision: the arms never part, and proposed forks off the finished run
-    @example(fault_blade=0, fault_time_s=0.0, seed=1, tuned=True)
+    @example(fault_blade=0, fault_time_s=0.0, seed=1, tuned=True, modes=("sprc_only", "proposed"))
+    # proposed without sprc_only still forks off an sprc_only trunk
+    @example(fault_blade=3, fault_time_s=40.0, seed=0, tuned=True, modes=("baseline", "proposed"))
+    @example(fault_blade=3, fault_time_s=40.0, seed=0, tuned=True, modes=("proposed",))
     @settings(max_examples=12, deadline=None)
     def test_forked_arms_equal_independent_runs(
-        self, lc3_bank, fault_blade, fault_time_s, seed, tuned
+        self, lc3_bank, fault_blade, fault_time_s, seed, tuned, modes
     ):
         # the blade 3 snapshot stands in for every blade; an empty bank has no
         # entry: the stuck blade freezes, but nothing is switched
@@ -855,18 +875,19 @@ class TestFork:
         )
         with mock.patch.object(harness._Stepper, "fork", autospec=True,
                                side_effect=harness._Stepper.fork) as fork:
-            forked = compare_modes(cfg, bank=bank, modes=("sprc_only", "proposed"))["results"]
+            forked = compare_modes(cfg, bank=bank, modes=modes)["results"]
         alone = {
             mode: run_simulation(replace(cfg, mode=mode), bank=bank)
-            for mode in ("sprc_only", "proposed")
+            for mode in dict.fromkeys((*modes, "proposed"))
         }
-        decision = alone["sprc_only"].report.decision_sample
-        assert fork.call_count == 1
-        for mode, result in alone.items():
-            _assert_same_run(forked[mode], result)
+        assert list(forked) == list(modes)
+        assert fork.call_count == ("proposed" in modes)
+        for mode in modes:
+            _assert_same_run(forked[mode], alone[mode])
         # the law changes only at period boundaries: each whole period runs
         # the coefficients recorded for it, the switched period included
         proposed, P = alone["proposed"], cfg.period_samples
+        decision = proposed.report.decision_sample
         basis = sprc.build_basis(P)
         for j, coeffs in enumerate(proposed.coeff_history):
             assert proposed.series["sprc"][j * P : (j + 1) * P].tobytes() == (basis @ coeffs.T).tobytes()
@@ -878,6 +899,7 @@ class TestFork:
             assert switch == (decision // P + 1) * P
         event("no decision" if decision is None else "no boundary left" if switch is None else "switched")
         event(f"switch applied {proposed.report.switch_applied}")
+        event(f"modes {modes}")
 
     def test_only_an_adaptive_run_forks_before_its_decision_acts(self, lc3_bank):
         cfg = short_cfg(duration_s=20.0, fault_blade=3, fault_time_s=5.0)
@@ -908,8 +930,8 @@ class TestFork:
             harness._Stepper(cfg, None).fork("proposed")
 
     @staticmethod
-    def _spans(cfg, bank):
-        """The pair of cfg, and the (mode, a, b) of every span it simulated."""
+    def _spans(cfg, bank, modes=("sprc_only", "proposed")):
+        """The comparison of cfg, and the (mode, a, b) of every span it simulated."""
         spans = []
 
         def record(run, a, b):
@@ -918,7 +940,7 @@ class TestFork:
 
         simulate = harness._Stepper._simulate_span
         with mock.patch.object(harness._Stepper, "_simulate_span", autospec=True, side_effect=record):
-            results = compare_modes(cfg, bank=bank, modes=("sprc_only", "proposed"))["results"]
+            results = compare_modes(cfg, bank=bank, modes=modes)["results"]
         return results, spans
 
     @staticmethod
@@ -941,6 +963,13 @@ class TestFork:
         arm = self._coverage(spans, "proposed", N)
         np.testing.assert_array_equal(arm[:switch], 0)
         np.testing.assert_array_equal(arm[switch:], 1)
+        # without sprc_only the trunk stops at the fork: the adaptive run simulates N samples
+        _, spans = self._spans(cfg, lc3_bank, ("baseline", "proposed"))
+        trunk = self._coverage(spans, "sprc_only", N)
+        np.testing.assert_array_equal(trunk[:switch], 1)
+        np.testing.assert_array_equal(trunk[switch:], 0)
+        np.testing.assert_array_equal(self._coverage(spans, "proposed", N)[switch:], 1)
+        np.testing.assert_array_equal(self._coverage(spans, "baseline", N), 1)
 
     def test_a_pair_without_a_decision_simulates_one_run(self):
         cfg = short_cfg(duration_s=80.0)
@@ -1017,7 +1046,7 @@ class TestPipelinedBoundary:
         twin.advance(boundary)
         previous = run.law._gains[0]
         failed = []
-        solve = sprc._solve_dare
+        solve = sprc.solve_dare
 
         def failing_once(*args):
             # blade 0 is designed first
@@ -1026,7 +1055,7 @@ class TestPipelinedBoundary:
                 raise DareError("no stabilizing solution")
             return solve(*args)
 
-        monkeypatch.setattr(sprc, "_solve_dare", failing_once)
+        monkeypatch.setattr(sprc, "solve_dare", failing_once)
         run.advance(boundary)
         assert failed == [True]
         assert run.law.gain_failures == twin.law.gain_failures + 1
