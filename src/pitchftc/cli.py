@@ -83,15 +83,15 @@ def _cmd_psd(args) -> int:
     series = harness.read_csv(args.csv)
     name, blade = args.column[:-1], args.column[-1:]
     if name not in series or series[name].ndim != 2 or blade not in ("1", "2", "3"):
-        raise SystemExit(f"unknown column {args.column!r}")
+        raise ValueError(f"unknown column {args.column!r}")
     t = series["t"]  # read_csv checks that t is k times the sample time
     if t.size < 2:
-        raise SystemExit("a PSD needs at least two samples")
+        raise ValueError("a PSD needs at least two samples")
     column = series[name][:, int(blade) - 1]
     try:
         freqs, power = psd_estimate(column, fs=1.0 / t[1], segment=args.segment)
     except ValueError as exc:  # a record shorter than 1.5 segments, or a bad --segment
-        raise SystemExit(f"no PSD of {args.column} from {t.size} samples: {exc}") from exc
+        raise ValueError(f"no PSD of {args.column} from {t.size} samples: {exc}") from exc
     out = args.out or f"{args.column}_psd.csv"
     np.savetxt(out, np.column_stack([freqs, power]), delimiter=",", header="freq_hz,power", comments="")
     print(f"PSD of {args.column} written to {out}")
@@ -136,7 +136,10 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"pitchftc {args.command}: {exc}") from exc
 
 
 if __name__ == "__main__":

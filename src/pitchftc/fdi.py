@@ -43,6 +43,8 @@ __all__ = [
 
 #: largest gap between the transient bound's decay rate delta and the observer's spectral radius
 DELTA_MARGIN = 0.02
+#: most powers of A0 the transient bound's scan takes before it gives up
+MAX_SCAN = 100_000
 
 
 @dataclass
@@ -84,7 +86,7 @@ def place_observer_gain(model: StateSpaceModel, poles: np.ndarray) -> np.ndarray
     return qA @ np.linalg.solve(obs, e_last)
 
 
-def compute_alpha_delta(A0: np.ndarray, C: np.ndarray, max_scan: int = 100_000) -> tuple[float, float]:
+def compute_alpha_delta(A0: np.ndarray, C: np.ndarray) -> tuple[float, float]:
     """Constants (alpha, delta) with ||C A0^k|| <= alpha * delta^k for all k.
 
     delta is the spectral radius rho of A0 plus DELTA_MARGIN, or halfway
@@ -103,7 +105,7 @@ def compute_alpha_delta(A0: np.ndarray, C: np.ndarray, max_scan: int = 100_000) 
     alpha = float(np.linalg.norm(C, 2))
     Ak = np.eye(A0.shape[0])
     scale = 1.0
-    for _ in range(1, max_scan + 1):
+    for _ in range(1, MAX_SCAN + 1):
         Ak = Ak @ A0
         scale *= delta
         alpha = max(alpha, float(np.linalg.norm(C @ Ak, 2)) / scale)

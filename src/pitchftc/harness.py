@@ -90,9 +90,9 @@ CONVERGENCE_FLOOR = 12.0            # deg
 CONVERGENCE_CONSECUTIVE = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; defaults reproduce the reference protocol."""
+    """Everything a run needs, checked once when built; defaults reproduce the reference protocol."""
 
     mode: str = "proposed"
     load_case: str = "LC3"
@@ -125,15 +125,12 @@ class RunConfig:
     bank_path: str | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.generic):
                 # the Python scalar, which JSON can encode
                 value = value.item()
-                setattr(self, f.name, value)
+                object.__setattr__(self, f.name, value)
             kind = f.type.removesuffix(" | None")
             if value is None and kind != f.type:
                 continue
@@ -142,7 +139,7 @@ class RunConfig:
             if kind == "float":
                 if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                     raise ValueError(f"{f.name} must be a finite number")
-                setattr(self, f.name, float(value))  # one spelling: -30 is -30.0
+                object.__setattr__(self, f.name, float(value))  # one spelling: -30 is -30.0
             if kind == "str" and not isinstance(value, str):
                 raise ValueError(f"{f.name} must be a string")
         if self.mode not in MODES:
@@ -327,7 +324,6 @@ def run_simulation(cfg: RunConfig, bank: "_supervisor.PretunedBank | None" = Non
     BLAS runs on one thread for the length of the run, so the bits do not
     depend on the thread count the process was started with.
     """
-    cfg.validate()
     bank = _run_bank(cfg, bank)
     with single_blas_thread() as pin:
         run = _Stepper(cfg, bank)
@@ -361,7 +357,7 @@ class _Stepper:
         )
         self.identifier = MarkovIdentifier(cfg.past_window, forgetting=FORGETTING_PER_SAMPLE**D)
         self.actuator = ActuatorBank(cfg.Ts, fault=fault)
-        self.plant = Plant(lc, cfg.Ts, P, load_gain=cfg.load_gain)
+        self.plant = Plant(lc, cfg.Ts, P, cfg.load_gain)
         # one observer for the three blades: they share model and gain
         self.fdie = design_fdie(self.actuator.model, cfg.pole_radius)
         self.fuser = DecisionFuser()
@@ -376,7 +372,7 @@ class _Stepper:
         self.load_noise = rng_plant.normal(0.0, lc.noise_std, size=(N, 3))
         self.meas_noise = rng_meas.normal(0.0, sigma, size=(N, 3))
         adaptive = cfg.mode != "baseline"
-        self.prbs = generate_prbs(N, rng_prbs, Ts=cfg.Ts) if adaptive else np.zeros((N, 3))
+        self.prbs = generate_prbs(N, rng_prbs, cfg.Ts) if adaptive else np.zeros((N, 3))
         # a fork shares these inputs with its parent, so neither may write them
         for inputs in (self.load_noise, self.meas_noise, self.prbs):
             inputs.setflags(write=False)
@@ -714,18 +710,20 @@ def load_reduction_metrics(
     """Variance reduction versus a baseline run over a shared window, in percent.
 
     The faulty blade (if any) is excluded: its load is not controllable.  The
-    cumulative figure pools the remaining blades' variances.
+    cumulative figure pools the other blades.  The window must lie in both series.
     """
     lo, hi = window
     if hi <= lo:
         raise ValueError("empty comparison window")
+    if lo < 0 or hi > min(y_run.shape[0], y_baseline.shape[0]):
+        raise ValueError(f"comparison window {window} runs past a series")
     blades = [b for b in range(3) if b + 1 != faulty_blade]
     var_run = np.var(y_run[lo:hi], axis=0)
     var_base = np.var(y_baseline[lo:hi], axis=0)
     if np.any(var_base[blades] <= 0.0):
         raise ValueError("baseline variance is zero; reduction undefined")
     per_blade = {
-        f"blade{b + 1}": 100.0 * (1.0 - var_run[b] / var_base[b]) for b in blades
+        f"blade{b + 1}": float(100.0 * (1.0 - var_run[b] / var_base[b])) for b in blades
     }
     cumulative = 100.0 * (1.0 - var_run[blades].sum() / var_base[blades].sum())
     return {**per_blade, "cumulative": float(cumulative)}
@@ -736,7 +734,7 @@ def compare_modes(
     bank: "_supervisor.PretunedBank | None" = None,
     modes: tuple[str, ...] = ("baseline", "sprc_only", "proposed"),
 ) -> dict:
-    """Run the given modes on one seed and summarize load reduction.
+    """Run the given distinct modes on one seed and summarize load reduction.
 
     Returns {"results": {mode: RunResult}, "reduction": {mode: metrics}} with
     reductions measured against the baseline run over its comparison window.
@@ -745,8 +743,10 @@ def compare_modes(
     the end of the chunk in which the fuser latches, or to the end without a
     decision; every other adaptive mode forks off it there, and the trunk
     itself is the sprc_only run.  Each arm is bit-identical to an independent
-    run.  The other modes run on their own, after the adaptive ones.
+    run.  The baseline runs on its own, after the adaptive modes.
     """
+    if not modes or len(set(modes)) < len(modes) or not set(modes) <= set(MODES[:3]):
+        raise ValueError(f"modes must be distinct modes among {MODES[:3]}, not {modes}")
     if "proposed" in modes:
         # resolved first, so a missing bank fails before anything is simulated
         bank = _run_bank(replace(cfg, mode="proposed"), bank)

@@ -105,25 +105,26 @@ class RlsEstimator:
     that ``dtpqrt`` overwrites in place; ``factor`` and ``rhs`` read copies
     of its blocks and assign into them.
 
-    The factor is initialized to ``init_scale * I`` so the first solves are
+    The factor is initialized to ``INIT_SCALE * I`` so the first solves are
     well posed without meaningfully biasing long-run estimates.
     """
 
     #: relative diagonal collapse below which the factor is flagged degenerate
     DEGENERATE_RTOL = 1e-12
+    #: diagonals of the initial factor and of the factor :meth:`reseed` leaves
+    INIT_SCALE = 1e-4
+    RESEED_CONFIDENCE = 1e-2
 
-    def __init__(self, dim: int, forgetting: float = 1.0, init_scale: float = 1e-4):
+    def __init__(self, dim: int, forgetting: float = 1.0):
         if dim <= 0:
             raise ValueError("dim must be positive")
         if not 0.0 < forgetting <= 1.0:
             raise ValueError("forgetting must be in (0, 1]")
-        if init_scale <= 0:
-            raise ValueError("init_scale must be positive")
         self.dim = int(dim)
         self.forgetting = float(forgetting)
         # [R z] over a last row that holds only the residual norm in its corner
         self._tri = np.zeros((self.dim + 1, self.dim + 1), order="F")
-        np.fill_diagonal(self._tri[: self.dim, : self.dim], init_scale)
+        np.fill_diagonal(self._tri[: self.dim, : self.dim], self.INIT_SCALE)
         self.degenerate = False
 
     @property
@@ -205,14 +206,14 @@ class RlsEstimator:
             self.degenerate = True
         return residual
 
-    def reseed(self, estimate: np.ndarray, confidence: float = 1e-2) -> None:
-        """Reset the factor around a given estimate with a chosen weight."""
+    def reseed(self, estimate: np.ndarray) -> None:
+        """Reset the factor around a given estimate, weighted by ``RESEED_CONFIDENCE``."""
         w = np.asarray(estimate, dtype=float).reshape(-1)
         if w.shape[0] != self.dim:
             raise ValueError(f"estimate must have length {self.dim}")
         self._tri[:] = 0.0
-        np.fill_diagonal(self._tri[: self.dim, : self.dim], confidence)
-        self._tri[: self.dim, self.dim] = confidence * w
+        np.fill_diagonal(self._tri[: self.dim, : self.dim], self.RESEED_CONFIDENCE)
+        self._tri[: self.dim, self.dim] = self.RESEED_CONFIDENCE * w
         self.degenerate = False
 
 
@@ -220,11 +221,11 @@ class DareError(RuntimeError):
     """The Riccati equation has no stabilizing solution, or its gain does not stabilize."""
 
 
-def _check_symmetric(M: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
+def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square")
-    if np.max(np.abs(M - M.T)) > tol * max(1.0, np.max(np.abs(M))):
+    if np.max(np.abs(M - M.T)) > 1e-10 * max(1.0, np.max(np.abs(M))):
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (M + M.T)
 

@@ -57,7 +57,7 @@ class Plant:
     Noise is injected by the caller so that runs stay reproducible.
     """
 
-    def __init__(self, lc: LoadCase, Ts: float, period_samples: int, load_gain: float = -30.0):
+    def __init__(self, lc: LoadCase, Ts: float, period_samples: int, load_gain: float):
         if Ts <= 0 or period_samples < 4:
             raise ValueError("need Ts > 0 and at least 4 samples per period")
         self.lc = lc
@@ -73,8 +73,8 @@ class Plant:
         )
         self._zi = np.zeros((1, 3))
 
-    def run_chunk(self, pitch: np.ndarray, k_start: int, noise: np.ndarray | None = None) -> np.ndarray:
-        """Advance the plant over pitch[(n, 3)] starting at sample index k_start."""
+    def run_chunk(self, pitch: np.ndarray, k_start: int, noise: np.ndarray) -> np.ndarray:
+        """Advance the plant over pitch[(n, 3)] from sample index k_start, adding noise[(n, 3)]."""
         pitch = np.asarray(pitch, dtype=float)
         if pitch.ndim != 2 or pitch.shape[1] != 3:
             raise ValueError("pitch must be (n, 3)")
@@ -82,6 +82,5 @@ class Plant:
         y, self._zi = signal.lfilter(self._num, self._den, dev, axis=0, zi=self._zi)
         idx = (k_start + np.arange(pitch.shape[0])) % self.period_samples
         y += self.disturbance_table[idx]
-        if noise is not None:
-            y += noise
+        y += noise
         return y

@@ -314,7 +314,7 @@ class RepetitiveLaw:
         self._load_proj_prev = load_proj
 
 
-def generate_prbs(n: int, rng: np.random.Generator, Ts: float = 0.01) -> np.ndarray:
+def generate_prbs(n: int, rng: np.random.Generator, Ts: float) -> np.ndarray:
     """Filtered binary excitation, one independent channel per blade (n, 3).
 
     A random two-level sequence held for PRBS_HOLD samples is passed through

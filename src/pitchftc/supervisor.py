@@ -95,11 +95,6 @@ class PretunedBank:
 
         payload = json.loads(Path(path).read_text())
         schema = payload.get("schema") if isinstance(payload, dict) else None
-        if schema == "pitchftc-bank-v3":
-            raise ValueError(
-                f"bank {path} has schema pitchftc-bank-v3: it was tuned at 100 Hz "
-                "identification; tune it again"
-            )
         if schema != BANK_SCHEMA:
             raise ValueError(f"unrecognized bank schema in {path}")
         if set(payload) != {"schema", "entries"} or not isinstance(payload["entries"], dict):

@@ -211,7 +211,6 @@ class SequentialStepper(harness._Stepper):
 
 def sequential_run(cfg, bank=None):
     """``run_simulation`` on :class:`SequentialStepper`: the run's RunResult, without telemetry."""
-    cfg.validate()
     with single_blas_thread():
         run = SequentialStepper(cfg, harness._run_bank(cfg, bank))
         run.advance(cfg.n_samples)

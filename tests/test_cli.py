@@ -137,3 +137,27 @@ def test_tune_run_compare_psd_flow(tmp_path, config_path, capsys):
     assert data.shape[1] == 2
     # dominant load content sits at the rotor frequency
     assert data[np.argmax(data[:, 1]), 0] == pytest.approx(0.16, abs=0.05)
+
+
+@pytest.mark.parametrize("verb", ["config", "tune", "run", "compare", "psd"])
+def test_a_verb_error_exits_with_the_verb_and_the_message(tmp_path, config_path, verb):
+    # one ValueError or OSError per verb, each turned into one line naming the verb
+    unknown_key = tmp_path / "unknown_key.json"
+    unknown_key.write_text(json.dumps({**RunConfig().to_dict(), "rls_threads": 2}))
+    v3_bank = tmp_path / "v3.json"
+    v3_bank.write_text(json.dumps({"schema": "pitchftc-bank-v3", "entries": {}}))
+    argv, message = {
+        "config": (["config", str(tmp_path / "no_dir" / "cfg.json")], "No such file"),
+        # a tuning fault must act from the first sample; config_path's acts at 125 s
+        "tune": (["tune", "--config", str(config_path), "--bank", str(tmp_path / "bank.json")],
+                 "offline_tune requires a configured fault from the first sample"),
+        "run": (["run", "--config", str(unknown_key)], "unknown config keys: ['rls_threads']"),
+        "compare": (["compare", "--config", str(config_path), "--bank", str(v3_bank),
+                     "--out", str(tmp_path / "cmp")], "unrecognized bank schema"),
+        "psd": (["psd", "--csv", str(tmp_path / "missing.csv"), "--column", "y1"], "No such file"),
+    }[verb]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert str(exit_info.value.code).startswith(f"pitchftc {verb}: ")
+    assert message in str(exit_info.value.code)
+    assert not (tmp_path / "bank.json").exists() and not (tmp_path / "cmp").exists()

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -326,6 +326,17 @@ class TestConfig:
             assert RunConfig.from_dict(data).to_dict() == data, path.name
             assert {k for k in data if data[k] != defaults[k]} <= protocol, path.name
 
+    def test_a_config_cannot_change_under_a_run(self):
+        cfg = short_cfg(mode="baseline", duration_s=10.0)
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 5
+        # a derived config is checked as a built one is
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            replace(cfg, seed=-1)
+        result = run_simulation(cfg)
+        assert result.config == short_cfg(mode="baseline", duration_s=10.0)
+        assert result.report.seed == cfg.seed == 3
+
     def test_json_roundtrip(self, tmp_path):
         cfg = short_cfg(seed=9, step_gain=0.25)
         path = tmp_path / "cfg.json"
@@ -490,6 +501,13 @@ class TestMetrics:
         for b in (1, 2, 3):
             assert metrics[f"blade{b}"] == pytest.approx(75.0, abs=3.0)
         assert metrics["cumulative"] == pytest.approx(75.0, abs=3.0)
+        assert all(type(value) is float for value in metrics.values())
+
+    @pytest.mark.parametrize("run_rows, window", [(100, (0, 101)), (100, (-1, 50)), (50, (40, 60))])
+    def test_window_past_a_series_rejected(self, run_rows, window):
+        base = np.random.default_rng(3).normal(size=(100, 3))
+        with pytest.raises(ValueError, match="runs past a series"):
+            load_reduction_metrics(base[:run_rows], base, window)
 
     def test_identical_signals_zero_reduction(self):
         y = np.random.default_rng(1).normal(size=(100, 3))
@@ -805,6 +823,18 @@ class TestCompareModes:
         var_p = np.var(prop.series["y"][lo:hi, :2], axis=0).sum()
         var_s = np.var(only.series["y"][lo:hi, :2], axis=0).sum()
         assert var_p <= 1.05 * var_s
+
+    @pytest.mark.parametrize(
+        "modes",
+        [(), ("baseline", "baseline"), ("sprc_only", "proposed", "sprc_only"), ("baseline", "offline_tune")],
+    )
+    def test_refuses_modes_it_cannot_compare(self, modes, monkeypatch):
+        # an offline tuning stops where it converges, short of the baseline's window
+        cfg = RunConfig(load_case="LC3", seed=100, duration_s=600.0, fault_time_s=0.0)
+        for name in ("_Stepper", "run_simulation"):
+            monkeypatch.setattr(harness, name, mock.Mock(side_effect=AssertionError("simulated")))
+        with pytest.raises(ValueError, match="modes must be distinct modes among"):
+            compare_modes(cfg, modes=modes)
 
     def test_runs_identical_before_fault(self, lc3_bank):
         cfg = RunConfig(

@@ -75,14 +75,15 @@ class TestRlsEstimator:
         assert errs[0.99999] < errs[1.0]
 
     def test_degenerate_factor_flagged(self):
-        est = RlsEstimator(dim=3, forgetting=1.0, init_scale=1e-16)
+        est = RlsEstimator(dim=3, forgetting=1.0)
+        est.factor = 1e-16 * np.eye(3)
         est.update_block(np.array([[1e6, 0.0, 0.0]]), np.array([1.0]))
         assert est.degenerate
 
     def test_reseed_sets_estimate(self):
         est = RlsEstimator(dim=4)
         target = np.array([1.0, -2.0, 0.5, 3.0])
-        est.reseed(target, confidence=1e-2)
+        est.reseed(target)
         np.testing.assert_allclose(est.estimate, target, rtol=1e-12)
 
     def test_rejects_bad_parameters(self):
@@ -134,7 +135,7 @@ def test_persistent_triangle_across_changing_blocks(d, data, forgetting, seed):
     est = RlsEstimator(dim=d, forgetting=forgetting)
     for i, b in enumerate((625, short, 625)):
         if i == 1:
-            est.reseed(rng.normal(size=d), confidence=0.5)
+            est.reseed(rng.normal(size=d))
         elif i == 2:
             prior = np.triu(rng.normal(size=(d, d)))
             prior[np.diag_indices(d)] = 1.0 + np.abs(prior.diagonal())

@@ -453,12 +453,12 @@ class TestRepetitiveLaw:
 class TestPrbs:
     def test_amplitude_bound_holds_over_long_stream(self):
         rng = np.random.default_rng(10)
-        out = generate_prbs(1_000_000, rng)
+        out = generate_prbs(1_000_000, rng, 0.01)
         assert np.abs(out).max() <= PRBS_AMPLITUDE
 
     def test_channels_are_distinct(self):
         rng = np.random.default_rng(12)
-        out = generate_prbs(5000, rng)
+        out = generate_prbs(5000, rng, 0.01)
         assert not np.array_equal(out[:, 0], out[:, 1])
 
     def test_spectrum_flat_up_to_shaping_cutoff(self):

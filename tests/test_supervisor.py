@@ -49,7 +49,7 @@ class TestBank:
         PretunedBank({3: make_entry()}).save(path)
         payload = json.loads(path.read_text())
         path.write_text(json.dumps({**payload, "schema": "pitchftc-bank-v3"}))
-        with pytest.raises(ValueError, match="tuned at 100 Hz identification"):
+        with pytest.raises(ValueError, match="unrecognized bank schema"):
             PretunedBank.load(path)
 
     def test_unknown_schema_rejected(self, tmp_path):
@@ -156,7 +156,7 @@ class TestCompose:
         rng = np.random.default_rng(1)
         law.set_coeffs(rng.normal(0, 5, size=(3, 2)))
         bound = np.linalg.norm(law.coeffs, axis=1) + PRBS_AMPLITUDE
-        prbs = generate_prbs(625, rng)
+        prbs = generate_prbs(625, rng, 0.01)
         for k in range(0, 625, 50):
             u = compose_pitch_command(lc, law.output_slice(k, 1)[0], prbs[k])
             assert np.all(np.abs(u - lc.collective_setpoint) <= bound + 1e-9)
