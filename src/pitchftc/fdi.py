@@ -45,6 +45,8 @@ __all__ = [
 DELTA_MARGIN = 0.02
 #: most powers of A0 the transient bound's scan takes before it gives up
 MAX_SCAN = 100_000
+#: samples a lone blade's unbroken crossing run needs before it is isolated
+N_CONFIRM = 10
 
 
 @dataclass
@@ -220,16 +222,13 @@ class DecisionFuser:
     """Turns per-blade threshold crossings into one latched fault decision.
 
     A blade is isolated on the first sample where it is the only blade
-    crossing and its unbroken crossing run has reached n_confirm samples.
-    Once latched the decision (d_fd: 0 healthy, 1-3 the isolated blade) is
-    immutable; :func:`decision_record` reads the run start and the ambiguity
-    flag back from the crossings.
+    crossing and its unbroken crossing run has reached ``N_CONFIRM`` samples,
+    read when each chunk is scanned.  Once latched the decision (d_fd: 0
+    healthy, 1-3 the isolated blade) is immutable; :func:`decision_record`
+    reads the run start and the ambiguity flag back from the crossings.
     """
 
-    def __init__(self, n_confirm: int = 10):
-        if n_confirm < 1:
-            raise ValueError("n_confirm must be at least 1")
-        self.n_confirm = int(n_confirm)
+    def __init__(self):
         self.d_fd = 0
         #: sample at which the decision latched
         self.confirmed_at: int | None = None
@@ -252,7 +251,7 @@ class DecisionFuser:
         if not crossing.any() and not self._runs.any():
             return self.d_fd
         runs = run_lengths(crossing, self._runs)
-        hits = np.flatnonzero((crossing.sum(axis=1) == 1) & (runs >= self.n_confirm).any(axis=1))
+        hits = np.flatnonzero((crossing.sum(axis=1) == 1) & (runs >= N_CONFIRM).any(axis=1))
         if hits.size:
             i = int(hits[0])
             self.d_fd = int(np.argmax(crossing[i])) + 1

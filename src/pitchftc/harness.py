@@ -405,7 +405,7 @@ class _Stepper:
             if self._step(min(to_sample, self.end)) and until_decision:
                 return
 
-    def fork(self, mode: str, bank=None) -> "_Stepper":
+    def fork(self, mode: str, bank) -> "_Stepper":
         """A copy of this adaptive run that carries on in adaptive ``mode``.
 
         It forks before its decision acts: anywhere up to the first period
@@ -587,11 +587,12 @@ def _psd_peak_1p(y: np.ndarray, cfg: RunConfig) -> float:
 def report_from_series(
     cfg: RunConfig,
     series: dict,
-    gain_failures: int = 0,
-    rls_degenerate: bool = False,
-    switch_sample: int | None = None,
-    switch_applied: bool = False,
-    converged_period: int | None = None,
+    *,
+    gain_failures: int,
+    rls_degenerate: bool,
+    switch_sample: int | None,
+    switch_applied: bool,
+    converged_period: int | None,
 ) -> RunReport:
     """Build the run report from the emitted time series.
 
@@ -601,10 +602,10 @@ def report_from_series(
     column onto the basis, the decision record from the dfd column and
     the residual crossings, saturation from the actuated pitch.  Only the
     controller tallies (gain failures, factor degeneracy, the switch record
-    and the offline-tuning convergence period) are not in the series; they
-    are supplied by the caller and default to "nothing happened".  The
-    threshold ``rbar`` is one (N,) series shared by the blades; anything
-    but a positive value per sample raises ValueError.
+    and the offline-tuning convergence period) are not in the series, so
+    the caller passes all five, by keyword.  The threshold ``rbar`` is one
+    (N,) series shared by the blades; anything but a positive value per
+    sample raises ValueError.
     """
     P = cfg.period_samples
     end = series["y"].shape[0]
@@ -705,11 +706,11 @@ def load_reduction_metrics(
     y_run: np.ndarray,
     y_baseline: np.ndarray,
     window: tuple[int, int],
-    faulty_blade: int = 0,
+    faulty_blade: int,
 ) -> dict:
     """Variance reduction versus a baseline run over a shared window, in percent.
 
-    The faulty blade (if any) is excluded: its load is not controllable.  The
+    The faulty blade (0: none) is excluded: its load is not controllable.  The
     cumulative figure pools the other blades.  The window must lie in both series.
     """
     lo, hi = window

@@ -115,7 +115,7 @@ class RlsEstimator:
     INIT_SCALE = 1e-4
     RESEED_CONFIDENCE = 1e-2
 
-    def __init__(self, dim: int, forgetting: float = 1.0):
+    def __init__(self, dim: int, forgetting: float):
         if dim <= 0:
             raise ValueError("dim must be positive")
         if not 0.0 < forgetting <= 1.0:
@@ -160,14 +160,12 @@ class RlsEstimator:
         """Observations less their prediction by the current estimate, (n,)."""
         return observations - regressors @ self.estimate
 
-    def update_block(self, regressors: np.ndarray, observations: np.ndarray) -> np.ndarray:
-        """Absorb a block of rows in chronological order; returns its a-priori residual.
+    def update_block(self, regressors: np.ndarray, observations: np.ndarray) -> None:
+        """Absorb a block of rows in chronological order.
 
         Equivalent to absorbing the rows one at a time: sample i of a block
         of length B carries weight forgetting**(B-1-i) and the prior is
         scaled by forgetting**B.  Column-major regressors are copied fastest.
-        The (B,) residual is :meth:`residual` of the block against the
-        estimate held before it.
         """
         phi = np.asarray(regressors, dtype=float)
         y = np.asarray(observations, dtype=float).reshape(-1)
@@ -177,9 +175,7 @@ class RlsEstimator:
             raise ValueError("row count mismatch between regressors and observations")
         b = phi.shape[0]
         if b == 0:
-            return np.zeros(0)
-        residual = self.residual(phi, y)
-
+            return
         d, lam, tri = self.dim, self.forgetting, self._tri
         # dtpqrt reads and writes only the upper triangle, so the zeros
         # below the diagonal stay zero.  The corner tri[d, d] carries the
@@ -204,7 +200,6 @@ class RlsEstimator:
         adiag = np.abs(diag)
         if adiag.min() < self.DEGENERATE_RTOL * adiag.max():
             self.degenerate = True
-        return residual
 
     def reseed(self, estimate: np.ndarray) -> None:
         """Reset the factor around a given estimate, weighted by ``RESEED_CONFIDENCE``."""

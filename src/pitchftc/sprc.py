@@ -124,14 +124,17 @@ class MarkovIdentifier:
     ) -> np.ndarray:
         """Absorb a chronological block, blade by blade; returns the (n, 3) a-priori residuals.
 
-        regressors (n, 2p, 3) and targets (n, 3) are the block.  The blades
-        marked in the (3,) mask ``frozen`` are left untouched; their
-        residuals are taken against the rows they hold.
+        regressors (n, 2p, 3) and targets (n, 3) are the block.  Every
+        blade's residual is taken against the rows it holds before the
+        block; the blades marked in the (3,) mask ``frozen`` then stay
+        untouched, and the others absorb the block.
         """
         residuals = np.empty(np.shape(targets))
         for blade, est in enumerate(self.estimators):
             block = regressors[:, :, blade], targets[:, blade]
-            residuals[:, blade] = est.residual(*block) if frozen[blade] else est.update_block(*block)
+            residuals[:, blade] = est.residual(*block)
+            if not frozen[blade]:
+                est.update_block(*block)
         return residuals
 
     def rows(self) -> np.ndarray:

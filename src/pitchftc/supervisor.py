@@ -71,10 +71,13 @@ class BankEntry:
 
 
 class PretunedBank:
-    """Map from fault blade index to its offline-learned snapshot."""
+    """Map from fault blade index to its offline-learned snapshot, each filed under its own blade."""
 
     def __init__(self, entries: dict[int, BankEntry] | None = None):
         self.entries: dict[int, BankEntry] = dict(entries or {})
+        for key, entry in self.entries.items():
+            if key != entry.fault_blade:
+                raise ValueError(f"bank key {key} holds the entry for blade {entry.fault_blade}")
 
     def add(self, entry: BankEntry) -> None:
         self.entries[entry.fault_blade] = entry
@@ -100,15 +103,12 @@ class PretunedBank:
         if set(payload) != {"schema", "entries"} or not isinstance(payload["entries"], dict):
             raise ValueError(f"bank {path} must hold exactly a schema and an entries object")
         keys = {f.name for f in fields(BankEntry)}
-        bank = cls()
+        entries = {}
         for key, data in payload["entries"].items():
             if not isinstance(data, dict) or set(data) != keys:
                 raise ValueError(f"bank entry {key} must have exactly the keys {sorted(keys)}")
-            entry = BankEntry(**{**data, "config": RunConfig.from_dict(data["config"])})
-            if int(key) != entry.fault_blade:
-                raise ValueError(f"bank key {key} holds the entry for blade {entry.fault_blade}")
-            bank.add(entry)
-        return bank
+            entries[int(key)] = BankEntry(**{**data, "config": RunConfig.from_dict(data["config"])})
+        return cls(entries)
 
 
 def compose_pitch_command(

@@ -1,11 +1,13 @@
 """The chunked blocks against the per-sample oracles at random chunk boundaries."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import FdieOracle, FuserOracle, apply_pas_fault, azimuth, periodic_disturbance
+from pitchftc import fdi
 from pitchftc.actuator import ActuatorBank, FaultDescriptor
 from pitchftc.fdi import DecisionFuser, FdiBounds, compute_alpha_delta, decision_record, design_fdie
 from pitchftc.plant import LOAD_CASES, Plant
@@ -92,10 +94,12 @@ def test_chunked_fuser_matches_per_sample_oracle(blocks, cuts, n_confirm):
     n = crossing.shape[0]
     residuals, thresholds = 2.0 * crossing, np.ones(n)
 
-    fuser = DecisionFuser(n_confirm)
+    fuser = DecisionFuser()
     edges = [0, *sorted(c for c in cuts if c < n), n]
-    for a, b in zip(edges[:-1], edges[1:]):
-        fuser.scan_chunk(residuals[a:b], thresholds[a:b], a)
+    # mock.patch, as hypothesis refuses function-scoped fixtures such as monkeypatch
+    with mock.patch.object(fdi, "N_CONFIRM", n_confirm):
+        for a, b in zip(edges[:-1], edges[1:]):
+            fuser.scan_chunk(residuals[a:b], thresholds[a:b], a)
     dfd = np.zeros(n, dtype=int)
     if fuser.d_fd:
         dfd[fuser.confirmed_at :] = fuser.d_fd

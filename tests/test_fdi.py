@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,12 +236,14 @@ class TestThreshold:
 class Scan:
     """The library fuser plus the crossings it was fed from sample k_first on.
 
-    The decision record (k_d, ambiguous) is read back from those crossings
-    by :func:`decision_record`, the way the run report reads it.
+    Each scan runs with ``fdi.N_CONFIRM`` patched to ``n_confirm``.  The
+    decision record (k_d, ambiguous) is read back from the crossings by
+    :func:`decision_record`, the way the run report reads it.
     """
 
     def __init__(self, n_confirm):
-        self.fuser = DecisionFuser(n_confirm=n_confirm)
+        self.fuser = DecisionFuser()
+        self.n_confirm = n_confirm
         self.crossing = np.zeros((0, 3), dtype=bool)
         self.k_first = None
 
@@ -247,7 +251,8 @@ class Scan:
         if self.k_first is None:
             self.k_first = k_start
         self.crossing = np.vstack([self.crossing, np.abs(residuals) > thresholds[:, None]])
-        return self.fuser.scan_chunk(residuals, thresholds, k_start)
+        with mock.patch.object(fdi, "N_CONFIRM", self.n_confirm):
+            return self.fuser.scan_chunk(residuals, thresholds, k_start)
 
     @property
     def d_fd(self):

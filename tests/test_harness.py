@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import FuserOracle, SequentialStepper, sequential_run
 from pitchftc import fdi, harness, sprc, supervisor
 from pitchftc.actuator import ActuatorBank
-from pitchftc.fdi import DecisionFuser, design_fdie, residual_noise_std
+from pitchftc.fdi import design_fdie, residual_noise_std
 from pitchftc.numerics import DareError, single_blas_thread
 from pitchftc.harness import (
     CONVERGENCE_CONSECUTIVE,
@@ -100,49 +100,11 @@ def faulty_run(lc3_bank):
     return cfg, run_simulation(cfg, bank=lc3_bank)
 
 
-# configs/tune_lc3.json in the earlier 40-key layout
-EARLIER_TUNE_LC3 = """{
- "mode": "offline_tune",
- "load_case": "LC3",
- "seed": 100,
- "Ts": 0.01,
- "duration_s": 600.0,
- "rotor_period_s": 6.25,
- "fault_blade": 3,
- "fault_time_s": 0.0,
- "fault_angle": null,
- "forgetting": 0.99999,
- "past_window": 100,
- "lqr_q": 1.0,
- "lqr_r": 0.1,
- "hold_gain": 1.0,
- "step_gain": 0.3,
- "start_period": 4,
- "reseed_confidence": 0.01,
- "prbs_amplitude": 3.0,
- "prbs_hold": 10,
- "prbs_tau": 0.08,
- "meas_noise_value": 1.5,
- "meas_noise_is_std": false,
- "pole_radius": 0.98,
- "threshold_margin": null,
- "noise_multiplier": 6.5,
- "state_noise_bound": 0.0,
- "model_mismatch_bound": 0.0,
- "init_error_bound": 0.0,
- "n_confirm": 10,
- "convergence_eps": 0.04,
- "convergence_floor": 12.0,
- "convergence_consecutive": 10,
- "settle_periods": 2,
- "comparison_window_s": 200.0,
- "load_gain": -30.0,
- "load_tau": 0.5,
- "disturbance_amplitude": null,
- "collective_setpoint": null,
- "load_noise_std": null,
- "bank_path": null
-}"""
+#: the controller tallies of a run in which nothing happened, for hand-built series
+NO_TALLIES = dict(
+    gain_failures=0, rls_degenerate=False, switch_sample=None, switch_applied=False,
+    converged_period=None,
+)
 
 
 class TestConfig:
@@ -304,13 +266,13 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"mode": "baseline", "turbo": 1})
-
-    def test_earlier_config_layout_rejected(self):
-        # the 40-key tuning config of the earlier layout: the fixed values it
-        # spells out are not config keys any more
+        # a config with keys of the earlier 40-key layout, whose fixed values
+        # are not config keys any more: each is named
+        stale = {"rotor_period_s": 6.25, "forgetting": 0.99999, "meas_noise_value": 1.5,
+                 "load_noise_std": None}
         with pytest.raises(ValueError, match="unknown config keys") as info:
-            RunConfig.from_dict(json.loads(EARLIER_TUNE_LC3))
-        for name in ("rotor_period_s", "forgetting", "meas_noise_value", "load_noise_std"):
+            RunConfig.from_dict({**RunConfig().to_dict(), **stale})
+        for name in stale:
             assert repr(name) in str(info.value)
 
     def test_shipped_configs_are_the_reference_protocol(self):
@@ -507,7 +469,7 @@ class TestMetrics:
     def test_window_past_a_series_rejected(self, run_rows, window):
         base = np.random.default_rng(3).normal(size=(100, 3))
         with pytest.raises(ValueError, match="runs past a series"):
-            load_reduction_metrics(base[:run_rows], base, window)
+            load_reduction_metrics(base[:run_rows], base, window, faulty_blade=0)
 
     def test_identical_signals_zero_reduction(self):
         y = np.random.default_rng(1).normal(size=(100, 3))
@@ -521,7 +483,7 @@ class TestMetrics:
 
     def test_zero_baseline_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
-            load_reduction_metrics(np.ones((50, 3)), np.ones((50, 3)), (0, 50))
+            load_reduction_metrics(np.ones((50, 3)), np.ones((50, 3)), (0, 50), faulty_blade=0)
 
     @staticmethod
     def _loud_then_quiet(loud, quiet):
@@ -644,6 +606,16 @@ class TestCsvArtifacts:
         for key in a:
             assert json.dumps(b[key]) == json.dumps(a[key]), key
 
+    def test_rebuilt_report_must_be_told_what_the_run_did(self, tmp_path, faulty_run):
+        # the series does not hold the switch: a rebuild without the tallies
+        # would report this switched run as never switched
+        cfg, result = faulty_run
+        assert result.report.switch_applied and result.report.switch_sample is not None
+        path = tmp_path / "run.csv"
+        write_csv(path, result.series, cfg.Ts)
+        with pytest.raises(TypeError):
+            report_from_series(cfg, read_csv(path))
+
     def test_tuning_report_is_strict_json(self, tune_run):
         # the fault is active from the first sample, so the healthy window is
         # empty: its variances are null, which JSON can spell, not NaN
@@ -738,7 +710,7 @@ class TestReportFromSeries:
         # crosses, so isolation waits one more sample; k_d stays the start of
         # blade 3's run, not the decision sample minus n_confirm - 1
         cfg = short_cfg(mode="baseline", duration_s=10.0)
-        n, start, n_confirm = cfg.n_samples, 500, DecisionFuser().n_confirm
+        n, start, n_confirm = cfg.n_samples, 500, fdi.N_CONFIRM
         series = {name: np.zeros((n, 3)) for name in ("y", "sprc", "u_act", "r")}
         series["u_act"][:] = 19.0
         series["rbar"] = np.ones(n)
@@ -750,7 +722,7 @@ class TestReportFromSeries:
         series["dfd"] = np.zeros(n, dtype=int)
         series["dfd"][fuser.confirmed_at :] = fuser.d_fd
 
-        rep = report_from_series(cfg, series)
+        rep = report_from_series(cfg, series, **NO_TALLIES)
         assert fuser.confirmed_at == start + n_confirm
         assert (rep.d_fd, rep.decision_sample) == (3, fuser.confirmed_at)
         assert rep.k_d == fuser.k_d == start
@@ -765,7 +737,7 @@ class TestReportFromSeries:
             meas_noise_var=6.0, noise_multiplier=1.2,
         )
         result = run_simulation(cfg)
-        fuser = FuserOracle(DecisionFuser().n_confirm)
+        fuser = FuserOracle(fdi.N_CONFIRM)
         for k, (r, rbar) in enumerate(zip(result.series["r"], result.series["rbar"])):
             if fuser.update(r, rbar, k).d_fd:
                 break
@@ -785,10 +757,10 @@ class TestReportFromSeries:
         series = {name: np.ones((cfg.n_samples, 3)) for name in ("y", "sprc", "u_act", "r")}
         series["dfd"] = np.zeros(cfg.n_samples, dtype=int)
         series["rbar"] = np.full(cfg.n_samples, 2.0)
-        report_from_series(cfg, series)  # the valid series builds
+        report_from_series(cfg, series, **NO_TALLIES)  # the valid series builds
         series["rbar"] = rbar
         with pytest.raises(ValueError, match="rbar"):
-            report_from_series(cfg, series)
+            report_from_series(cfg, series, **NO_TALLIES)
 
     def test_saturation_counted_from_actuated_pitch(self):
         # blade 3 sticks below the physical pitch range for the second half
@@ -938,7 +910,7 @@ class TestFork:
             run.fork("proposed", lc3_bank)
         run = harness._Stepper(cfg, None)
         with pytest.raises(ValueError, match="forks"):
-            run.fork("baseline")
+            run.fork("baseline", None)
         # stopped at the end of the chunk that latches, the boundary where
         # proposed would switch, it forks
         run.advance(cfg.n_samples, until_decision=True)
@@ -957,7 +929,7 @@ class TestFork:
         with pytest.raises(ValueError, match="forks"):
             run.fork("proposed", lc3_bank)
         with pytest.raises(ValueError, match="bank"):
-            harness._Stepper(cfg, None).fork("proposed")
+            harness._Stepper(cfg, None).fork("proposed", None)
 
     @staticmethod
     def _spans(cfg, bank, modes=("sprc_only", "proposed")):
@@ -1072,7 +1044,7 @@ class TestPipelinedBoundary:
 
     def test_a_fallback_blade_keeps_its_gain_and_the_others_move(self, monkeypatch):
         run, boundary = self._stepper_before_an_adapting_boundary()
-        twin = run.fork("sprc_only")
+        twin = run.fork("sprc_only", None)
         twin.advance(boundary)
         previous = run.law._gains[0]
         failed = []

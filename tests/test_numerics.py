@@ -81,17 +81,17 @@ class TestRlsEstimator:
         assert est.degenerate
 
     def test_reseed_sets_estimate(self):
-        est = RlsEstimator(dim=4)
+        est = RlsEstimator(dim=4, forgetting=1.0)
         target = np.array([1.0, -2.0, 0.5, 3.0])
         est.reseed(target)
         np.testing.assert_allclose(est.estimate, target, rtol=1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            RlsEstimator(dim=0)
+            RlsEstimator(dim=0, forgetting=1.0)
         with pytest.raises(ValueError):
             RlsEstimator(dim=2, forgetting=0.0)
-        est = RlsEstimator(dim=2)
+        est = RlsEstimator(dim=2, forgetting=1.0)
         with pytest.raises(ValueError):
             est.update_block(np.array([[1.0, 2.0, 3.0]]), np.array([0.0]))
 
@@ -201,7 +201,7 @@ def test_a_qr_not_done_in_place_raises(monkeypatch, spoil):
         return (*out, -4)
 
     monkeypatch.setattr(lapack, "dtpqrt", spoiled)
-    est = RlsEstimator(dim=3)
+    est = RlsEstimator(dim=3, forgetting=1.0)
     with pytest.raises(RuntimeError, match="in place"):
         est.update_block(np.ones((2, 3)), np.ones(2))
 

@@ -43,26 +43,18 @@ class TestBank:
             loaded.get(3).markov_array(), bank.get(3).markov_array()
         )
 
-    def test_full_rate_bank_refused(self, tmp_path):
-        # a v3 bank was tuned identifying on every sample, at 100 Hz
-        path = tmp_path / "bank.json"
-        PretunedBank({3: make_entry()}).save(path)
-        payload = json.loads(path.read_text())
-        path.write_text(json.dumps({**payload, "schema": "pitchftc-bank-v3"}))
-        with pytest.raises(ValueError, match="unrecognized bank schema"):
-            PretunedBank.load(path)
-
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bank.json"
         path.write_text(json.dumps({"schema": "other", "entries": {}}))
         with pytest.raises(ValueError, match="schema"):
             PretunedBank.load(path)
-        # earlier layouts store configs with keys that are fixed values now
-        for schema in ("pitchftc-bank-v1", "pitchftc-bank-v2"):
+        # v1 and v2 store configs with keys that are fixed values now; a v3
+        # bank was tuned identifying on every sample, at 100 Hz
+        for schema in ("pitchftc-bank-v1", "pitchftc-bank-v2", "pitchftc-bank-v3"):
             PretunedBank({3: make_entry()}).save(path)
             payload = json.loads(path.read_text())
             path.write_text(json.dumps({**payload, "schema": schema}))
-            with pytest.raises(ValueError, match="schema"):
+            with pytest.raises(ValueError, match="unrecognized bank schema"):
                 PretunedBank.load(path)
 
     @pytest.mark.parametrize(
@@ -86,6 +78,13 @@ class TestBank:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             PretunedBank.load(path)
+
+    def test_entry_filed_under_another_blade_refused(self):
+        # filed under blade 3, blade 2's snapshot would be the warm start of
+        # a blade-3 fault, and the switch would report itself applied
+        with pytest.raises(ValueError, match="bank key 3 holds the entry for blade 2"):
+            PretunedBank({3: make_entry(blade=2)})
+        assert PretunedBank({2: make_entry(blade=2)}).get(2).fault_blade == 2
 
     def test_missing_entry_is_none(self):
         assert PretunedBank().get(2) is None
