@@ -14,7 +14,7 @@ The threshold depends only on the bounds and the sample index, so a run
 computes it once, as one (n,) series: the blades share model and gain, so
 one threshold per sample serves all three.  The surrogate's observer model
 is the actuator model and starts settled, so a live run declares only the
-measurement bound ``noise_multiplier * residual_noise_std``; the transient
+measurement bound ``NOISE_MULTIPLIER * residual_noise_std``; the transient
 term is then exactly zero and is not computed.  The transient bounds serve the
 threshold's tests, which pin it to the per-sample recursion of
 ``tests/oracles.FdieOracle`` that acceptance check A3 verifies.
@@ -47,6 +47,8 @@ DELTA_MARGIN = 0.02
 MAX_SCAN = 100_000
 #: samples a lone blade's unbroken crossing run needs before it is isolated
 N_CONFIRM = 10
+#: a live run's threshold is NOISE_MULTIPLIER times the residual's noise std
+NOISE_MULTIPLIER = 6.5
 
 
 @dataclass

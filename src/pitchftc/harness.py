@@ -48,6 +48,7 @@ from .sprc import (
     generate_prbs,
     project,
 )
+from . import fdi
 from . import supervisor as _supervisor
 
 __all__ = [
@@ -88,6 +89,10 @@ START_PERIOD = 4
 CONVERGENCE_EPS = 0.04
 CONVERGENCE_FLOOR = 12.0            # deg
 CONVERGENCE_CONSECUTIVE = 10
+#: deg^2, variance of the pitch measurement noise
+MEAS_NOISE_VAR = 1.5
+#: s, the report's comparison window: the tail of the run
+COMPARISON_WINDOW_S = 200.0
 
 
 @dataclass(frozen=True)
@@ -105,22 +110,9 @@ class RunConfig:
     fault_time_s: float = 900.0         # s, fault onset
     fault_angle: float | None = None    # deg; None takes the load-case angle
 
-    # identification and repetitive control
     past_window: int = 20               # identified samples of differenced history per channel
-    lqr_r: float = 0.1                  # input weight against a unit state weight
-    step_gain: float = 0.3
-
-    meas_noise_var: float = 1.5         # deg^2, pitch measurement noise variance
-
-    # diagnosis
-    pole_radius: float = 0.98
-    noise_multiplier: float = 6.5       # threshold = multiplier * residual std
-
-    # report windows
-    settle_periods: int = 2
-    comparison_window_s: float = 200.0
-
-    load_gain: float = -30.0            # kN*m/deg, pitch-to-load gain
+    pole_radius: float = 0.98           # observer pole radius of the diagnosis
+    settle_periods: int = 2             # periods the report skips after the run starts or the fault
 
     bank_path: str | None = None
 
@@ -139,7 +131,7 @@ class RunConfig:
             if kind == "float":
                 if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                     raise ValueError(f"{f.name} must be a finite number")
-                object.__setattr__(self, f.name, float(value))  # one spelling: -30 is -30.0
+                object.__setattr__(self, f.name, float(value))  # one spelling: 1400 is 1400.0
             if kind == "str" and not isinstance(value, str):
                 raise ValueError(f"{f.name} must be a string")
         if self.mode not in MODES:
@@ -172,12 +164,6 @@ class RunConfig:
             raise ValueError("pole_radius must be in [0, 1)")
         if min(self.settle_periods, self.seed) < 0:
             raise ValueError("settle_periods and seed must be nonnegative")
-        # a zero noise variance or multiplier is a zero threshold that every residual crosses
-        positive = ("lqr_r", "meas_noise_var", "noise_multiplier", "comparison_window_s")
-        if min(getattr(self, name) for name in positive) <= 0:
-            raise ValueError(f"{', '.join(positive)} must be positive")
-        if not 0.0 <= self.step_gain <= 1.0:
-            raise ValueError("step_gain must lie in [0, 1]")
 
     # derived quantities ---------------------------------------------------
 
@@ -194,10 +180,6 @@ class RunConfig:
         if self.fault_blade == 0:
             return None
         return int(round(self.fault_time_s / self.Ts))
-
-    @property
-    def meas_noise_std(self) -> float:
-        return float(np.sqrt(self.meas_noise_var))
 
     def effective_load_case(self) -> LoadCase:
         base = LOAD_CASES[self.load_case]
@@ -235,9 +217,7 @@ class RunConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1))
 
 
-_DYNAMICS_FIELDS = (
-    "load_case", "Ts", "past_window", "lqr_r", "step_gain", "meas_noise_var", "load_gain"
-)
+_DYNAMICS_FIELDS = ("load_case", "Ts", "past_window")
 
 
 @dataclass
@@ -277,7 +257,6 @@ class RunReport:
     postfault_converged_periods: int | None
     final_coeff_increment: float
     converged_period: int | None          # offline tuning convergence (absolute)
-    frozen_updates: bool                  # step_gain == 0: convergence is vacuous
 
     threshold_crossings: list
     max_residual_ratio: float
@@ -351,13 +330,10 @@ class _Stepper:
             fault = FaultDescriptor(cfg.fault_blade, lc.stuck_angle, cfg.fault_sample)
 
         D = IDENT_DECIMATION
-        self.law = RepetitiveLaw(
-            build_basis(P), step_gain=cfg.step_gain, lqr_r=cfg.lqr_r,
-            ident_basis=build_basis(P // D),
-        )
+        self.law = RepetitiveLaw(build_basis(P), ident_basis=build_basis(P // D))
         self.identifier = MarkovIdentifier(cfg.past_window, forgetting=FORGETTING_PER_SAMPLE**D)
         self.actuator = ActuatorBank(cfg.Ts, fault=fault)
-        self.plant = Plant(lc, cfg.Ts, P, cfg.load_gain)
+        self.plant = Plant(lc, cfg.Ts, P)
         # one observer for the three blades: they share model and gain
         self.fdie = design_fdie(self.actuator.model, cfg.pole_radius)
         self.fuser = DecisionFuser()
@@ -366,7 +342,7 @@ class _Stepper:
         self.actuator.init_steady(start)
         self.fdie.init_steady(start)
 
-        sigma = cfg.meas_noise_std
+        sigma = float(np.sqrt(MEAS_NOISE_VAR))
         seeds = np.random.SeedSequence(cfg.seed).spawn(3)
         rng_plant, rng_meas, rng_prbs = (np.random.default_rng(c) for c in seeds)
         self.load_noise = rng_plant.normal(0.0, lc.noise_std, size=(N, 3))
@@ -380,7 +356,7 @@ class _Stepper:
         series = {name: self.prbs if name == "prbs" else np.zeros((N, 3)) for name in _BLADE_SERIES}
         # the observer model is exact and starts settled, so the threshold is the
         # measurement bound alone: the residual noise, which depends on the gain, scaled
-        meas_bound = cfg.noise_multiplier * residual_noise_std(self.actuator.model, self.fdie.gain, sigma)
+        meas_bound = fdi.NOISE_MULTIPLIER * residual_noise_std(self.actuator.model, self.fdie.gain, sigma)
         series["rbar"] = self.fdie.threshold(FdiBounds(meas_noise=meas_bound), N)
         self.series = series
         self.coeff_history = np.zeros((N // P, 3, 2))
@@ -635,7 +611,7 @@ def report_from_series(
         faulty_window = (k0 + settle, end)
         variance_faulty = _window_var(series["y"], faulty_window)
 
-    comp_lo = max(0, end - int(round(cfg.comparison_window_s / cfg.Ts)))
+    comp_lo = max(0, end - int(round(COMPARISON_WINDOW_S / cfg.Ts)))
     comp_window = (comp_lo, end)
     var_comparison = _window_var(series["y"], comp_window)
     psd_peaks = None
@@ -660,7 +636,7 @@ def report_from_series(
         final_inc = float(_coeff_increment(coeff_history[-1], coeff_history[-2]))
 
     return RunReport(
-        schema="pitchftc-report-v1",
+        schema="pitchftc-report-v2",
         mode=cfg.mode,
         load_case=cfg.load_case,
         seed=cfg.seed,
@@ -681,7 +657,6 @@ def report_from_series(
         postfault_converged_periods=postfault_conv,
         final_coeff_increment=final_inc,
         converged_period=converged_period,
-        frozen_updates=cfg.step_gain == 0.0,
         threshold_crossings=[int(c) for c in crossing.sum(axis=0)],
         max_residual_ratio=max_ratio,
         saturation_count=saturation,

@@ -23,6 +23,7 @@ __all__ = [
 PITCH_MIN_DEG = -5.0
 PITCH_MAX_DEG = 90.0
 LOAD_TAU = 0.5          # s, time constant of the pitch-to-load lag
+LOAD_GAIN = -30.0       # kN*m/deg, pitch-to-load gain
 
 
 @dataclass(frozen=True)
@@ -52,18 +53,18 @@ class Plant:
     """Stateful blade-load surrogate stepped at a fixed rate.
 
     The pitch-to-load path is a discrete first-order lag (zero-order hold of
-    gain/(LOAD_TAU s + 1)) applied to the deviation of each blade's pitch from the
+    LOAD_GAIN/(LOAD_TAU s + 1)) applied to the deviation of each blade's pitch from the
     collective setpoint.  Pitch outside the physical range is saturated.
     Noise is injected by the caller so that runs stay reproducible.
     """
 
-    def __init__(self, lc: LoadCase, Ts: float, period_samples: int, load_gain: float):
+    def __init__(self, lc: LoadCase, Ts: float, period_samples: int):
         if Ts <= 0 or period_samples < 4:
             raise ValueError("need Ts > 0 and at least 4 samples per period")
         self.lc = lc
         self.period_samples = int(period_samples)
         pole = float(np.exp(-Ts / LOAD_TAU))
-        self._num = np.array([0.0, load_gain * (1.0 - pole)])
+        self._num = np.array([0.0, LOAD_GAIN * (1.0 - pole)])
         self._den = np.array([1.0, -pole])
         # exactly periodic disturbance table, one rotor revolution
         k = np.arange(self.period_samples)

@@ -32,6 +32,10 @@ from .numerics import _solve_dare as solve_dare
 PRBS_AMPLITUDE = 3.0    # deg, excitation level
 PRBS_HOLD = 10          # samples each random level is held
 PRBS_TAU = 0.08         # s, time constant of the shaping low-pass
+#: step size along the LQR feedback direction at each period update
+STEP_GAIN = 0.3
+#: input weight of the lifted LQR against a unit state weight
+LQR_R = 0.1
 
 __all__ = [
     "build_basis",
@@ -237,26 +241,23 @@ class RepetitiveLaw:
 
     The waveform is basis @ coeffs per blade, exactly periodic while the
     coefficients hold.  At each period boundary the coefficients move along
-    the LQR feedback direction, scaled by step_gain:
+    the LQR feedback direction, scaled by STEP_GAIN:
 
-        coeffs_next = coeffs - step_gain * K @ [load_proj, dcoeffs, dload]
+        coeffs_next = coeffs - STEP_GAIN * K @ [load_proj, dcoeffs, dload]
 
-    K weighs the six states by the identity and the input by lqr_r; scaling
-    both weights together leaves K unchanged, so lqr_r is the only knob.
+    K weighs the six states by the identity and the input by LQR_R; scaling
+    both weights together leaves K unchanged, so LQR_R is the only knob.
     The weights are constant, so they are checked once, here.  The waveform
     and the load projection use ``basis``; the lifted model is built on
     ``ident_basis``, the basis at the rate the Markov rows were identified
     at (``basis`` by default).
     """
 
-    def __init__(
-        self, basis: np.ndarray, step_gain: float = 0.3, lqr_r: float = 0.1, ident_basis=None
-    ):
+    def __init__(self, basis: np.ndarray, ident_basis=None):
         self.basis = basis
         self.P = basis.shape[0]
         self.ident_basis = basis if ident_basis is None else ident_basis
-        self.step_gain = float(step_gain)
-        self.Q, self.R = _check_weights(np.eye(6), lqr_r * np.eye(2))
+        self.Q, self.R = _check_weights(np.eye(6), LQR_R * np.eye(2))
         self.coeffs = np.zeros((3, 2))
         self.frozen = np.zeros(3, dtype=bool)
         self._dcoeffs = np.zeros((3, 2))
@@ -308,7 +309,7 @@ class RepetitiveLaw:
         new_coeffs = self.coeffs.copy()
         for blade, result in gains.items():
             state = np.concatenate([load_proj[blade], self._dcoeffs[blade], dload[blade]])
-            new_coeffs[blade] = self.coeffs[blade] - self.step_gain * (result.gain @ state)
+            new_coeffs[blade] = self.coeffs[blade] - STEP_GAIN * (result.gain @ state)
             self._gains[blade] = result
             if not result.ok:
                 self.gain_failures += 1

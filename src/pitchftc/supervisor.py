@@ -35,7 +35,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-BANK_SCHEMA = "pitchftc-bank-v4"
+BANK_SCHEMA = "pitchftc-bank-v5"
 
 
 @dataclass
@@ -48,6 +48,8 @@ class BankEntry:
     converged_period: int
 
     def __post_init__(self):
+        if self.config.fault_blade == 0:
+            raise ValueError("a bank entry must be tuned under a fault, not fault_blade 0")
         for name, shape in (("coeffs", (3, 2)), ("markov_rows", (3, 2 * self.config.past_window))):
             values = np.asarray(getattr(self, name))  # ragged rows raise ValueError here
             if values.shape != shape or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
@@ -105,6 +107,9 @@ class PretunedBank:
         keys = {f.name for f in fields(BankEntry)}
         entries = {}
         for key, data in payload["entries"].items():
+            # the keys save writes, so "03" or "x" cannot stand for, or shadow, a blade
+            if key not in ("1", "2", "3"):
+                raise ValueError(f"bank {path} files an entry under {key!r}, not a blade 1-3")
             if not isinstance(data, dict) or set(data) != keys:
                 raise ValueError(f"bank entry {key} must have exactly the keys {sorted(keys)}")
             entries[int(key)] = BankEntry(**{**data, "config": RunConfig.from_dict(data["config"])})

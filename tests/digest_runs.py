@@ -24,7 +24,10 @@ protocol, such as ``--ident-decimation 1 --set past_window=100``
 that protocol wrote.
 
 Each output line is ``<artifact> <sha256>``: one per series, coefficient
-history, tuning snapshot, report, reduction table and bank entry.  With
+history, tuning snapshot and reduction table, one per report field
+(``<tag>/report/<field>``) and one per bank-entry key
+(``tune/<lc>/entry/<key>``), so a report field that is dropped or changes
+shows as that field alone.  With
 ``--against FILE`` the lines are compared with an earlier output: each
 shared artifact whose digest differs is listed, then one line per
 top-level group (``tune``, ``chain``, ``A1``...) counts its shared, equal
@@ -68,8 +71,13 @@ def digest_result(tag: str, result) -> list[str]:
         value = getattr(result, name)
         if value is not None:
             lines.append(f"{tag}/{name} {_array(value)}")
-    lines.append(f"{tag}/report {_json(result.report.to_dict())}")
+    lines.extend(digest_fields(f"{tag}/report", result.report.to_dict()))
     return lines
+
+
+def digest_fields(tag: str, record: dict) -> list[str]:
+    """One digest per field, so a dropped or changed field differs alone."""
+    return [f"{tag}/{name} {_json(value)}" for name, value in sorted(record.items())]
 
 
 def tune(lc: str, out: list[str], config=harness.RunConfig) -> supervisor.PretunedBank:
@@ -78,8 +86,8 @@ def tune(lc: str, out: list[str], config=harness.RunConfig) -> supervisor.Pretun
         fault_blade=3, fault_time_s=0.0,
     )
     entry, report = supervisor.offline_tune(cfg)
-    out.append(f"tune/{lc}/entry {_json(asdict(entry))}")
-    out.append(f"tune/{lc}/report {_json(report.to_dict())}")
+    out.extend(digest_fields(f"tune/{lc}/entry", asdict(entry)))
+    out.extend(digest_fields(f"tune/{lc}/report", report.to_dict()))
     return supervisor.PretunedBank({3: entry})
 
 

@@ -67,7 +67,7 @@ def test_tune_and_switched_run_are_bit_identical_on_one_and_two_threads():
         # the second process really started on two threads
         assert set(got["2"]["before"]) == {2}
     digests = got["1"]["digests"]
-    assert any(line.startswith("tune/LC3/entry ") for line in digests)
+    assert any(line.startswith("tune/LC3/entry/coeffs ") for line in digests)
     assert any(line.startswith("A9/series/ident_res ") for line in digests)
     assert digests == got["2"]["digests"]
 

@@ -51,9 +51,9 @@ def test_chunked_blocks_match_per_sample_oracles(seed, cuts, fault_blade, k0):
     np.testing.assert_allclose(u_act, expected, rtol=0, atol=1e-12)
 
     # plant: the lag one sample at a time plus the azimuth disturbance formula
-    plant = Plant(lc, TS, P, -30.0)
+    plant = Plant(lc, TS, P)
     y = np.vstack([plant.run_chunk(u_act[a:b], a, noise[a:b]) for a, b in spans(cuts)])
-    lag = Plant(replace(lc, disturbance_amplitude=0.0), TS, P, -30.0)
+    lag = Plant(replace(lc, disturbance_amplitude=0.0), TS, P)
     expected = [
         lag.run_chunk(u_act[k : k + 1], k, np.zeros((1, 3)))[0]
         + [periodic_disturbance(azimuth(k, P), b, lc) for b in (1, 2, 3)]

@@ -360,7 +360,7 @@ class TestUpdateGain:
 
 class TestRepetitiveLaw:
     def test_zero_gain_holds_coefficients(self):
-        law = RepetitiveLaw(build_basis(16), step_gain=0.3)
+        law = RepetitiveLaw(build_basis(16))
         law.set_coeffs(np.ones((3, 2)))
         # gains start at zero and the zero markov rows keep them there
         load_proj = np.random.default_rng(0).normal(size=(3, 2))
@@ -437,7 +437,7 @@ class TestRepetitiveLaw:
 
         monkeypatch.setattr(numerics, "_check_symmetric", counting)
         P, p = 48, 15
-        law = RepetitiveLaw(build_basis(P), lqr_r=0.1)
+        law = RepetitiveLaw(build_basis(P))
         assert checked == ["Q", "R"]
         checked.clear()
         rows = np.tile(scalar_markov_row(0.6, 0.9, 1.1, 0.0, p), (3, 1))
@@ -445,9 +445,10 @@ class TestRepetitiveLaw:
         # three blades solved their Riccati equation without checking the weights again
         assert law.gain_failures == 0 and checked == []
 
-    def test_invalid_input_weight_refused_at_construction(self):
+    def test_invalid_input_weight_refused_at_construction(self, monkeypatch):
+        monkeypatch.setattr(sprc, "LQR_R", -0.1)
         with pytest.raises(ValueError, match="positive definite"):
-            RepetitiveLaw(build_basis(16), lqr_r=-0.1)
+            RepetitiveLaw(build_basis(16))
 
 
 class TestPrbs:

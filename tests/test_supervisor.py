@@ -48,9 +48,10 @@ class TestBank:
         path.write_text(json.dumps({"schema": "other", "entries": {}}))
         with pytest.raises(ValueError, match="schema"):
             PretunedBank.load(path)
-        # v1 and v2 store configs with keys that are fixed values now; a v3
-        # bank was tuned identifying on every sample, at 100 Hz
-        for schema in ("pitchftc-bank-v1", "pitchftc-bank-v2", "pitchftc-bank-v3"):
+        # v1, v2 and v4 store configs with keys that are fixed values now; a
+        # v3 bank was tuned identifying on every sample, at 100 Hz
+        old = ("pitchftc-bank-v1", "pitchftc-bank-v2", "pitchftc-bank-v3", "pitchftc-bank-v4")
+        for schema in old:
             PretunedBank({3: make_entry()}).save(path)
             payload = json.loads(path.read_text())
             path.write_text(json.dumps({**payload, "schema": schema}))
@@ -58,26 +59,38 @@ class TestBank:
                 PretunedBank.load(path)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, named",
         [
-            lambda e: e["markov_rows"][1].pop(),
-            lambda e: e["markov_rows"].pop(),
-            lambda e: e["coeffs"][0].append(0.0),
-            lambda e: e["coeffs"][2].__setitem__(1, float("nan")),
-            lambda e: e["config"].__setitem__("fault_blade", 2),
-            lambda e: e["coeffs"][0].__setitem__(0, True),
+            (lambda e: e["3"]["markov_rows"][1].pop(), None),
+            (lambda e: e["3"]["markov_rows"].pop(), None),
+            (lambda e: e["3"]["coeffs"][0].append(0.0), None),
+            (lambda e: e["3"]["coeffs"][2].__setitem__(1, float("nan")), None),
+            (lambda e: e["3"]["config"].__setitem__("fault_blade", 2), None),
+            (lambda e: e["3"]["coeffs"][0].__setitem__(0, True), None),
+            # only the keys save writes: "03" is not another spelling of blade 3,
+            # nor may it shadow the "3" beside it
+            (lambda e: e.__setitem__("03", e.pop("3")), "03"),
+            (lambda e: e.__setitem__("03", e["3"]), "03"),
+            (lambda e: e.__setitem__("x", e.pop("3")), "x"),
+            # an entry tuned without a fault is no entry for any blade
+            (lambda e: e.__setitem__("0", asdict(make_entry(blade=3)) | {
+                "config": harness.RunConfig(mode="baseline", fault_blade=0, past_window=4).to_dict()
+            }), "0"),
         ],
         ids=["truncated_markov_row", "missing_markov_row", "long_coeff_row", "nan_coeff",
-             "key_mismatch", "bool_in_coeff_row"],
+             "key_mismatch", "bool_in_coeff_row", "padded_key", "padded_twin_key",
+             "non_numeric_key", "unfaulted_entry"],
     )
-    def test_malformed_entry_rejected_at_load(self, tmp_path, corrupt):
+    def test_malformed_entry_rejected_at_load(self, tmp_path, corrupt, named):
         path = tmp_path / "bank.json"
         PretunedBank({3: make_entry()}).save(path)
         payload = json.loads(path.read_text())
-        corrupt(payload["entries"]["3"])
+        corrupt(payload["entries"])
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             PretunedBank.load(path)
+        if named is not None:
+            assert str(path) in str(info.value) and repr(named) in str(info.value)
 
     def test_entry_filed_under_another_blade_refused(self):
         # filed under blade 3, blade 2's snapshot would be the warm start of
@@ -85,6 +98,12 @@ class TestBank:
         with pytest.raises(ValueError, match="bank key 3 holds the entry for blade 2"):
             PretunedBank({3: make_entry(blade=2)})
         assert PretunedBank({2: make_entry(blade=2)}).get(2).fault_blade == 2
+
+    def test_entry_without_a_fault_refused(self):
+        entry = asdict(make_entry())
+        entry["config"] = harness.RunConfig(mode="baseline", fault_blade=0, past_window=4)
+        with pytest.raises(ValueError, match="fault_blade 0"):
+            BankEntry(**entry)
 
     def test_missing_entry_is_none(self):
         assert PretunedBank().get(2) is None
@@ -200,11 +219,11 @@ class TestOnDetection:
         assert self.law.frozen[1]
 
     def test_configuration_mismatch_degrades(self, caplog):
-        live = replace(self.entry.config, lqr_r=0.2)
+        live = replace(self.entry.config, Ts=0.0125)
         with caplog.at_level(logging.WARNING):
             applied = on_detection(3, self.bank, self.identifier, self.law, live)
         assert not applied
-        assert "different configuration (['lqr_r'] differ)" in caplog.text
+        assert "different configuration (['Ts'] differ)" in caplog.text
 
 
 @pytest.fixture(scope="module")
@@ -256,21 +275,6 @@ class TestOfflineTune:
             inc = np.linalg.norm(history[j] - history[j - 1], axis=1).max()
             scale = max(np.linalg.norm(history[j], axis=1).max(), floor)
             assert inc < eps * scale
-
-    def test_integer_spelling_keeps_the_warm_start(self):
-        # a bank tuned from a file that writes load_gain as -30 fits a run
-        # that writes it as -30.0: compatibility is by value
-        tune = harness.RunConfig.from_dict({
-            "mode": "offline_tune", "load_case": "LC3", "seed": 100, "duration_s": 600.0,
-            "fault_blade": 3, "fault_time_s": 0.0, "load_gain": -30,
-        })
-        entry, _ = supervisor.offline_tune(tune)
-        cfg = harness.RunConfig(
-            mode="proposed", load_case="LC3", seed=5, duration_s=100.0, fault_blade=3,
-            fault_time_s=10.0, load_gain=-30.0,
-        )
-        result = harness.run_simulation(cfg, bank=PretunedBank({3: entry}))
-        assert result.report.switch_applied
 
     def test_tuning_a_late_fault_is_refused(self):
         # what `pitchftc tune --config configs/run_lc3_proposed.json` runs: its
