@@ -2,27 +2,22 @@
 
 One estimator per blade predicts the measured pitch angle from the pitch
 reference (the three identical blades run as one column block); the
-prediction error is the residual.  A healthy residual stays inside an
-adaptive threshold: a measurement-noise bound plus a transient term built
-from an exponential bound on the observer transition matrix and declared
-state-noise, initial-error and model-mismatch bounds (:meth:`Fdie.threshold`).
-A persistent crossing is evidence of a fault.  Isolation requires the
-crossing blade to be the only one above its threshold, and the resulting
-decision latches for the rest of the run.
+prediction error is the residual.  A healthy residual stays inside a
+threshold, and a persistent crossing is evidence of a fault.  Isolation
+requires the crossing blade to be the only one above the threshold, and the
+resulting decision latches for the rest of the run.
 
-The threshold depends only on the bounds and the sample index, so a run
-computes it once, as one (n,) series: the blades share model and gain, so
-one threshold per sample serves all three.  The surrogate's observer model
-is the actuator model and starts settled, so a live run declares only the
-measurement bound ``NOISE_MULTIPLIER * residual_noise_std``; the transient
-term is then exactly zero and is not computed.  The transient bounds serve the
-threshold's tests, which pin it to the per-sample recursion of
-``tests/oracles.FdieOracle`` that acceptance check A3 verifies.
+The paper's threshold adds to a measurement-noise bound a transient term
+driven by state-noise, initial-error and model-mismatch bounds.  The
+surrogate's observer model is the actuator model and starts settled, so
+that term is zero and the threshold is the measurement bound alone,
+``NOISE_MULTIPLIER * residual_noise_std``: one constant that the three
+blades share.  The transient recursion is a test oracle
+(``tests/oracles.FdieOracle``), checked against its closed-form sum by
+acceptance check A3.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,39 +26,18 @@ from scipy import signal
 from .numerics import StateSpaceModel, run_lengths
 
 __all__ = [
-    "FdiBounds",
     "Fdie",
     "DecisionFuser",
     "decision_record",
     "design_fdie",
-    "compute_alpha_delta",
     "place_observer_gain",
     "residual_noise_std",
 ]
 
-#: largest gap between the transient bound's decay rate delta and the observer's spectral radius
-DELTA_MARGIN = 0.02
-#: most powers of A0 the transient bound's scan takes before it gives up
-MAX_SCAN = 100_000
 #: samples a lone blade's unbroken crossing run needs before it is isolated
 N_CONFIRM = 10
 #: a live run's threshold is NOISE_MULTIPLIER times the residual's noise std
 NOISE_MULTIPLIER = 6.5
-
-
-@dataclass
-class FdiBounds:
-    """Nonnegative bounds feeding the adaptive residual threshold."""
-
-    state_noise: float = 0.0      # per-step bound on state disturbance
-    meas_noise: float = 0.0       # bound on measurement noise
-    init_error: float = 0.0       # bound on the initial state-estimate error
-    model_mismatch: float = 0.0   # per-step bound on unmodeled dynamics
-
-    def __post_init__(self):
-        for name in ("state_noise", "meas_noise", "init_error", "model_mismatch"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 def place_observer_gain(model: StateSpaceModel, poles: np.ndarray) -> np.ndarray:
@@ -90,34 +64,6 @@ def place_observer_gain(model: StateSpaceModel, poles: np.ndarray) -> np.ndarray
     return qA @ np.linalg.solve(obs, e_last)
 
 
-def compute_alpha_delta(A0: np.ndarray, C: np.ndarray) -> tuple[float, float]:
-    """Constants (alpha, delta) with ||C A0^k|| <= alpha * delta^k for all k.
-
-    delta is the spectral radius rho of A0 plus DELTA_MARGIN, or halfway
-    from rho to one when rho is closer to one than that.
-    alpha is the maximum of ||C A0^k|| / delta^k over a scanned prefix; the
-    scan runs until ||A0^K|| <= delta^K, after which submultiplicativity
-    bounds every later term by the prefix maximum.
-    """
-    A0 = np.atleast_2d(np.asarray(A0, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    rho = float(np.max(np.abs(np.linalg.eigvals(A0))))
-    if rho >= 1.0:
-        raise ValueError(f"A0 must be stable, spectral radius {rho:.6f}")
-    delta = rho + min(DELTA_MARGIN, 0.5 * (1.0 - rho))
-
-    alpha = float(np.linalg.norm(C, 2))
-    Ak = np.eye(A0.shape[0])
-    scale = 1.0
-    for _ in range(1, MAX_SCAN + 1):
-        Ak = Ak @ A0
-        scale *= delta
-        alpha = max(alpha, float(np.linalg.norm(C @ Ak, 2)) / scale)
-        if np.linalg.norm(Ak, 2) <= scale:
-            return alpha, delta
-    raise RuntimeError("transient bound scan did not terminate")
-
-
 def residual_noise_std(model: StateSpaceModel, gain: np.ndarray, meas_std: float) -> float:
     """Stationary residual standard deviation under white measurement noise.
 
@@ -137,8 +83,8 @@ class Fdie:
     Predicts each column of the measured pitch from the same column of the
     reference through a copy of the actuator model, corrected by the gain on
     the prediction error; the residual is that prediction error.  The blades
-    share model and gain, so one threshold (:meth:`threshold`) serves them
-    all; the column count follows the data.
+    share model and gain, so one threshold serves them all; the column count
+    follows the data.
     """
 
     def __init__(self, model: StateSpaceModel, gain: np.ndarray):
@@ -183,27 +129,6 @@ class Fdie:
             self._num_meas, self._den, u_meas, axis=0, zi=self._zi_meas
         )
         return u_meas - (part_ref + part_meas)
-
-    def threshold(self, bounds: FdiBounds, n: int) -> np.ndarray:
-        """The adaptive threshold (n,) over the first n samples of a run.
-
-        rbar[k] = meas_noise + z[k] with z[0] = alpha * init_error and
-        z[k+1] = delta * z[k] + alpha * (model_mismatch + state_noise), where
-        ||C A0^k|| <= alpha * delta^k bounds the observer's transient
-        (:func:`compute_alpha_delta`, alpha at least 1).  With the three
-        transient bounds zero, z is zero for any alpha and delta, so the
-        scan is skipped and the threshold is the measurement bound.
-        """
-        rbar = np.full(n, float(bounds.meas_noise))
-        drive = bounds.model_mismatch + bounds.state_noise
-        if drive == 0.0 and bounds.init_error == 0.0:
-            return rbar
-        alpha, delta = compute_alpha_delta(self.A0, self.model.C)
-        alpha = max(alpha, 1.0)
-        z, _ = signal.lfilter(
-            [0.0, alpha], [1.0, -delta], np.full(n, drive), zi=[alpha * bounds.init_error]
-        )
-        return z + rbar
 
 
 def design_fdie(model: StateSpaceModel, pole_radius: float) -> Fdie:

@@ -31,13 +31,14 @@ from __future__ import annotations
 import copy
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .actuator import ActuatorBank, FaultDescriptor
-from .fdi import DecisionFuser, FdiBounds, decision_record, design_fdie, residual_noise_std
+from .fdi import DecisionFuser, decision_record, design_fdie, residual_noise_std
 from .numerics import run_lengths, single_blas_thread
 from .plant import LOAD_CASES, PITCH_MAX_DEG, PITCH_MIN_DEG, LoadCase, Plant
 from .sprc import (
@@ -93,6 +94,18 @@ CONVERGENCE_CONSECUTIVE = 10
 MEAS_NOISE_VAR = 1.5
 #: s, the report's comparison window: the tail of the run
 COMPARISON_WINDOW_S = 200.0
+
+
+def _read_json(path: str | Path):
+    """The JSON value in a file, refusing an object that repeats a key (``json`` keeps the last)."""
+
+    def unique(pairs):
+        repeated = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+        if repeated:
+            raise ValueError(f"{path} repeats the key {repeated[0]!r} in one object")
+        return dict(pairs)
+
+    return json.loads(Path(path).read_text(), object_pairs_hook=unique)
 
 
 @dataclass(frozen=True)
@@ -211,7 +224,7 @@ class RunConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(_read_json(path))
 
     def to_json_file(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1))
@@ -354,10 +367,10 @@ class _Stepper:
             inputs.setflags(write=False)
 
         series = {name: self.prbs if name == "prbs" else np.zeros((N, 3)) for name in _BLADE_SERIES}
-        # the observer model is exact and starts settled, so the threshold is the
-        # measurement bound alone: the residual noise, which depends on the gain, scaled
+        # the observer model is exact and starts settled, so the paper's transient term is
+        # zero and the threshold is the measurement bound: the gain's residual noise, scaled
         meas_bound = fdi.NOISE_MULTIPLIER * residual_noise_std(self.actuator.model, self.fdie.gain, sigma)
-        series["rbar"] = self.fdie.threshold(FdiBounds(meas_noise=meas_bound), N)
+        series["rbar"] = np.full(N, meas_bound)
         self.series = series
         self.coeff_history = np.zeros((N // P, 3, 2))
 

@@ -96,9 +96,9 @@ class PretunedBank:
 
     @classmethod
     def load(cls, path: str | Path) -> "PretunedBank":
-        from .harness import RunConfig  # local import; harness imports this module
+        from .harness import RunConfig, _read_json  # local import; harness imports this module
 
-        payload = json.loads(Path(path).read_text())
+        payload = _read_json(path)
         schema = payload.get("schema") if isinstance(payload, dict) else None
         if schema != BANK_SCHEMA:
             raise ValueError(f"unrecognized bank schema in {path}")

@@ -8,8 +8,12 @@ system, which the library's structured QR must reproduce.  The closed loop
 has a reference for its identification flush: each chunk's identified
 samples are picked by hand, as the multiples of the decimation whose
 regressor has its full history, their residuals computed against the rows
-held before the chunk, and the live blades updated in turn.
+held before the chunk, and the live blades updated in turn.  The observer
+has the paper's adaptive threshold, whose transient term the library drops
+because a live run's observer is exact and starts settled.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -94,18 +98,74 @@ def periodic_disturbance(azimuth, blade, lc):
     return lc.disturbance_amplitude * np.sin(azimuth + 2.0 * np.pi * (blade - 1) / 3.0)
 
 
-class FdieOracle:
-    """Single-blade state-space observer and threshold recursion, one sample per call."""
+#: largest gap between the transient bound's decay rate delta and the observer's spectral radius
+DELTA_MARGIN = 0.02
+#: most powers of A0 the transient bound's scan takes before it gives up
+MAX_SCAN = 100_000
 
-    def __init__(self, model, gain, alpha, delta, bounds):
+
+@dataclass
+class FdiBounds:
+    """Nonnegative bounds feeding the adaptive residual threshold."""
+
+    state_noise: float = 0.0      # per-step bound on state disturbance
+    meas_noise: float = 0.0       # bound on measurement noise
+    init_error: float = 0.0       # bound on the initial state-estimate error
+    model_mismatch: float = 0.0   # per-step bound on unmodeled dynamics
+
+    def __post_init__(self):
+        for name in ("state_noise", "meas_noise", "init_error", "model_mismatch"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+
+
+def compute_alpha_delta(A0, C):
+    """Constants (alpha, delta) with ||C A0^k|| <= alpha * delta^k for all k.
+
+    delta is the spectral radius rho of A0 plus DELTA_MARGIN, or halfway
+    from rho to one when rho is closer to one than that.
+    alpha is the maximum of ||C A0^k|| / delta^k over a scanned prefix; the
+    scan runs until ||A0^K|| <= delta^K, after which submultiplicativity
+    bounds every later term by the prefix maximum.
+    """
+    A0 = np.atleast_2d(np.asarray(A0, dtype=float))
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    rho = float(np.max(np.abs(np.linalg.eigvals(A0))))
+    if rho >= 1.0:
+        raise ValueError(f"A0 must be stable, spectral radius {rho:.6f}")
+    delta = rho + min(DELTA_MARGIN, 0.5 * (1.0 - rho))
+
+    alpha = float(np.linalg.norm(C, 2))
+    Ak = np.eye(A0.shape[0])
+    scale = 1.0
+    for _ in range(1, MAX_SCAN + 1):
+        Ak = Ak @ A0
+        scale *= delta
+        alpha = max(alpha, float(np.linalg.norm(C @ Ak, 2)) / scale)
+        if np.linalg.norm(Ak, 2) <= scale:
+            return alpha, delta
+    raise RuntimeError("transient bound scan did not terminate")
+
+
+class FdieOracle:
+    """Single-blade state-space observer and threshold recursion, one sample per call.
+
+    The threshold is rbar[k] = meas_noise + z[k] with z[0] = alpha * init_error
+    and z[k+1] = delta * z[k] + alpha * (model_mismatch + state_noise), where
+    ||C A0^k|| <= alpha * delta^k bounds the observer's transient
+    (:func:`compute_alpha_delta`).  Without bounds the threshold is zero, for
+    a caller that checks the residuals alone.
+    """
+
+    def __init__(self, model, gain, alpha=1.0, delta=0.0, bounds=None):
         self.model = model
         self.gain = np.asarray(gain, dtype=float).reshape(-1)
         self.A0 = model.A - np.outer(self.gain, model.C[0])
         self.alpha = float(alpha)
         self.delta = float(delta)
-        self.bounds = bounds
+        self.bounds = FdiBounds() if bounds is None else bounds
         self.xhat = np.zeros(model.n_states)
-        self.threshold_state = self.alpha * bounds.init_error
+        self.threshold_state = self.alpha * self.bounds.init_error
 
     def init_steady(self, u0):
         """Start settled at a constant angle (zero residual)."""

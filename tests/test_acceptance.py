@@ -21,9 +21,8 @@ import numpy as np
 import pytest
 
 from conftest import PipelineSystem
-from oracles import DeltaBuffers, FdieOracle
+from oracles import DeltaBuffers, FdiBounds, FdieOracle
 from pitchftc import harness, supervisor
-from pitchftc.fdi import FdiBounds
 from pitchftc.numerics import RlsEstimator, StateSpaceModel, solve_dare
 from pitchftc.sprc import (
     MarkovIdentifier,

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import FdieOracle, FuserOracle, apply_pas_fault, azimuth, periodic_disturbance
 from pitchftc import fdi
 from pitchftc.actuator import ActuatorBank, FaultDescriptor
-from pitchftc.fdi import DecisionFuser, FdiBounds, compute_alpha_delta, decision_record, design_fdie
+from pitchftc.fdi import DecisionFuser, decision_record, design_fdie
 from pitchftc.plant import LOAD_CASES, Plant
 
 TS = 0.01
@@ -63,20 +63,15 @@ def test_chunked_blocks_match_per_sample_oracles(seed, cuts, fault_blade, k0):
     np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
 
     # observer: one three-column block against three per-sample observers
-    bounds = FdiBounds(state_noise=0.1, meas_noise=1.0, init_error=0.5)
     fdie = design_fdie(bank.model, 0.9)
     fdie.init_steady(u0)
     u_meas = u_act + rng.normal(0, 1, size=(N, 3))
     r = np.vstack([fdie.run_chunk(u_ref[a:b], u_meas[a:b]) for a, b in spans(cuts)])
-    rbar = fdie.threshold(bounds, N)
-    alpha, delta = compute_alpha_delta(fdie.A0, fdie.model.C)
     for blade in range(3):
-        oracle = FdieOracle(fdie.model, fdie.gain, max(alpha, 1.0), delta, bounds)
+        oracle = FdieOracle(fdie.model, fdie.gain)
         oracle.init_steady(u0[blade])
         r_step = [oracle.step(u_ref[k, blade], u_meas[k, blade]) for k in range(N)]
-        rbar_step = [oracle.threshold_step() for _ in range(N)]
         np.testing.assert_allclose(r[:, blade], r_step, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(rbar, rbar_step, rtol=0, atol=1e-12)
 
 
 @given(

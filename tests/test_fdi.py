@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import FdieOracle, FuserOracle
+from oracles import DELTA_MARGIN, FdiBounds, FdieOracle, FuserOracle, compute_alpha_delta
 from pitchftc.actuator import ActuatorBank
 from pitchftc import fdi
 from pitchftc.fdi import (
-    DELTA_MARGIN,
     DecisionFuser,
     Fdie,
-    FdiBounds,
-    compute_alpha_delta,
     decision_record,
     design_fdie,
     place_observer_gain,
@@ -50,7 +47,7 @@ class TestDesign:
 
 
 def observer_transient(fdie):
-    """The (alpha, delta) the library threshold uses for this observer."""
+    """The (alpha, delta) of the paper's threshold for this observer, alpha at least 1."""
     alpha, delta = compute_alpha_delta(fdie.A0, fdie.model.C)
     return max(alpha, 1.0), delta
 
@@ -102,21 +99,17 @@ class TestFdieStep:
             assert np.abs(r).max() < 1e-9
 
     def test_chunk_equals_step(self, actuator_model):
-        bounds = FdiBounds(state_noise=0.1, meas_noise=1.0, init_error=0.5)
         fdie = design_fdie(actuator_model, 0.9)
         fdie.init_steady(np.full(3, 5.0))
         rng = np.random.default_rng(1)
         u_ref = 5.0 + rng.normal(0, 1, size=(200, 3))
         u_meas = 5.0 + rng.normal(0, 1, size=(200, 3))
         r_chunk = fdie.run_chunk(u_ref, u_meas)
-        rbar = fdie.threshold(bounds, 200)
         for blade in range(3):
-            oracle = FdieOracle(fdie.model, fdie.gain, *observer_transient(fdie), bounds)
+            oracle = FdieOracle(fdie.model, fdie.gain)
             oracle.init_steady(5.0)
             r_step = [oracle.step(u_ref[k, blade], u_meas[k, blade]) for k in range(200)]
-            rbar_step = [oracle.threshold_step() for _ in range(200)]
             np.testing.assert_allclose(r_chunk[:, blade], r_step, atol=1e-9)
-            np.testing.assert_allclose(rbar, rbar_step, atol=1e-12)
 
     def test_healthy_noise_stays_under_threshold(self, actuator_model):
         sigma = np.sqrt(1.5)
@@ -130,8 +123,7 @@ class TestFdieStep:
         u = plant.run_chunk(u_ref, 0)
         u_meas = u[:, 0] + rng.normal(0, sigma, size=20_000)
         r = fdie.run_chunk(u_ref[:, :1], u_meas[:, None])
-        rbar = fdie.threshold(FdiBounds(meas_noise=eta_y), 20_000)[:, None]
-        assert np.all(np.abs(r) < rbar)
+        assert np.all(np.abs(r) < eta_y)
 
     def test_stuck_output_crosses_threshold(self, actuator_model):
         sigma = np.sqrt(1.5)
@@ -141,42 +133,14 @@ class TestFdieStep:
         u_ref = np.full((500, 1), 19.0)
         u_meas = np.full((500, 1), 5.0)  # stuck far from the command
         r = fdie.run_chunk(u_ref, u_meas)
-        rbar = fdie.threshold(FdiBounds(meas_noise=eta_y), 500)[:, None]
-        assert np.abs(r[0]) > rbar[0]
-        assert np.all(np.abs(r[-100:]) > rbar[-100:])
+        assert abs(r[0, 0]) > eta_y
+        assert np.all(np.abs(r[-100:]) > eta_y)
         # residual settles toward the command/stuck gap
         assert abs(r[-1, 0]) == pytest.approx(abs(5.0 - 19.0), rel=0.7)
 
 
 class TestThreshold:
-    # scalar observer A0 = 0.5 - 0.1 * 2 = 0.3: delta = 0.3 + DELTA_MARGIN, alpha = ||C|| = 2
-    fdie = Fdie(StateSpaceModel([[0.5]], [[1.0]], [[2.0]], [[0.0]], TS), [0.1])
-
-    def test_all_zero_bounds_give_zero(self):
-        assert np.all(self.fdie.threshold(FdiBounds(), 50) == 0.0)
-
-    def test_measurement_bound_only_is_constant(self, monkeypatch):
-        def no_scan(*args):
-            raise AssertionError("transient scan with zero transient bounds")
-
-        monkeypatch.setattr(fdi, "compute_alpha_delta", no_scan)
-        assert np.all(self.fdie.threshold(FdiBounds(meas_noise=3.3), 50) == 3.3)
-
-    def test_geometric_limit(self):
-        rbar = self.fdie.threshold(FdiBounds(state_noise=1.0), 200)
-        assert rbar[0] == 0.0
-        assert rbar[-1] == pytest.approx(2.0 / (1.0 - 0.32), abs=1e-9)
-
-    def test_initial_error_term_decays(self):
-        rbar = self.fdie.threshold(FdiBounds(init_error=1.0), 60)
-        expected = [2.0 * 0.32**k for k in range(60)]
-        np.testing.assert_allclose(rbar, expected, atol=1e-12)
-
-    def test_threshold_matches_oracle_recursion(self):
-        bounds = FdiBounds(state_noise=0.3, meas_noise=1.1, init_error=0.7, model_mismatch=0.2)
-        oracle = FdieOracle(self.fdie.model, self.fdie.gain, *observer_transient(self.fdie), bounds)
-        rbar_step = [oracle.threshold_step() for _ in range(300)]
-        np.testing.assert_allclose(self.fdie.threshold(bounds, 300), rbar_step, rtol=0, atol=1e-12)
+    """The paper's adaptive threshold, a recursion kept as a test oracle."""
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -206,7 +170,7 @@ class TestThreshold:
     def test_bounded_nonlinear_mismatch_keeps_residual_inside(self):
         # scalar system with a bounded unmodeled nonlinearity and bounded
         # noise; with the mismatch and noise bounds declared, the adaptive
-        # threshold must dominate the residual at every step
+        # threshold must dominate the library residual at every step
         a, L = 0.9, 0.4
         model = StateSpaceModel([[a]], [[1.0]], [[1.0]], [[0.0]], TS)
         nl = lambda x: 0.05 * np.sin(3.0 * x)
@@ -217,6 +181,8 @@ class TestThreshold:
             init_error=0.0,
             model_mismatch=0.05,
         )
+        oracle = FdieOracle(model, [L], *observer_transient(Fdie(model, [L])), bounds)
+        rbar = np.array([oracle.threshold_step() for _ in range(3000)])
         for seed in range(5):
             fdie = Fdie(model, [L])
             rng = np.random.default_rng(seed)
@@ -228,8 +194,7 @@ class TestThreshold:
                 noise = float(rng.uniform(-noise_bound, noise_bound))
                 y_meas[k] = x + noise
                 x = a * x + u[k, 0] + nl(x)
-            r = fdie.run_chunk(u, y_meas)
-            rbar = fdie.threshold(bounds, 3000)[:, None]
+            r = fdie.run_chunk(u, y_meas)[:, 0]
             assert np.all(np.abs(r) <= rbar + 1e-12)
 
 

@@ -259,9 +259,14 @@ class TestConfig:
         assert cfg.to_dict() == RunConfig().to_dict()
         assert json.dumps(cfg.to_dict()) == json.dumps(RunConfig().to_dict())
 
-    def test_unknown_keys_rejected(self):
+    def test_unknown_keys_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"mode": "baseline", "turbo": 1})
+        # a key given twice: json alone would keep the last and run seed 2
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": 1, "seed": 2}')
+        with pytest.raises(ValueError, match="repeats the key 'seed'"):
+            RunConfig.from_json_file(path)
         # a config with keys of the earlier 40-key layout, whose fixed values
         # are not config keys any more: each is named
         stale = {"rotor_period_s": 6.25, "forgetting": 0.99999, "meas_noise_value": 1.5,
@@ -430,11 +435,7 @@ class TestFaultyRun:
         np.testing.assert_array_equal(history[j], lc3_bank.get(3).coeffs_array())
         assert (history[j:, 2] == history[j, 2]).all()
 
-    def test_live_threshold_is_the_noise_bound(self, lc3_bank, monkeypatch):
-        def no_scan(*args):
-            raise AssertionError("a live run scanned for the transient bound")
-
-        monkeypatch.setattr(fdi, "compute_alpha_delta", no_scan)
+    def test_live_threshold_is_the_noise_bound(self, lc3_bank):
         cfg = RunConfig(
             mode="proposed", load_case="LC3", seed=5, duration_s=100.0, fault_blade=3,
             fault_time_s=50.0,

@@ -76,10 +76,13 @@ class TestBank:
             (lambda e: e.__setitem__("0", asdict(make_entry(blade=3)) | {
                 "config": harness.RunConfig(mode="baseline", fault_blade=0, past_window=4).to_dict()
             }), "0"),
+            # json.dumps writes the int key 3 as "3" as well, so the file holds
+            # blade 3 twice, and json alone would keep the second entry
+            (lambda e: e.__setitem__(3, asdict(make_entry()) | {"converged_period": 5}), "3"),
         ],
         ids=["truncated_markov_row", "missing_markov_row", "long_coeff_row", "nan_coeff",
              "key_mismatch", "bool_in_coeff_row", "padded_key", "padded_twin_key",
-             "non_numeric_key", "unfaulted_entry"],
+             "non_numeric_key", "unfaulted_entry", "repeated_key"],
     )
     def test_malformed_entry_rejected_at_load(self, tmp_path, corrupt, named):
         path = tmp_path / "bank.json"
