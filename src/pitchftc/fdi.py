@@ -96,7 +96,6 @@ class Fdie:
         rho = np.max(np.abs(np.linalg.eigvals(A0)))
         if rho >= 1.0:
             raise ValueError(f"observer not stable, spectral radius {rho:.6f}")
-        self.A0 = A0
 
         # transfer-function form: uhat = F_ref u_ref + F_meas u_meas
         B2 = np.column_stack([model.B, self.gain])

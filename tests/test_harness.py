@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from unittest import mock
@@ -563,6 +566,12 @@ def _set_column(rows, col, values):
     return rows
 
 
+def _assert_bit_equal(series, written):
+    for name in SERIES:
+        np.testing.assert_array_equal(series[name].view(np.int64), written[name].view(np.int64))
+    np.testing.assert_array_equal(series["dfd"], written["dfd"])
+
+
 def _write_repr_csv(path, schema, columns, block, dfd, Ts):
     """The csv-module writer of earlier versions: repr floats, CRLF line ends."""
     with open(path, "w", newline="") as handle:
@@ -571,6 +580,24 @@ def _write_repr_csv(path, schema, columns, block, dfd, Ts):
         writer.writerow(columns)
         for k, row in enumerate(block):
             writer.writerow([k, repr(k * Ts), *(repr(float(v)) for v in row), int(dfd[k])])
+
+
+# peak RSS of this address space, in kB.  Not ru_maxrss: on Linux a spawned
+# interpreter's ru_maxrss starts at its spawner's peak, which hides the read
+_READ_THREE_TIMES = """
+import sys
+from pitchftc.harness import read_csv
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = peak()
+for _ in range(3):
+    series = read_csv(sys.argv[1])
+    del series
+print(peak() - before)
+"""
 
 
 class TestCsvArtifacts:
@@ -649,14 +676,21 @@ class TestCsvArtifacts:
             lambda rows: _set_cell(rows[:3], 0, 1, "0.5"),
             lambda rows: _set_cell(rows, 4, -1, "1"),
             lambda rows: _set_cell(rows, 3, -1, "0"),
+            lambda rows: rows[:2] + ["0\n"],
+            lambda rows: rows[:4] + ["\n"] + rows[4:],
+            lambda rows: rows + ["\n"],
+            lambda rows: rows[:4] + [" \t\n"] + rows[4:],
+            lambda rows: rows[:4] + ["# a note\n"] + rows[4:],
+            lambda rows: rows[:-1] + [rows[-1].rstrip("\n") + " # a note\n"],
         ],
         ids=["empty_body", "truncated_last_row", "ragged_last_row", "empty_last_cell",
              "non_numeric_cell", "k_gap", "k_not_from_zero", "dfd_out_of_range",
              "dfd_fractional", "unknown_schema", "renamed_column", "nan_cell", "inf_cell",
              "t_off_the_grid", "t_not_from_zero", "t_zero_step", "t_negative_step",
-             "one_row_t_not_zero", "dfd_changes_blade", "dfd_clears_mid_run"],
+             "one_row_t_not_zero", "dfd_changes_blade", "dfd_clears_mid_run",
+             "one_number_row", "blank_line", "blank_last_line", "whitespace_line",
+             "comment_line", "trailing_comment"],
     )
-    @pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns on an empty body first
     def test_malformed_file_rejected(self, tmp_path, edit):
         path = tmp_path / "run.csv"
         write_csv(path, _synthetic_series(np.ones((5, 25))), 0.01)
@@ -674,10 +708,61 @@ class TestCsvArtifacts:
         written = _synthetic_series(values)
         write_csv(path, written, 0.01)
         series = read_csv(path)
-        for name in SERIES:
-            np.testing.assert_array_equal(series[name].view(np.int64), written[name].view(np.int64))
-        np.testing.assert_array_equal(series["dfd"], written["dfd"])
+        _assert_bit_equal(series, written)
         np.testing.assert_array_equal(series["t"], np.arange(values.shape[0]) * 0.01)
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8192])
+    def test_rows_around_the_read_blocks_roundtrip_bit_exactly(self, tmp_path, n):
+        values = np.random.default_rng(n).normal(size=(n, 25))
+        written = _synthetic_series(values)
+        path = tmp_path / "run.csv"
+        write_csv(path, written, 0.01)
+        series = read_csv(path)
+        _assert_bit_equal(series, written)
+        # a defect in the last block is found as in the first
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(_set_cell(rows, n - 1, COLUMNS.index("y2"), "nan")))
+        with pytest.raises(ValueError):
+            read_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[:-1],
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\n", "\r\n")[:-2],
+            lambda text: text.replace("\n", "\r"),
+        ],
+        ids=["no_final_newline", "crlf", "crlf_no_final_newline", "cr"],
+    )
+    def test_line_ends_read_back_bit_exactly(self, tmp_path, edit):
+        values = np.random.default_rng(3).normal(size=(4097, 25))
+        written = _synthetic_series(values)
+        path = tmp_path / "run.csv"
+        write_csv(path, written, 0.01)
+        path.write_bytes(edit(path.read_text()).encode())
+        series = read_csv(path)
+        _assert_bit_equal(series, written)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+    def test_a_read_holds_the_file_once(self, tmp_path):
+        # a 1400 s run at 100 Hz.  From a process's second read on, the block
+        # np.loadtxt grew while parsing was held about twice at the peak
+        rows = 140_000
+        path = tmp_path / "run.csv"
+        write_csv(path, _synthetic_series(np.ones((rows, 25))), 0.01)
+        src = Path(harness.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", _READ_THREE_TIMES, str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        growth = int(proc.stdout) * 1024 / (rows * len(COLUMNS) * 8)
+        # one block plus the checks' temporaries read 1.17, the grown block 2.2
+        assert growth < 1.5
 
     def test_reads_files_in_the_earlier_format(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -688,9 +773,7 @@ class TestCsvArtifacts:
         _write_repr_csv(path, CSV_SCHEMA, COLUMNS, values, written["dfd"], 0.01)
         assert b"\r\n" in path.read_bytes()
         series = read_csv(path)
-        for name in SERIES:
-            np.testing.assert_array_equal(series[name].view(np.int64), written[name].view(np.int64))
-        np.testing.assert_array_equal(series["dfd"], written["dfd"])
+        _assert_bit_equal(series, written)
 
     def test_v1_file_refused(self, tmp_path):
         # v1 wrote the threshold three times, as rbar1..3 between r and ident_res
